@@ -44,7 +44,6 @@ def _build_parser():
         p.add_argument("--workers", type=int, help="override study.workers")
         p.add_argument("--n-paths", type=int, help="override study.n_paths")
         p.add_argument("--lambda-grid", help="override study.lambda_grid (comma separated)")
-        p.add_argument("--dt-grid", help="override study.dt_grid")
         p.add_argument("--eps-grid", help="override study.eps_grid")
         p.add_argument(
             "--set",
@@ -64,7 +63,6 @@ def _gather_values(args):
         "study.workers": args.workers,
         "study.n_paths": args.n_paths,
         "study.lambda_grid": getattr(args, "lambda_grid", None),
-        "study.dt_grid": getattr(args, "dt_grid", None),
         "study.eps_grid": getattr(args, "eps_grid", None),
     }
     for key, value in direct.items():

@@ -40,7 +40,6 @@ _SCHEMA = {
     "study.n_paths": int,
     "study.seed": int,
     "study.lambda_grid": str,
-    "study.dt_grid": str,
     "study.eps_grid": str,
     "study.workers": int,
 }
@@ -62,7 +61,6 @@ DEFAULTS = {
     "study.n_paths": 200,
     "study.seed": 42,
     "study.lambda_grid": "1e-1,1e-2,1e-3,1e-4",
-    "study.dt_grid": "4e-3,2e-3,1e-3",
     "study.eps_grid": "1e-2,1e-3,0",
     "study.workers": 1,
 }
@@ -170,7 +168,6 @@ def build_study_spec(values: dict) -> StudySpec:
         return StudySpec(
             base=base,
             lambdas=_parse_float_grid("study.lambda_grid", values["study.lambda_grid"]),
-            dts=_parse_float_grid("study.dt_grid", values["study.dt_grid"]),
             eps_grid=_parse_float_grid("study.eps_grid", values["study.eps_grid"]),
             n_paths=values["study.n_paths"],
             seed=values["study.seed"],

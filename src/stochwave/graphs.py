@@ -96,7 +96,7 @@ class MonotoneGraph:
         return float(y) if scalar else y
 
     def _resolvent_impl(self, lam, x):
-        return _solve_monotone(self._beta, self._beta_prime, lam, x)
+        raise NotImplementedError
 
     def resolvent_warm(self, lam, x, y0=None):
         """Resolvent for trusted array input, seeded with a previous solution.
@@ -143,10 +143,6 @@ class LinearGraph(MonotoneGraph):
         return x / (1.0 + lam * self.c)
 
 
-def _soft_threshold(lam, x):
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
 class SignGraph(MonotoneGraph):
     """beta = subdifferential of |x|: the sign graph with [-1, 1] at 0."""
 
@@ -160,30 +156,17 @@ class SignGraph(MonotoneGraph):
         return np.where(x == 0.0, -1.0, s), np.where(x == 0.0, 1.0, s)
 
     def _resolvent_impl(self, lam, x):
-        return _soft_threshold(lam, x)
-
-
-def _warm_newton(graph, lam, x, y0):
-    """Three plain Newton steps from a nearby start, falling back when unsure.
-
-    A warm start within O(dt) of the root makes plain Newton machine-accurate
-    in three quadratic steps for the smooth graphs; any entry whose residual
-    disagrees sends the whole batch through the safeguarded solver.
-    """
-    y = np.clip(y0, np.minimum(0.0, x), np.maximum(0.0, x))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(3):
-            f = y + lam * graph._beta(y) - x
-            step = f / (1.0 + lam * graph._beta_prime(y))
-            y = np.where(np.isfinite(step), y - step, y)
-    f = y + lam * graph._beta(y) - x
-    if np.all(np.abs(f) <= 1e-12 * (1.0 + np.abs(x))):
-        return y
-    return graph._resolvent_impl(lam, x)
+        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)  # soft threshold
 
 
 class PowerLawGraph(MonotoneGraph):
-    """beta(x) = |x|^(p-1) * sign(x) with p >= 1; p = 1 is the sign graph."""
+    """beta(x) = |x|^(p-1) * sign(x) with p >= 1; p = 1 is the sign graph.
+
+    For p > 1 the resolvent has no closed form.  Cold solves run the
+    safeguarded Newton of ``_solve_monotone`` on ``_beta``/``_beta_prime``;
+    warm solves run plain Newton on ``_residual_slope``, which subclasses
+    may fuse.
+    """
 
     def __init__(self, p):
         if p < 1.0:
@@ -196,9 +179,8 @@ class PowerLawGraph(MonotoneGraph):
 
     def _section_impl(self, x):
         if self.p == 1.0:
-            s = np.sign(x)
-            return np.where(x == 0.0, -1.0, s), np.where(x == 0.0, 1.0, s)
-        v = np.abs(x) ** (self.p - 1.0) * np.sign(x)
+            return SignGraph._section_impl(self, x)
+        v = self._beta(x)
         return v, v
 
     def _beta(self, y):
@@ -208,28 +190,44 @@ class PowerLawGraph(MonotoneGraph):
         with np.errstate(divide="ignore", over="ignore"):
             return (self.p - 1.0) * np.abs(y) ** (self.p - 2.0)
 
+    def _residual_slope(self, lam, x, y):
+        """Residual y + lam*beta(y) - x of the resolvent equation and its slope in y."""
+        return y + lam * self._beta(y) - x, 1.0 + lam * self._beta_prime(y)
+
     def _resolvent_impl(self, lam, x):
         if self.p == 1.0:
-            return _soft_threshold(lam, x)
+            return SignGraph._resolvent_impl(self, lam, x)
         return _solve_monotone(self._beta, self._beta_prime, lam, x)
 
     def resolvent_warm(self, lam, x, y0=None):
+        """Three plain Newton steps from y0, falling back when unsure.
+
+        A warm start within O(dt) of the root makes plain Newton
+        machine-accurate in three quadratic steps; if any entry's residual
+        misses, the whole array goes through the safeguarded cold solver.
+        """
         if y0 is None or self.p == 1.0:
             return self._resolvent_impl(lam, x)
-        return _warm_newton(self, lam, x, y0)
+        y = y0
+        for _ in range(3):
+            f, slope = self._residual_slope(lam, x, y)
+            y = y - f / slope
+        f, _ = self._residual_slope(lam, x, y)
+        # a NaN residual fails the comparison and so also falls back
+        if np.all(np.abs(f) <= 1e-12 * (1.0 + np.abs(x))):
+            return y
+        return self._resolvent_impl(lam, x)
 
 
-class CubicGraph(MonotoneGraph):
-    """beta(x) = x^3, the classic defocusing cubic nonlinearity."""
+class CubicGraph(PowerLawGraph):
+    """beta(x) = x^3, the classic defocusing cubic nonlinearity (power law p = 4)."""
 
-    name = "cubic"
+    def __init__(self):
+        super().__init__(4.0)
+        self.name = "cubic"
 
     def potential(self, x):
         return 0.25 * np.asarray(x, dtype=float) ** 4
-
-    def _section_impl(self, x):
-        v = x**3
-        return v, v
 
     def _beta(self, y):
         return y**3
@@ -237,19 +235,17 @@ class CubicGraph(MonotoneGraph):
     def _beta_prime(self, y):
         return 3.0 * y**2
 
-    def resolvent_warm(self, lam, x, y0=None):
-        if y0 is None:
-            return self._resolvent_impl(lam, x)
-        # cubic derivative 1 + 3 lam y^2 never vanishes, so no guards needed
-        y = y0
-        lam3 = 3.0 * lam
-        for _ in range(3):
-            y2 = y * y
-            y = y - (y * (1.0 + lam * y2) - x) / (1.0 + lam3 * y2)
-        f = y * (1.0 + lam * y * y) - x
-        if np.all(np.abs(f) <= 1e-12 * (1.0 + np.abs(x))):
-            return y
-        return self._resolvent_impl(lam, x)
+    def _residual_slope(self, lam, x, y):
+        # fused y*(1 + lam*y^2) - x and 1 + 3*lam*y^2, evaluated in place to
+        # spare temporaries on the per-step hot path; the slope never vanishes
+        y2 = y * y
+        f = lam * y2
+        f += 1.0
+        f *= y
+        f -= x
+        y2 *= 3.0 * lam
+        y2 += 1.0
+        return f, y2
 
 
 class JumpGraph(MonotoneGraph):

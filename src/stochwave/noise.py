@@ -104,7 +104,11 @@ class MartingaleDriver:
         return draw
 
     def sample_increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
-        """One increment of M over a step of length dt, as mode coefficients."""
+        """One increment of M over a step of length dt, as mode coefficients.
+
+        Builds a new sampler on every call, so it is meant for one-off draws;
+        loops should draw from one ``increment_sampler(dt)``.
+        """
         return self.increment_sampler(dt)(rng)
 
 
@@ -158,6 +162,17 @@ class DiffusionMap:
         return float(np.sqrt(grid.weight * np.sum(s2 * g)))
 
 
+def _path_increments(driver: MartingaleDriver, dt: float, n_steps: int, n_paths: int, master_seed: int):
+    """Per path, in index order: an iterator over its first n_steps increments.
+
+    All paths draw through one sampler, each from its own ``path_rng`` stream.
+    """
+    draw = driver.increment_sampler(dt)
+    for p in range(n_paths):
+        rng = path_rng(master_seed, p)
+        yield (draw(rng) for _ in range(n_steps))
+
+
 def ito_isometry_check(
     driver: MartingaleDriver,
     t_final: float,
@@ -175,13 +190,12 @@ def ito_isometry_check(
     rhs = t_final * driver.covariance.trace
     if t_final == 0.0 or n_paths < 1:
         return {"lhs_estimate": 0.0, "rhs": rhs, "std_error": 0.0, "n_paths": n_paths}
-    dt = t_final / n_steps
     sq = np.empty(n_paths)
-    for p in range(n_paths):
-        rng = path_rng(master_seed, p)
+    paths = _path_increments(driver, t_final / n_steps, n_steps, n_paths, master_seed)
+    for p, increments in enumerate(paths):
         total = np.zeros(driver.covariance.q.shape)
-        for _ in range(n_steps):
-            total += driver.sample_increment(dt, rng)
+        for dm in increments:
+            total += dm
         sq[p] = np.sum(total**2)
     lhs = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

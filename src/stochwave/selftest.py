@@ -124,7 +124,8 @@ def run_selftest(out=print) -> int:
     def increment_stats_ok():
         rng = path_rng(11, 0)
         n, dt = 20_000, 0.01
-        draws = np.array([wiener.sample_increment(dt, rng)[0] for _ in range(n)])
+        draw = wiener.increment_sampler(dt)
+        draws = np.array([draw(rng)[0] for _ in range(n)])
         se = np.sqrt(cov.q[0] * dt / n)
         mean_ok = abs(draws.mean()) <= 3 * se
         var_se = np.std(draws**2, ddof=1) / np.sqrt(n)

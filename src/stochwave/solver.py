@@ -161,6 +161,25 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
+def _drift(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u, warm=None):
+    """Nodal values, resolvent, Yosida values and drift modes of the state u.
+
+    ``warm`` is the previous step's resolvent, used as a Newton start.
+    """
+    u_nodes = grid.to_nodes(u)
+    res = graph.resolvent_warm(lam, u_nodes, warm)
+    yos = (u_nodes - res) / lam
+    return u_nodes, res, yos, grid.to_modes(yos)
+
+
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm):
+    """Kick v with the drift and the diffused increment dm, then apply the group."""
+    w = v - cache.dt * beta_modes
+    if dm is not None:
+        w = w + diffusion.apply(cache.grid, u_nodes, dm)
+    return cache.rotate(u, w)
+
+
 def step(
     cache: GroupCache,
     state: WaveState,
@@ -170,17 +189,13 @@ def step(
     dm: Optional[np.ndarray] = None,
 ) -> WaveState:
     """Advance one step: kick with drift/noise at the left endpoint, then rotate."""
-    grid = cache.grid
-    u_nodes = grid.to_nodes(state.u)
-    beta_modes = grid.to_modes(graph.yosida(lam, u_nodes))
-    w = state.v - cache.dt * beta_modes
-    if dm is not None:
-        if diffusion is None:
-            raise ValueError("noise increment given without a diffusion map")
-        w = w + diffusion.apply(grid, u_nodes, dm)
-    u_new, v_new = cache.rotate(state.u, w)
+    if dm is not None and diffusion is None:
+        raise ValueError("noise increment given without a diffusion map")
+    u_nodes, _, _, beta_modes = _drift(cache.grid, graph, lam, state.u)
+    u_new, v_new = _kick_rotate(cache, state.u, state.v, u_nodes, beta_modes, diffusion, dm)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise NumericError("non-finite state after step", step=0)
+        # a single step cannot know its index within a path
+        raise NumericError("non-finite state after step", step=None)
     return WaveState(u_new, v_new)
 
 
@@ -226,7 +241,6 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
     pairing_eps = {e: 0.0 for e in eps_list}
     warm = None
     draw = driver.increment_sampler(dt) if driver is not None else None
-    cos_t, sinc, msin = cache.cos_t, cache.sinc, cache.msin
 
     for step_idx in range(n + 1):
         quad = float((mu * u * u).sum() + (v * v).sum())
@@ -236,11 +250,8 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
             )
         if quad > sup_energy:
             sup_energy = quad
-        u_nodes = grid.to_nodes(u)
-        res = graph.resolvent_warm(lam, u_nodes, warm)
+        u_nodes, res, yos, beta_modes = _drift(grid, graph, lam, u, warm)
         warm = res
-        yos = (u_nodes - res) / lam
-        beta_modes = grid.to_modes(yos)
 
         if rec_series:
             lyap = quad + 2.0 * weight * float((graph.potential(res) + 0.5 * lam * yos**2).sum())
@@ -266,16 +277,15 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
             beta_f = grid.to_nodes(filt * beta_modes)
             pairing_eps[e] += dt * weight * float((res_f * beta_f).sum())
 
-        w = v - dt * beta_modes
+        dm = None
         if draw is not None:
             dm = draw(rng)
             hasher.update(dm.tobytes())
-            w = w + diffusion.apply(grid, u_nodes, dm)
             if rec_inc:
                 inc_hist[step_idx] = dm
         if rec_states:
             beta_hist[step_idx] = beta_modes
-        u, v = cos_t * u + sinc * w, msin * u + cos_t * w
+        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm)
 
     pairing_eps[0.0] = pairing
     return PathResult(

@@ -11,11 +11,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import NumericError
-from .noise import ito_isometry_check, path_rng
+from .noise import _path_increments, ito_isometry_check, path_rng
 from .solver import SERIES_COLUMNS, PathResult, SolverConfig, ibp_residual, simulate_path
 
 __all__ = [
@@ -37,7 +38,6 @@ class StudySpec:
 
     base: SolverConfig
     lambdas: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    dts: tuple = (4e-3, 2e-3, 1e-3)
     eps_grid: tuple = (1e-2, 1e-3, 0.0)
     n_paths: int = 200
     seed: int = 42
@@ -114,46 +114,47 @@ def _map_ordered(fn, items, workers):
 
 def _mean_se(values):
     arr = np.asarray(values, dtype=float)
+    if not len(arr):
+        return float("nan"), float("nan")
     mean = float(np.mean(arr))
     se = float(np.std(arr, ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return mean, se
 
 
-def _sup_energy_job(config, path_index):
+def _path_job(extract, config, path_index):
     try:
-        return simulate_path(config, path_index).sup_energy, None
+        return extract(simulate_path(config, path_index)), None
     except NumericError as exc:
         return None, exc.step
+
+
+def _map_lambdas(spec: StudySpec, extract, **overrides):
+    """Map extract over every path at each lambda; blow-ups are counted, not fatal.
+
+    Returns one (lambda, values of the finished paths) pair per lambda, in grid
+    order, and a {lambda: blown-up path count} dict of the lambdas that had any.
+    """
+    per_lambda, blowups = [], {}
+    for lam in spec.lambdas:
+        config = spec.config_for(lam, record=frozenset(), **overrides)
+        job = partial(_path_job, extract, config)
+        results = _map_ordered(job, range(spec.n_paths), spec.workers)
+        ok = [value for value, _ in results if value is not None]
+        if len(ok) < spec.n_paths:
+            blowups[lam] = spec.n_paths - len(ok)
+        per_lambda.append((lam, ok))
+    return per_lambda, blowups
 
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    rows, blowups = [], {}
-    for lam in spec.lambdas:
-        config = spec.config_for(lam, record=frozenset())
-        results = _map_ordered(partial(_sup_energy_job, config), range(spec.n_paths), spec.workers)
-        ok = [r[0] for r in results if r[0] is not None]
-        n_blown = spec.n_paths - len(ok)
-        if n_blown:
-            blowups[lam] = n_blown
-        if ok:
-            est, se = _mean_se(ok)
-        else:
-            est, se = float("nan"), float("nan")
-        rows.append((lam, est, se, len(ok)))
+    per_lambda, blowups = _map_lambdas(spec, attrgetter("sup_energy"))
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
-        rows=rows,
+        rows=[(lam, *_mean_se(ok), len(ok)) for lam, ok in per_lambda],
         meta={"blowups": blowups},
     )
-
-
-def _pairing_job(config, path_index):
-    try:
-        return simulate_path(config, path_index).pairing_eps, None
-    except NumericError as exc:
-        return None, exc.step
 
 
 def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
@@ -165,20 +166,12 @@ def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
     eps_values = tuple(spec.eps_grid if eps_grid is None else eps_grid)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    rows, blowups = [], {}
-    for lam in spec.lambdas:
-        config = spec.config_for(lam, record=frozenset(), eps_pairing=eps_values)
-        results = _map_ordered(partial(_pairing_job, config), range(spec.n_paths), spec.workers)
-        ok = [r[0] for r in results if r[0] is not None]
-        n_blown = spec.n_paths - len(ok)
-        if n_blown:
-            blowups[lam] = n_blown
-        for eps in eps_values:
-            if ok:
-                est, se = _mean_se([d[eps] for d in ok])
-            else:
-                est, se = float("nan"), float("nan")
-            rows.append((lam, eps, est, se, len(ok)))
+    per_lambda, blowups = _map_lambdas(spec, attrgetter("pairing_eps"), eps_pairing=eps_values)
+    rows = [
+        (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
+        for lam, ok in per_lambda
+        for eps in eps_values
+    ]
     return StudyReport(
         name="pairing",
         columns=("lambda", "eps", "estimate", "std_error", "n_paths"),
@@ -275,14 +268,12 @@ def isometry_study(spec: StudySpec) -> StudyReport:
         )
     ]
 
-    n_steps = base.n_steps
-    dt = base.dt
     qv = np.empty(spec.n_paths)
-    for p in range(spec.n_paths):
-        rng = path_rng(spec.seed, p)
+    paths = _path_increments(driver, base.dt, base.n_steps, spec.n_paths, spec.seed)
+    for p, increments in enumerate(paths):
         total = 0.0
-        for _ in range(n_steps):
-            total += float(np.sum(driver.sample_increment(dt, rng) ** 2))
+        for dm in increments:
+            total += float(np.sum(dm**2))
         qv[p] = total
     qv_est, qv_se = _mean_se(qv)
     rows.append(

@@ -35,8 +35,9 @@ class TestConfigParsing:
         assert values["study.workers"] == 1
 
     def test_unknown_key_is_named(self):
-        with pytest.raises(ConfigError, match="noise.flavor"):
-            parse_config_text("[noise] flavor=vanilla")
+        for text, key in (("[noise] flavor=vanilla", "noise.flavor"), ("[study] dt_grid=1e-3", "study.dt_grid")):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(text)
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="boundary"):

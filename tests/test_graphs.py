@@ -98,13 +98,15 @@ class TestResolventExamples:
     def test_warm_start_agrees_with_cold(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-5, 5, 200)
-        for graph in (CubicGraph(), PowerLawGraph(3.0)):
+        x[::17] = 0.0  # exact zeros, where the p = 1.5 slope is infinite
+        for graph in (CubicGraph(), PowerLawGraph(3.0), PowerLawGraph(1.5)):
             cold = graph.resolvent(0.05, x)
             warm = graph.resolvent_warm(0.05, x, cold + rng.uniform(-1e-3, 1e-3, 200))
             np.testing.assert_allclose(warm, cold, atol=1e-12)
-            # garbage warm start falls back to the safeguarded solve
-            bad = graph.resolvent_warm(0.05, x, np.full_like(x, 1e6))
-            np.testing.assert_allclose(bad, cold, atol=1e-12)
+            # garbage and all-zero warm starts fall back to the safeguarded solve
+            for y0 in (np.full_like(x, 1e6), np.zeros_like(x)):
+                bad = graph.resolvent_warm(0.05, x, y0)
+                np.testing.assert_allclose(bad, cold, atol=1e-12)
 
 
 class TestYosidaExamples:

@@ -107,6 +107,28 @@ class TestStep:
         with pytest.raises(ValueError):
             step(cache, state, LinearGraph(0.0), 1.0, dm=grid64.zero_field())
 
+    def test_non_finite_state_has_no_step_index(self, grid64):
+        cache = GroupCache(grid64, 0.1)
+        u = grid64.basis_field(1)
+        u[0] = np.inf
+        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
+            step(cache, WaveState(u, grid64.zero_field()), LinearGraph(0.0), 1.0)
+        assert err.value.step is None
+
+    @pytest.mark.parametrize("graph", [JumpGraph(2.0), SignGraph(), LinearGraph(1.0)])
+    def test_step_replays_simulate_path(self, stochastic_config, graph):
+        # both entry points share one kernel: feeding step() the recorded
+        # increments must reproduce the path bit for bit
+        config = replace(stochastic_config, graph=graph, t_final=0.2, record=frozenset({"increments"}))
+        result = simulate_path(config, 3)
+        grid = config.grid
+        cache = GroupCache(grid, config.dt)
+        state = WaveState(*build_initial_state(grid, config.u0))
+        for dm in result.increments:
+            state = step(cache, state, graph, config.lam, config.diffusion, dm)
+        np.testing.assert_array_equal(state.u, result.u_final)
+        np.testing.assert_array_equal(state.v, result.v_final)
+
 
 class TestEnergyFunctionals:
     def test_single_mode_energy(self, grid64):
@@ -217,7 +239,8 @@ class TestSimulatePath:
         )
         with pytest.raises(NumericError) as err:
             simulate_path(config, 0)
-        assert err.value.step is not None
+        # yosida(u) = 5e8*u: the deterministic growth first crosses the 1e12 guard at step 2
+        assert err.value.step == 2
 
     def test_sup_energy_includes_initial_time(self, grid64):
         config = SolverConfig(
