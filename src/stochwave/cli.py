@@ -146,7 +146,7 @@ def cli_main(argv) -> int:
             print(f"warning: lambda={lam:g}: {count} path(s) hit the blow-up guard", file=sys.stderr)
         print(f"wrote {csv_path}")
         return 0
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -246,7 +246,7 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
         quad = float((mu * u * u).sum() + (v * v).sum())
         if not np.isfinite(quad) or quad > BLOWUP_ENERGY:
             raise NumericError(
-                f"energy blow-up at step {step_idx} (energy={quad:.3e})", step=step_idx
+                f"energy blow-up at step {step_idx} (lambda={lam:g}, energy={quad:.3e})", step=step_idx
             )
         if quad > sup_energy:
             sup_energy = quad

@@ -11,7 +11,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -121,38 +120,59 @@ def _mean_se(values):
     return mean, se
 
 
-def _path_job(extract, config, path_index):
-    try:
-        return extract(simulate_path(config, path_index)), None
-    except NumericError as exc:
-        return None, exc.step
+def _sweep_job(configs, reduce, path_index):
+    """Run one path at every lambda of the grid, in grid order, on one noise stream.
 
-
-def _map_lambdas(spec: StudySpec, extract, **overrides):
-    """Map extract over every path at each lambda; blow-ups are counted, not fatal.
-
-    Returns one (lambda, values of the finished paths) pair per lambda, in grid
-    order, and a {lambda: blown-up path count} dict of the lambdas that had any.
+    Returns one reduced value per lambda; None marks a blow-up, after which
+    the next lambda has no previous result.  Raises if two finished lambdas
+    consumed different increment streams.
     """
-    per_lambda, blowups = [], {}
-    for lam in spec.lambdas:
-        config = spec.config_for(lam, record=frozenset(), **overrides)
-        job = partial(_path_job, extract, config)
-        results = _map_ordered(job, range(spec.n_paths), spec.workers)
-        ok = [value for value, _ in results if value is not None]
-        if len(ok) < spec.n_paths:
-            blowups[lam] = spec.n_paths - len(ok)
-        per_lambda.append((lam, ok))
-    return per_lambda, blowups
+    values, prev, noise_hash = [], None, None
+    for config in configs:
+        try:
+            result = simulate_path(config, path_index)
+        except NumericError:
+            values.append(None)
+            prev = None
+            continue
+        if noise_hash not in (None, result.increment_hash):
+            raise RuntimeError("coupled paths consumed different noise streams")
+        noise_hash = result.increment_hash
+        values.append(reduce(config, prev, result))
+        prev = result
+    return values
+
+
+def _sweep(spec: StudySpec, reduce, **overrides):
+    """Map the lambda sweep over every path in one pool; blow-ups are counted, not fatal.
+
+    ``reduce(config, previous lambda's result or None, result)`` maps each
+    finished path to a value.  Returns, per lambda in grid order, the values
+    of the finished paths in path order, and a {lambda: blown-up path count}
+    dict of the lambdas that had any.
+    """
+    configs = tuple(spec.config_for(lam, **overrides) for lam in spec.lambdas)
+    per_path = _map_ordered(partial(_sweep_job, configs, reduce), range(spec.n_paths), spec.workers)
+    columns = [[v for v in column if v is not None] for column in zip(*per_path)]
+    blowups = {lam: spec.n_paths - len(ok) for lam, ok in zip(spec.lambdas, columns) if len(ok) < spec.n_paths}
+    return columns, blowups
+
+
+def _sup_energy(config, prev, result):
+    return result.sup_energy
+
+
+def _pairing_eps(config, prev, result):
+    return result.pairing_eps
 
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    per_lambda, blowups = _map_lambdas(spec, attrgetter("sup_energy"))
+    columns, blowups = _sweep(spec, _sup_energy, record=frozenset())
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
-        rows=[(lam, *_mean_se(ok), len(ok)) for lam, ok in per_lambda],
+        rows=[(lam, *_mean_se(ok), len(ok)) for lam, ok in zip(spec.lambdas, columns)],
         meta={"blowups": blowups},
     )
 
@@ -166,10 +186,10 @@ def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
     eps_values = tuple(spec.eps_grid if eps_grid is None else eps_grid)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    per_lambda, blowups = _map_lambdas(spec, attrgetter("pairing_eps"), eps_pairing=eps_values)
+    columns, blowups = _sweep(spec, _pairing_eps, record=frozenset(), eps_pairing=eps_values)
     rows = [
         (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
-        for lam, ok in per_lambda
+        for lam, ok in zip(spec.lambdas, columns)
         for eps in eps_values
     ]
     return StudyReport(
@@ -180,59 +200,38 @@ def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
     )
 
 
-def _coupled_gaps_job(configs, path_index):
-    """Simulate one path under every lambda with shared noise; consecutive gaps.
-
-    Returns one tuple (u_gap, beta_l1_gap, beta_hm2_gap, beta_hm3_gap) per
-    consecutive lambda pair.  Raises if the increment streams ever differ.
-    """
-    grid = configs[0].grid
-    dt = configs[0].dt
-    prev = None
-    prev_hash = None
-    gaps = []
-    for config in configs:
-        result = simulate_path(config, path_index)
-        if prev_hash is not None and result.increment_hash != prev_hash:
-            raise RuntimeError("coupled paths consumed different noise streams")
-        prev_hash = result.increment_hash
-        if prev is not None:
-            du = result.u - prev.u
-            u_gap = float(np.max(np.sqrt(np.sum(du**2, axis=tuple(range(1, du.ndim))))))
-            dbeta = result.beta - prev.beta
-            l1 = 0.0
-            for n in range(dbeta.shape[0]):
-                l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta[n]))))
-            l1 *= dt
-            axes = tuple(range(1, dbeta.ndim))
-            hm2 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -2.0 * dbeta**2, axis=axes))))
-            hm3 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -3.0 * dbeta**2, axis=axes))))
-            gaps.append((u_gap, l1, hm2, hm3))
-        prev = result
-    return gaps
+def _gaps(config, prev, result):
+    """(u, beta L1, beta H^-2, beta H^-3) gaps to the previous lambda's result; () without one."""
+    if prev is None:
+        return ()
+    grid, dt = config.grid, config.dt
+    du = result.u - prev.u
+    u_gap = float(np.max(np.sqrt(np.sum(du**2, axis=tuple(range(1, du.ndim))))))
+    dbeta = result.beta - prev.beta
+    l1 = 0.0
+    for n in range(dbeta.shape[0]):
+        l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta[n]))))
+    l1 *= dt
+    axes = tuple(range(1, dbeta.ndim))
+    hm2 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -2.0 * dbeta**2, axis=axes))))
+    hm3 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -3.0 * dbeta**2, axis=axes))))
+    return u_gap, l1, hm2, hm3
 
 
 def lambda_convergence_study(spec: StudySpec) -> StudyReport:
-    """Cauchy gaps between consecutive regularization scales under coupled noise."""
+    """Cauchy gaps between consecutive regularization scales under coupled noise.
+
+    Each pair's row averages over the paths that finished at both of its
+    lambdas; blow-ups are flagged, not fatal.
+    """
     if len(spec.lambdas) < 3:
         raise ValueError("lambda convergence needs a grid of at least 3 values")
-    configs = tuple(
-        spec.config_for(lam, record=frozenset({"states"})) for lam in spec.lambdas
-    )
-    per_path = _map_ordered(
-        partial(_coupled_gaps_job, configs), range(spec.n_paths), spec.workers
-    )
+    columns, blowups = _sweep(spec, _gaps, record=frozenset({"states"}))
     rows = []
-    for j in range(len(spec.lambdas) - 1):
-        u_gaps = [gaps[j][0] for gaps in per_path]
-        l1_gaps = [gaps[j][1] for gaps in per_path]
-        hm2 = float(np.mean([gaps[j][2] for gaps in per_path]))
-        hm3 = float(np.mean([gaps[j][3] for gaps in per_path]))
-        u_est, u_se = _mean_se(u_gaps)
-        b_est, b_se = _mean_se(l1_gaps)
-        rows.append(
-            (spec.lambdas[j], spec.lambdas[j + 1], u_est, u_se, b_est, b_se, hm2, hm3, spec.n_paths)
-        )
+    for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
+        gaps = [g for g in column if g]
+        stats = [_mean_se([g[k] for g in gaps]) for k in range(4)]
+        rows.append((hi, lo, *stats[0], *stats[1], stats[2][0], stats[3][0], len(gaps)))
     return StudyReport(
         name="lambda-conv",
         columns=(
@@ -247,6 +246,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
             "n_paths",
         ),
         rows=rows,
+        meta={"blowups": blowups},
     )
 
 

@@ -157,8 +157,15 @@ class TestCli:
             assert root.tag.endswith("svg")
 
     def test_missing_config_file(self, tmp_path):
-        code = cli_main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--outdir", str(tmp_path)])
-        assert code == 2
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        out = str(tmp_path / "out")
+        for config, outdir in (
+            (str(tmp_path / "nope.cfg"), out),
+            (str(tmp_path), out),  # config is a directory
+            (str(a_file), str(a_file)),  # outdir is an existing file
+        ):
+            assert cli_main(["simulate", "--config", config, "--outdir", outdir]) == 2
 
     def test_unknown_key_override(self, config_file, tmp_path):
         code = cli_main(
@@ -172,7 +179,7 @@ class TestCli:
         assert "FAIL" not in out
         assert out.count("ok   -") >= 10
 
-    def test_numeric_abort_exit_code(self, config_file, tmp_path):
+    def test_numeric_abort_exit_code(self, config_file, tmp_path, capsys):
         code = cli_main(
             [
                 "simulate",
@@ -189,3 +196,5 @@ class TestCli:
             ]
         )
         assert code == 3
+        err = capsys.readouterr().err
+        assert "lambda=1e-09" in err and "step 1 " in err

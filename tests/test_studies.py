@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from math import cos, sin
 
@@ -21,6 +22,7 @@ from stochwave import (
     write_csv,
     write_field_csv,
 )
+from stochwave.studies import _sweep_job
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,22 @@ class TestStudySpecValidation:
         StudySpec(base=base, lambdas=(1e-2, 1e-2, 1e-3))
 
 
+class TestLambdaSweep:
+    @pytest.mark.parametrize(
+        "study", [energy_study, pairing_study, lambda_convergence_study], ids=lambda f: f.__name__
+    )
+    def test_worker_count_does_not_change_rows(self, small_stochastic_spec, study):
+        serial = study(replace(small_stochastic_spec, workers=1))
+        pooled = study(replace(small_stochastic_spec, workers=2))
+        assert serial.rows == pooled.rows
+
+    def test_sweep_rejects_lambdas_on_different_noise(self, small_stochastic_spec):
+        base = small_stochastic_spec.base
+        configs = (base, replace(base, lam=1e-3, seed=base.seed + 1))
+        with pytest.raises(RuntimeError, match="different noise streams"):
+            _sweep_job(configs, lambda config, prev, result: None, 0)
+
+
 class TestEnergyStudy:
     def test_deterministic_flow_pins_estimate(self):
         grid = SpectralGrid(1, 16)
@@ -82,11 +100,6 @@ class TestEnergyStudy:
     def test_single_path_reports_identical_across_runs(self, small_stochastic_spec):
         spec = replace(small_stochastic_spec, n_paths=1)
         assert energy_study(spec).rows == energy_study(spec).rows
-
-    def test_worker_count_does_not_change_rows(self, small_stochastic_spec):
-        serial = energy_study(replace(small_stochastic_spec, workers=1))
-        pooled = energy_study(replace(small_stochastic_spec, workers=2))
-        assert serial.rows == pooled.rows
 
     def test_every_diffusion_map_survives_the_worker_pool(self, small_stochastic_spec):
         # maps hold callables; a pool run requires them to pickle
@@ -192,6 +205,21 @@ class TestLambdaConvergenceStudy:
         report = lambda_convergence_study(spec)
         first = report.rows[0]
         assert first[2] == 0.0 and first[4] == 0.0
+
+    def test_blow_up_pairs_are_flagged_and_study_continues(self):
+        grid = SpectralGrid(1, 16)
+        base = SolverConfig(
+            grid=grid, graph=LinearGraph(1e9), lam=1e-1, dt=1e-3, t_final=0.1,
+            driver=None, u0="smooth:4", record=frozenset(),
+        )
+        spec = StudySpec(base=base, lambdas=(1e-1, 5e-2, 1e-9), n_paths=3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = lambda_convergence_study(spec)
+        assert report.meta["blowups"] == {1e-9: 3}
+        good, bad = report.rows
+        assert all(np.isfinite(good[2:8])) and good[8] == 3
+        assert all(np.isnan(bad[2:8])) and bad[8] == 0
 
     def test_coupled_gaps_decrease_for_cubic(self, small_stochastic_spec):
         spec = replace(
