@@ -14,6 +14,8 @@ Unknown sections or keys are rejected by name.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .graphs import parse_graph
 from .noise import DiffusionMap, MartingaleDriver, NuclearCovariance
@@ -69,9 +71,12 @@ DEFAULTS = {
 def _convert(key, raw):
     kind = _SCHEMA[key]
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"config key '{key}' expects {kind.__name__}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key '{key}' expects a finite float, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict:
@@ -129,6 +134,8 @@ def _parse_float_grid(key, raw):
         raise ConfigError(f"config key '{key}' expects comma-separated floats, got {raw!r}") from None
     if not grid:
         raise ConfigError(f"config key '{key}' is empty")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"config key '{key}' expects finite floats, got {raw!r}")
     return grid
 
 

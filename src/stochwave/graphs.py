@@ -7,6 +7,8 @@ evaluation methods accept scalars or numpy arrays and are pure functions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -67,6 +69,29 @@ def _solve_monotone(beta, beta_prime, lam, x):
     return y
 
 
+def _soft_threshold(lam, x):
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+
+
+def _resolvent_p2(lam, x):
+    return x / (1.0 + lam)
+
+
+def _resolvent_p3(lam, x):
+    # y = sign(x)*s with lam*s^2 + s = |x|, the root written without cancellation
+    return 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * lam * np.abs(x)))
+
+
+def _resolvent_p4(lam, x):
+    # the one real root of lam*y^3 + y - x = 0, in hyperbolic form
+    c = math.sqrt(3.0 * lam)
+    return (2.0 / c) * np.sinh(np.arcsinh(1.5 * c * x) / 3.0)
+
+
+# exact resolvents of the power law |y|^(p-1) sign(y), keyed by p
+_CLOSED_FORMS = {1.0: _soft_threshold, 2.0: _resolvent_p2, 3.0: _resolvent_p3, 4.0: _resolvent_p4}
+
+
 class MonotoneGraph:
     """A maximal monotone graph on the real line, beta = subdifferential of j."""
 
@@ -101,8 +126,8 @@ class MonotoneGraph:
     def resolvent_warm(self, lam, x, y0=None):
         """Resolvent for trusted array input, seeded with a previous solution.
 
-        Time steppers call this once per step with the previous nodal values
-        as y0; graphs with closed-form resolvents ignore the hint.
+        Time steppers call this once per step with the previous step's
+        resolvent as y0; graphs with closed-form resolvents ignore the hint.
         """
         return self._resolvent_impl(lam, x)
 
@@ -127,8 +152,8 @@ class LinearGraph(MonotoneGraph):
     """beta(x) = c*x with c >= 0 (c = 0 turns the nonlinearity off)."""
 
     def __init__(self, c=1.0):
-        if c < 0.0:
-            raise ValueError(f"linear slope must be nonnegative, got {c}")
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"linear slope must be finite and nonnegative, got {c}")
         self.c = float(c)
         self.name = f"linear:{self.c:g}"
 
@@ -156,23 +181,25 @@ class SignGraph(MonotoneGraph):
         return np.where(x == 0.0, -1.0, s), np.where(x == 0.0, 1.0, s)
 
     def _resolvent_impl(self, lam, x):
-        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)  # soft threshold
+        return _soft_threshold(lam, x)
 
 
 class PowerLawGraph(MonotoneGraph):
     """beta(x) = |x|^(p-1) * sign(x) with p >= 1; p = 1 is the sign graph.
 
-    For p > 1 the resolvent has no closed form.  Cold solves run the
-    safeguarded Newton of ``_solve_monotone`` on ``_beta``/``_beta_prime``;
-    warm solves run plain Newton on ``_residual_slope``, which subclasses
-    may fuse.
+    For p in {1, 2, 3, 4} the resolvent equation is piecewise linear, linear,
+    quadratic or cubic in |y|, and both ``resolvent`` and ``resolvent_warm``
+    evaluate its exact root.  Any other p has no closed form: cold solves run
+    the safeguarded Newton of ``_solve_monotone`` and warm solves run plain
+    Newton from the hint.
     """
 
     def __init__(self, p):
-        if p < 1.0:
-            raise ValueError(f"power exponent must be >= 1, got {p}")
+        if not 1.0 <= p < math.inf:
+            raise ValueError(f"power exponent must be finite and >= 1, got {p}")
         self.p = float(p)
         self.name = f"power:{self.p:g}"
+        self._closed_form = _CLOSED_FORMS.get(self.p)
 
     def potential(self, x):
         return np.abs(x) ** self.p / self.p
@@ -190,29 +217,28 @@ class PowerLawGraph(MonotoneGraph):
         with np.errstate(divide="ignore", over="ignore"):
             return (self.p - 1.0) * np.abs(y) ** (self.p - 2.0)
 
-    def _residual_slope(self, lam, x, y):
-        """Residual y + lam*beta(y) - x of the resolvent equation and its slope in y."""
-        return y + lam * self._beta(y) - x, 1.0 + lam * self._beta_prime(y)
-
     def _resolvent_impl(self, lam, x):
-        if self.p == 1.0:
-            return SignGraph._resolvent_impl(self, lam, x)
+        if self._closed_form is not None:
+            return self._closed_form(lam, x)
         return _solve_monotone(self._beta, self._beta_prime, lam, x)
 
     def resolvent_warm(self, lam, x, y0=None):
-        """Three plain Newton steps from y0, falling back when unsure.
+        """Closed form if there is one, else three plain Newton steps from y0.
 
-        A warm start within O(dt) of the root makes plain Newton
-        machine-accurate in three quadratic steps; if any entry's residual
-        misses, the whole array goes through the safeguarded cold solver.
+        The closed form ignores y0 and is called directly, so that a hinted
+        call reaches ``_resolvent_impl`` only as a Newton fallback.  A warm
+        start within O(dt) of the root makes plain Newton machine-accurate in
+        three quadratic steps; if any entry's residual misses, the whole
+        array goes through the safeguarded cold solver.
         """
-        if y0 is None or self.p == 1.0:
+        if self._closed_form is not None:
+            return self._closed_form(lam, x)
+        if y0 is None:
             return self._resolvent_impl(lam, x)
         y = y0
         for _ in range(3):
-            f, slope = self._residual_slope(lam, x, y)
-            y = y - f / slope
-        f, _ = self._residual_slope(lam, x, y)
+            y = y - (y + lam * self._beta(y) - x) / (1.0 + lam * self._beta_prime(y))
+        f = y + lam * self._beta(y) - x
         # a NaN residual fails the comparison and so also falls back
         if np.all(np.abs(f) <= 1e-12 * (1.0 + np.abs(x))):
             return y
@@ -220,7 +246,10 @@ class PowerLawGraph(MonotoneGraph):
 
 
 class CubicGraph(PowerLawGraph):
-    """beta(x) = x^3, the classic defocusing cubic nonlinearity (power law p = 4)."""
+    """beta(x) = x^3, the classic defocusing cubic nonlinearity (power law p = 4).
+
+    Its resolvent is the closed form of ``PowerLawGraph(4)``.
+    """
 
     def __init__(self):
         super().__init__(4.0)
@@ -232,21 +261,6 @@ class CubicGraph(PowerLawGraph):
     def _beta(self, y):
         return y**3
 
-    def _beta_prime(self, y):
-        return 3.0 * y**2
-
-    def _residual_slope(self, lam, x, y):
-        # fused y*(1 + lam*y^2) - x and 1 + 3*lam*y^2, evaluated in place to
-        # spare temporaries on the per-step hot path; the slope never vanishes
-        y2 = y * y
-        f = lam * y2
-        f += 1.0
-        f *= y
-        f -= x
-        y2 *= 3.0 * lam
-        y2 += 1.0
-        return f, y2
-
 
 class JumpGraph(MonotoneGraph):
     """beta(x) = x + a*H(x) with jump a > 0 at the origin, fill-in [0, a].
@@ -256,8 +270,8 @@ class JumpGraph(MonotoneGraph):
     """
 
     def __init__(self, a):
-        if a <= 0.0:
-            raise ValueError(f"jump size must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"jump size must be finite and positive, got {a}")
         self.a = float(a)
         self.name = f"jump:{self.a:g}"
 

@@ -30,6 +30,7 @@ SELFTEST_GRAPHS = (
     CubicGraph(),
     SignGraph(),
     JumpGraph(2.0),
+    PowerLawGraph(2.5),  # no closed form: keeps the safeguarded Newton covered
 )
 
 

@@ -45,6 +45,7 @@ ACCEPTANCE_GRAPHS = (
     CubicGraph(),
     SignGraph(),
     JumpGraph(2.0),
+    PowerLawGraph(2.5),  # no closed form: keeps the safeguarded Newton covered
 )
 
 
@@ -124,12 +125,13 @@ def test_criterion_2_resolvent_bisection_equivalence():
             lo = np.where(positive, lo, mid)
         return 0.5 * (lo + hi)
 
-    with criterion(2, "cubic/power-3 resolvents match the bisection oracle"):
+    with criterion(2, "cubic/power-3/power-2.5 resolvents match the bisection oracle"):
         start = time.perf_counter()
         xs = np.linspace(-10.0, 10.0, 2500)  # x 10^4 grid with the 4 lambdas
         cases = (
             (CubicGraph(), lambda v: v**3),
             (PowerLawGraph(3.0), lambda v: np.abs(v) ** 2 * np.sign(v)),
+            (PowerLawGraph(2.5), lambda v: np.abs(v) ** 1.5 * np.sign(v)),  # safeguarded Newton
         )
         for graph, beta in cases:
             for lam in (1e-3, 1e-1, 1.0, 10.0):

@@ -50,6 +50,11 @@ class TestConfigParsing:
     def test_type_errors_are_reported(self):
         with pytest.raises(ConfigError, match="domain.dim"):
             parse_config_text("[domain] dim=one")
+        for raw in ("nan", "inf", "-inf"):  # a float key takes finite values only
+            with pytest.raises(ConfigError, match="noise.q0"):
+                parse_config_text(f"[noise] q0={raw}")
+            with pytest.raises(ConfigError, match="solver.lambda"):
+                apply_overrides(load_config(None), [f"solver.lambda={raw}"])
 
     def test_overrides(self):
         values = apply_overrides(parse_config_text(BASE_TEXT), ["solver.dt=1e-3"])
@@ -98,6 +103,11 @@ class TestBuilders:
         values["study.lambda_grid"] = "abc"
         with pytest.raises(ConfigError):
             build_study_spec(values)
+        for key, raw in (("study.lambda_grid", "1e-1,nan"), ("study.eps_grid", "inf,0")):
+            values = parse_config_text(BASE_TEXT)
+            values[key] = raw
+            with pytest.raises(ConfigError, match=key):
+                build_study_spec(values)
 
 
 @pytest.fixture()
@@ -172,6 +182,16 @@ class TestCli:
             ["simulate", "--config", config_file, "--set", "solver.mesh=3", "--outdir", str(tmp_path)]
         )
         assert code == 2
+
+    def test_non_finite_numbers_exit_2(self, config_file, tmp_path, capsys):
+        for extra, key in (
+            (["energy", "--lambda-grid", "nan"], "study.lambda_grid"),
+            (["simulate", "--set", "noise.q0=nan"], "noise.q0"),
+            (["simulate", "--set", "graph.kind=power:nan"], "power:nan"),
+        ):
+            code = cli_main(extra + ["--config", config_file, "--n-paths", "2", "--outdir", str(tmp_path)])
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0

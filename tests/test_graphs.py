@@ -9,6 +9,7 @@ from stochwave import (
     SignGraph,
     parse_graph,
 )
+from stochwave.graphs import _solve_monotone
 
 ALL_GRAPHS = [
     LinearGraph(1.0),
@@ -99,7 +100,7 @@ class TestResolventExamples:
         rng = np.random.default_rng(5)
         x = rng.uniform(-5, 5, 200)
         x[::17] = 0.0  # exact zeros, where the p = 1.5 slope is infinite
-        for graph in (CubicGraph(), PowerLawGraph(3.0), PowerLawGraph(1.5)):
+        for graph in (CubicGraph(), PowerLawGraph(3.0), PowerLawGraph(1.5), PowerLawGraph(2.5)):
             cold = graph.resolvent(0.05, x)
             warm = graph.resolvent_warm(0.05, x, cold + rng.uniform(-1e-3, 1e-3, 200))
             np.testing.assert_allclose(warm, cold, atol=1e-12)
@@ -107,6 +108,41 @@ class TestResolventExamples:
             for y0 in (np.full_like(x, 1e6), np.zeros_like(x)):
                 bad = graph.resolvent_warm(0.05, x, y0)
                 np.testing.assert_allclose(bad, cold, atol=1e-12)
+
+
+class TestClosedFormResolvents:
+    """p = 2, 3, 4 evaluate an exact root instead of running Newton."""
+
+    LAMS = 10.0 ** np.arange(-4, 4)
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(17)
+        x = np.concatenate(
+            [rng.uniform(-10, 10, 500), rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-8, 6, 500)]
+        )
+        x[::50] = 0.0
+        return np.append(x, [1e6, -1e6])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_agrees_with_newton_and_solves_the_equation(self, p):
+        graph = PowerLawGraph(p)
+        x = self._points()
+        tol = 1e-14 * (1.0 + np.abs(x))
+        for lam in self.LAMS:
+            y = graph.resolvent(lam, x)
+            newton = _solve_monotone(graph._beta, graph._beta_prime, lam, x)
+            assert np.all(np.abs(y - newton) <= tol)
+            assert np.all(np.abs(y + lam * graph._beta(y) - x) <= tol)
+            assert np.array_equal(graph.resolvent(lam, -x), -y)
+            assert np.all(y[x == 0.0] == 0.0)
+            assert np.array_equal(graph.resolvent_warm(lam, x, np.full_like(x, 1e6)), y)
+
+    def test_named_graphs_are_the_same_power_laws(self):
+        x = self._points()
+        for lam in self.LAMS:
+            assert np.array_equal(PowerLawGraph(4.0).resolvent(lam, x), CubicGraph().resolvent(lam, x))
+            assert np.array_equal(PowerLawGraph(2.0).resolvent(lam, x), LinearGraph(1.0).resolvent(lam, x))
 
 
 class TestYosidaExamples:
@@ -219,7 +255,17 @@ class TestParseGraph:
         assert parse_graph("jump:2").a == 2.0
 
     def test_bad_specs(self):
-        for bad in ("quartic", "power:0.5", "jump:-1", "linear:-2", "power:abc"):
+        for bad in (
+            "quartic",
+            "power:0.5",
+            "jump:-1",
+            "linear:-2",
+            "power:abc",
+            "power:nan",
+            "power:inf",
+            "linear:nan",
+            "jump:nan",
+        ):
             with pytest.raises(ValueError):
                 parse_graph(bad)
 
