@@ -248,18 +248,13 @@ class PowerLawGraph(MonotoneGraph):
 class CubicGraph(PowerLawGraph):
     """beta(x) = x^3, the classic defocusing cubic nonlinearity (power law p = 4).
 
-    Its resolvent is the closed form of ``PowerLawGraph(4)``.
+    It is ``PowerLawGraph(4)`` under another name: potential, section and
+    resolvent are that graph's, so both agree bit for bit.
     """
 
     def __init__(self):
         super().__init__(4.0)
         self.name = "cubic"
-
-    def potential(self, x):
-        return 0.25 * np.asarray(x, dtype=float) ** 4
-
-    def _beta(self, y):
-        return y**3
 
 
 class JumpGraph(MonotoneGraph):

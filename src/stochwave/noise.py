@@ -78,15 +78,22 @@ class MartingaleDriver:
             raise ValueError(f"poisson driver needs rate > 0, got {self.rate}")
 
     def increment_sampler(self, dt: float):
-        """Precompiled sampler rng -> increment of M over a step of length dt."""
+        """Precompiled sampler ``draw(rng, n_steps=None)`` of increments of M
+        over steps of length dt.
+
+        Without ``n_steps`` it returns one increment; with it, an
+        ``(n_steps, *q.shape)`` block of consecutive increments, equal bit for
+        bit to ``n_steps`` single draws in a row from the same rng.
+        """
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         q = self.covariance.q
         if self.kind == "wiener":
             scale = np.sqrt(q * dt)
 
-            def draw(rng):
-                return scale * rng.standard_normal(scale.shape)
+            def draw(rng, n_steps=None):
+                shape = scale.shape if n_steps is None else (n_steps, *scale.shape)
+                return scale * rng.standard_normal(shape)
 
             return draw
         # compound Poisson: Poisson(rate*dt) jumps, each sum_k sqrt(q_k/rate) xi_k e_k
@@ -94,12 +101,20 @@ class MartingaleDriver:
         jump_scale = np.sqrt(q / self.rate)
         mean_jumps = self.rate * dt
 
-        def draw(rng):
+        def one(rng):
             n_jumps = int(rng.poisson(mean_jumps))
             if n_jumps == 0:
                 return np.zeros(jump_scale.shape)
             xi = rng.uniform(-_SQRT3, _SQRT3, size=(n_jumps,) + jump_scale.shape)
             return jump_scale * xi.sum(axis=0)
+
+        def draw(rng, n_steps=None):
+            if n_steps is None:
+                return one(rng)
+            block = np.empty((n_steps, *jump_scale.shape))
+            for i in range(n_steps):
+                block[i] = one(rng)
+            return block
 
         return draw
 
@@ -162,15 +177,33 @@ class DiffusionMap:
         return float(np.sqrt(grid.weight * np.sum(s2 * g)))
 
 
-def _path_increments(driver: MartingaleDriver, dt: float, n_steps: int, n_paths: int, master_seed: int):
-    """Per path, in index order: an iterator over its first n_steps increments.
+# Most entries one block draw holds (512 KiB of float64); a longer path is
+# drawn in several blocks from the same stream, which gives the same numbers.
+_BLOCK_ENTRIES = 1 << 16
 
-    All paths draw through one sampler, each from its own ``path_rng`` stream.
+
+def _path_increments(driver: MartingaleDriver, dt: float, n_steps: int, n_paths: int, master_seed: int):
+    """Per path, in index order: an iterator over blocks of its first n_steps increments.
+
+    A block is an ``(m, *q.shape)`` array of m >= 1 consecutive steps, capped
+    at ``_BLOCK_ENTRIES`` entries; stacked, the blocks are the n_steps single
+    draws in step order.  All paths draw through one sampler, each from its
+    own ``path_rng`` stream.
     """
     draw = driver.increment_sampler(dt)
+    per_block = max(1, _BLOCK_ENTRIES // driver.covariance.q.size)
     for p in range(n_paths):
         rng = path_rng(master_seed, p)
-        yield (draw(rng) for _ in range(n_steps))
+        yield (draw(rng, min(per_block, n_steps - start)) for start in range(0, n_steps, per_block))
+
+
+def _add_in_order(total, rows):
+    """``total + rows[0] + rows[1] + ...``, added one row at a time in step order.
+
+    This is the running sum of per-step loops, bit for bit; ``np.sum`` over
+    the rows would add pairwise and move the last bits.
+    """
+    return np.add.accumulate(np.concatenate((np.asarray(total)[None], rows)), axis=0)[-1]
 
 
 def ito_isometry_check(
@@ -187,15 +220,17 @@ def ito_isometry_check(
     """
     if t_final < 0.0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rhs = t_final * driver.covariance.trace
     if t_final == 0.0 or n_paths < 1:
         return {"lhs_estimate": 0.0, "rhs": rhs, "std_error": 0.0, "n_paths": n_paths}
     sq = np.empty(n_paths)
     paths = _path_increments(driver, t_final / n_steps, n_steps, n_paths, master_seed)
-    for p, increments in enumerate(paths):
+    for p, blocks in enumerate(paths):
         total = np.zeros(driver.covariance.q.shape)
-        for dm in increments:
-            total += dm
+        for block in blocks:
+            total = _add_in_order(total, block)
         sq[p] = np.sum(total**2)
     lhs = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

@@ -125,8 +125,7 @@ def run_selftest(out=print) -> int:
     def increment_stats_ok():
         rng = path_rng(11, 0)
         n, dt = 20_000, 0.01
-        draw = wiener.increment_sampler(dt)
-        draws = np.array([draw(rng)[0] for _ in range(n)])
+        draws = wiener.increment_sampler(dt)(rng, n)[:, 0]
         se = np.sqrt(cov.q[0] * dt / n)
         mean_ok = abs(draws.mean()) <= 3 * se
         var_se = np.std(draws**2, ddof=1) / np.sqrt(n)

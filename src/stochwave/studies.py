@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericError
-from .noise import _path_increments, ito_isometry_check, path_rng
+from .noise import _add_in_order, _path_increments, ito_isometry_check, path_rng
 from .solver import SERIES_COLUMNS, PathResult, SolverConfig, ibp_residual, simulate_path
 
 __all__ = [
@@ -51,6 +51,8 @@ class StudySpec:
             raise ValueError("lambda grid entries must be positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"study.workers must be >= 1, got {self.workers}")
 
     def config_for(self, lam, **overrides) -> SolverConfig:
         return replace(self.base, lam=lam, seed=self.seed, **overrides)
@@ -270,10 +272,10 @@ def isometry_study(spec: StudySpec) -> StudyReport:
 
     qv = np.empty(spec.n_paths)
     paths = _path_increments(driver, base.dt, base.n_steps, spec.n_paths, spec.seed)
-    for p, increments in enumerate(paths):
+    for p, blocks in enumerate(paths):
         total = 0.0
-        for dm in increments:
-            total += float(np.sum(dm**2))
+        for block in blocks:
+            total = _add_in_order(total, np.sum(block**2, axis=tuple(range(1, block.ndim))))
         qv[p] = total
     qv_est, qv_se = _mean_se(qv)
     rows.append(

@@ -193,6 +193,12 @@ class TestCli:
             assert code == 2
             assert key in capsys.readouterr().err
 
+    def test_worker_count_below_one_exits_2(self, config_file, tmp_path, capsys):
+        for extra in (["--workers", "0"], ["--set", "study.workers=-1"]):
+            code = cli_main(["energy", "--config", config_file, "--n-paths", "2", "--outdir", str(tmp_path)] + extra)
+            assert code == 2
+            assert "study.workers" in capsys.readouterr().err
+
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0
         out = capsys.readouterr().out

@@ -144,6 +144,17 @@ class TestClosedFormResolvents:
             assert np.array_equal(PowerLawGraph(4.0).resolvent(lam, x), CubicGraph().resolvent(lam, x))
             assert np.array_equal(PowerLawGraph(2.0).resolvent(lam, x), LinearGraph(1.0).resolvent(lam, x))
 
+    def test_cubic_is_power_four_bit_for_bit(self):
+        x = np.random.default_rng(4).uniform(-5.0, 5.0, 100_000)
+        x[::1000] = 0.0
+        cubic, power4 = CubicGraph(), PowerLawGraph(4.0)
+        assert np.array_equal(cubic.potential(x), power4.potential(x))
+        for a, b in zip(cubic.section(x), power4.section(x)):
+            assert np.array_equal(a, b)
+        for lam in self.LAMS:
+            for name in ("resolvent", "yosida", "moreau"):
+                assert np.array_equal(getattr(cubic, name)(lam, x), getattr(power4, name)(lam, x))
+
 
 class TestYosidaExamples:
     def test_linear(self):

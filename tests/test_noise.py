@@ -9,6 +9,7 @@ from stochwave import (
     ito_isometry_check,
     path_rng,
 )
+from stochwave import noise
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,43 @@ class TestIncrements:
         assert np.all(np.abs(slope - cov8.q) <= 3.0 * se)
 
 
+def _per_step_draws(draw, rng, n_steps):
+    return np.stack([draw(rng) for _ in range(n_steps)])
+
+
+# rate 5 over dt 0.01 leaves about 95% of the Poisson steps without a jump
+DRIVERS = [("wiener", 0.0), ("poisson", 5.0)]
+GRIDS = [SpectralGrid(1, 8), SpectralGrid(2, 6)]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("kind, rate", DRIVERS)
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2"])
+    def test_block_is_the_stacked_single_draws(self, kind, rate, grid):
+        driver = MartingaleDriver(kind, NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=rate)
+        draw = driver.increment_sampler(0.01)
+        a, b = path_rng(3, 1), path_rng(3, 1)
+        block = draw(a, 200)
+        assert block.shape == (200, *grid.shape)
+        assert np.array_equal(block, _per_step_draws(draw, b, 200))
+        if kind == "poisson":
+            jumped = np.any(block != 0.0, axis=tuple(range(1, block.ndim)))
+            assert 0 < jumped.sum() < 200
+        # both streams stand at the same place afterwards
+        assert np.array_equal(draw(a), draw(b))
+
+    @pytest.mark.parametrize("kind, rate", DRIVERS)
+    @pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2"])
+    def test_path_increments_span_several_blocks(self, kind, rate, grid, monkeypatch):
+        driver = MartingaleDriver(kind, NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=rate)
+        monkeypatch.setattr(noise, "_BLOCK_ENTRIES", 4 * driver.covariance.q.size + 1)  # 4 steps per block
+        draw = driver.increment_sampler(0.01)
+        for p, blocks in enumerate(noise._path_increments(driver, 0.01, 10, 3, 8)):
+            blocks = list(blocks)
+            assert [len(b) for b in blocks] == [4, 4, 2]
+            assert np.array_equal(np.concatenate(blocks), _per_step_draws(draw, path_rng(8, p), 10))
+
+
 class TestDiffusion:
     def test_constant_map_is_identity_on_noise(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
@@ -205,6 +243,27 @@ class TestItoIsometry:
         driver = MartingaleDriver("wiener", cov8)
         rep = ito_isometry_check(driver, 0.0, 1, 100, 0)
         assert rep["lhs_estimate"] == 0.0 and rep["rhs"] == 0.0
+
+    def test_n_steps_must_be_positive(self, cov8):
+        driver = MartingaleDriver("wiener", cov8)
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps"):
+                ito_isometry_check(driver, 1.0, n_steps, 10, 0)
+
+    @pytest.mark.parametrize("kind, rate", DRIVERS)
+    def test_matches_a_per_step_sum(self, kind, rate, cov8, monkeypatch):
+        monkeypatch.setattr(noise, "_BLOCK_ENTRIES", 3 * cov8.q.size)  # 3 steps per block
+        driver = MartingaleDriver(kind, cov8, rate=rate)
+        draw = driver.increment_sampler(0.1)
+        sq = []
+        for p in range(4):
+            rng, total = path_rng(6, p), np.zeros(cov8.q.shape)
+            for _ in range(10):
+                total += draw(rng)
+            sq.append(np.sum(total**2))
+        rep = ito_isometry_check(driver, 1.0, 10, 4, 6)
+        assert rep["lhs_estimate"] == np.mean(sq)
+        assert rep["std_error"] == np.std(sq, ddof=1) / np.sqrt(4)
 
     def test_wiener_small(self, cov8):
         driver = MartingaleDriver("wiener", cov8)

@@ -19,9 +19,11 @@ from stochwave import (
     isometry_study,
     lambda_convergence_study,
     pairing_study,
+    path_rng,
     write_csv,
     write_field_csv,
 )
+from stochwave import noise
 from stochwave.studies import _sweep_job
 
 
@@ -62,6 +64,9 @@ class TestStudySpecValidation:
             StudySpec(base=base, lambdas=(1e-3, 1e-2))  # ascending
         with pytest.raises(ValueError):
             StudySpec(base=base, lambdas=(1e-2,), n_paths=0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                StudySpec(base=base, lambdas=(1e-2,), workers=workers)
         # equal neighbours are allowed (gap is exactly zero downstream)
         StudySpec(base=base, lambdas=(1e-2, 1e-2, 1e-3))
 
@@ -236,16 +241,44 @@ class TestLambdaConvergenceStudy:
 
 
 class TestIsometryStudy:
+    @staticmethod
+    def _spec(spec, kind):
+        driver = replace(spec.base.driver, kind=kind, rate=5.0 if kind == "poisson" else 0.0)
+        return replace(spec, base=replace(spec.base, driver=driver))
+
     def test_rows_and_statistics(self, small_stochastic_spec):
-        spec = replace(small_stochastic_spec, n_paths=400)
-        report = isometry_study(spec)
-        checks = {row[0]: row for row in report.rows}
-        iso = checks["ito_isometry_wiener"]
-        assert abs(iso[1] - iso[2]) <= 3.0 * iso[3]
-        qv = checks["quadratic_variation"]
-        assert abs(qv[1] - qv[2]) <= 3.0 * qv[3]
-        ibp = checks["integration_by_parts"]
-        assert ibp[1] <= 1e-12
+        for kind in ("wiener", "poisson"):
+            spec = replace(self._spec(small_stochastic_spec, kind), n_paths=400)
+            report = isometry_study(spec)
+            checks = {row[0]: row for row in report.rows}
+            iso = checks[f"ito_isometry_{kind}"]
+            assert abs(iso[1] - iso[2]) <= 3.0 * iso[3]
+            qv = checks["quadratic_variation"]
+            assert abs(qv[1] - qv[2]) <= 3.0 * qv[3]
+            ibp = checks["integration_by_parts"]
+            assert ibp[1] <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_rows_match_a_per_step_reference(self, small_stochastic_spec, kind, monkeypatch):
+        # 3 steps per block, so each path's 125 steps span 42 blocks
+        monkeypatch.setattr(noise, "_BLOCK_ENTRIES", 3 * 16 + 5)
+        spec = replace(self._spec(small_stochastic_spec, kind), n_paths=5)
+        base, driver = spec.base, spec.base.driver
+        sq, qv = [], []
+        for p in range(spec.n_paths):
+            rng = path_rng(spec.seed, p)
+            sq.append(float(np.sum(driver.sample_increment(base.t_final, rng) ** 2)))
+            draw, rng, total = driver.increment_sampler(base.dt), path_rng(spec.seed, p), 0.0
+            for _ in range(base.n_steps):
+                total += float(np.sum(draw(rng) ** 2))
+            qv.append(total)
+        rows = isometry_study(spec).rows
+        assert rows[0] == (
+            f"ito_isometry_{kind}", np.mean(sq), driver.covariance.trace * base.t_final,
+            np.std(sq, ddof=1) / np.sqrt(spec.n_paths), spec.n_paths,
+        )
+        assert rows[1][1:3] == (np.mean(qv), base.t_final * driver.covariance.trace)
+        assert rows[1][3] == np.std(qv, ddof=1) / np.sqrt(spec.n_paths)
 
     def test_requires_driver(self, small_stochastic_spec):
         base = replace(small_stochastic_spec.base, driver=None)
