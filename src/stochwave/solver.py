@@ -9,8 +9,9 @@ identities (energy conservation, Duhamel re-summation) hold at round-off.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,9 +84,11 @@ class SolverConfig:
     u0: str = "smooth:8"
     seed: int = 0
     record: frozenset = frozenset({"functionals"})
-    eps_pairing: tuple = ()
 
     def __post_init__(self):
+        for name, value in (("lam", self.lam), ("dt", self.dt), ("t_final", self.t_final)):
+            if not math.isfinite(value):
+                raise ValueError(f"SolverConfig.{name} must be finite, got {value}")
         if self.lam <= 0.0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if self.dt <= 0.0:
@@ -104,6 +107,10 @@ class SolverConfig:
         return int(round(self.t_final / self.dt))
 
 
+# record flag that fills each optional PathResult field
+_RECORD_FLAGS = {"series": "functionals", "u": "states", "v": "states", "beta": "states", "increments": "increments"}
+
+
 @dataclass
 class PathResult:
     """One simulated trajectory plus the functionals accumulated along it."""
@@ -113,7 +120,6 @@ class PathResult:
     sup_energy: float
     chain_lhs: float
     pairing: float
-    pairing_eps: dict
     u_first: np.ndarray
     v_first: np.ndarray
     u_final: np.ndarray
@@ -128,9 +134,10 @@ class PathResult:
     def require(self, *names):
         for name in names:
             if getattr(self, name) is None:
+                flag = _RECORD_FLAGS[name]
                 raise ValueError(
                     f"path was simulated without recording {name!r}; "
-                    f"add the matching flag to SolverConfig.record"
+                    f"add {flag!r} to solver.record (SolverConfig.record)"
                 )
 
 
@@ -210,8 +217,15 @@ def lyapunov(grid: SpectralGrid, state: WaveState, graph: MonotoneGraph, lam: fl
     return energy(grid, state) + 2.0 * grid.quad_integral(graph.moreau(lam, u_nodes))
 
 
-def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
-    """Run one trajectory; raises NumericError with the step index on blow-up."""
+def simulate_path(
+    config: SolverConfig, path_index: int = 0, observe: Optional[Callable] = None
+) -> PathResult:
+    """Run one trajectory; raises NumericError with the step index on blow-up.
+
+    ``observe(k, u, beta_modes)``, if given, sees the state and the drift
+    modes of every step k < n before its kick, so a study can reduce them
+    on the fly instead of recording whole histories.
+    """
     grid, graph, lam = config.grid, config.graph, config.lam
     dt, n = config.dt, config.n_steps
     mu = grid.mu
@@ -220,8 +234,6 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
     u, v = build_initial_state(grid, config.u0, rng)
     cache = GroupCache(grid, dt)
     driver, diffusion = config.driver, config.diffusion
-    eps_list = tuple(e for e in config.eps_pairing if e > 0.0)
-    smoothers = {e: grid.smoother(e) for e in eps_list}
 
     rec_states = "states" in config.record
     rec_inc = "increments" in config.record
@@ -231,14 +243,14 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
     u_hist = np.empty((n + 1,) + grid.shape) if rec_states else None
     v_hist = np.empty((n + 1,) + grid.shape) if rec_states else None
     beta_hist = np.empty((n,) + grid.shape) if rec_states else None
-    inc_hist = np.empty((n,) + grid.shape) if rec_inc else None
+    # a noise-free path records its true increments: zeros
+    inc_hist = np.zeros((n,) + grid.shape) if rec_inc else None
 
     hasher = hashlib.sha256()
     u_first, v_first = u.copy(), v.copy()
     sup_energy = -np.inf
     chain_lhs = 0.0
     pairing = 0.0
-    pairing_eps = {e: 0.0 for e in eps_list}
     warm = None
     draw = driver.increment_sampler(dt) if driver is not None else None
 
@@ -271,11 +283,8 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
 
         chain_lhs += dt * float((beta_modes * v).sum())
         pairing += dt * weight * float((yos * res).sum())
-        for e in eps_list:
-            filt = smoothers[e]
-            res_f = graph.resolvent(lam, grid.to_nodes(filt * u))
-            beta_f = grid.to_nodes(filt * beta_modes)
-            pairing_eps[e] += dt * weight * float((res_f * beta_f).sum())
+        if observe is not None:
+            observe(step_idx, u, beta_modes)
 
         dm = None
         if draw is not None:
@@ -287,14 +296,12 @@ def simulate_path(config: SolverConfig, path_index: int = 0) -> PathResult:
             beta_hist[step_idx] = beta_modes
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm)
 
-    pairing_eps[0.0] = pairing
     return PathResult(
         path_index=path_index,
         times=times,
         sup_energy=sup_energy,
         chain_lhs=chain_lhs,
         pairing=pairing,
-        pairing_eps=pairing_eps,
         u_first=u_first,
         v_first=v_first,
         u_final=u,

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+def _check_eps_grid(eps_values):
+    if not all(math.isfinite(e) and e >= 0.0 for e in eps_values):
+        raise ValueError(f"study.eps_grid entries must be finite and >= 0, got {tuple(eps_values)}")
+
+
 @dataclass
 class StudySpec:
     """A base solver setup plus the parameter grids a study sweeps over."""
@@ -45,10 +50,13 @@ class StudySpec:
     def __post_init__(self):
         if not self.lambdas:
             raise ValueError("lambda grid must be non-empty")
+        if not all(map(math.isfinite, self.lambdas)):
+            raise ValueError(f"StudySpec.lambdas entries must be finite, got {self.lambdas}")
         if any(l2 > l1 for l1, l2 in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError("lambda grid must be descending")
         if any(l <= 0 for l in self.lambdas):
             raise ValueError("lambda grid entries must be positive")
+        _check_eps_grid(self.eps_grid)
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.workers < 1:
@@ -122,55 +130,87 @@ def _mean_se(values):
     return mean, se
 
 
-def _sweep_job(configs, reduce, path_index):
+def _sweep_job(configs, make_reducer, path_index):
     """Run one path at every lambda of the grid, in grid order, on one noise stream.
 
-    Returns one reduced value per lambda; None marks a blow-up, after which
-    the next lambda has no previous result.  Raises if two finished lambdas
-    consumed different increment streams.
+    ``make_reducer()`` gives this job's reducer.  Per lambda,
+    ``reducer.start(config, chained)`` returns a per-step observer for
+    ``simulate_path`` or None; ``chained`` says whether the previous lambda
+    finished.  ``reducer.finish(config, result)`` returns the value.  A
+    blow-up gives None and breaks the chain.  Raises if two finished
+    lambdas consumed different increment streams.
     """
-    values, prev, noise_hash = [], None, None
+    reducer = make_reducer()
+    values, chained, noise_hash = [], False, None
     for config in configs:
         try:
-            result = simulate_path(config, path_index)
+            result = simulate_path(config, path_index, reducer.start(config, chained))
         except NumericError:
             values.append(None)
-            prev = None
+            chained = False
             continue
         if noise_hash not in (None, result.increment_hash):
             raise RuntimeError("coupled paths consumed different noise streams")
         noise_hash = result.increment_hash
-        values.append(reduce(config, prev, result))
-        prev = result
+        values.append(reducer.finish(config, result))
+        chained = True
     return values
 
 
-def _sweep(spec: StudySpec, reduce, **overrides):
+def _sweep(spec: StudySpec, make_reducer, **overrides):
     """Map the lambda sweep over every path in one pool; blow-ups are counted, not fatal.
 
-    ``reduce(config, previous lambda's result or None, result)`` maps each
-    finished path to a value.  Returns, per lambda in grid order, the values
-    of the finished paths in path order, and a {lambda: blown-up path count}
-    dict of the lambdas that had any.
+    Returns, per lambda in grid order, the reduced values of the finished
+    paths in path order, and a {lambda: blown-up path count} dict of the
+    lambdas that had any.
     """
     configs = tuple(spec.config_for(lam, **overrides) for lam in spec.lambdas)
-    per_path = _map_ordered(partial(_sweep_job, configs, reduce), range(spec.n_paths), spec.workers)
+    per_path = _map_ordered(partial(_sweep_job, configs, make_reducer), range(spec.n_paths), spec.workers)
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
     blowups = {lam: spec.n_paths - len(ok) for lam, ok in zip(spec.lambdas, columns) if len(ok) < spec.n_paths}
     return columns, blowups
 
 
-def _sup_energy(config, prev, result):
-    return result.sup_energy
+class _SupEnergy:
+    """sup_t energy of each path, which the solver tracks itself."""
+
+    def start(self, config, chained):
+        return None
+
+    def finish(self, config, result):
+        return result.sup_energy
 
 
-def _pairing_eps(config, prev, result):
-    return result.pairing_eps
+class _SmoothedPairings:
+    """{eps: int <resolvent(u_eps), beta_eps> dt}, u_eps and beta_eps smoothed mode-wise.
+
+    eps = 0 is the solver's own unsmoothed pairing.
+    """
+
+    def __init__(self, eps_values):
+        self.eps_values = tuple(dict.fromkeys(e for e in eps_values if e > 0.0))
+
+    def start(self, config, chained):
+        grid, graph, lam = config.grid, config.graph, config.lam
+        self.sums = dict.fromkeys(self.eps_values, 0.0)
+        smoothers = {e: grid.smoother(e) for e in self.eps_values}
+        scale = config.dt * grid.weight
+
+        def observe(k, u, beta_modes):
+            for e, filt in smoothers.items():
+                res_f = graph.resolvent(lam, grid.to_nodes(filt * u))
+                beta_f = grid.to_nodes(filt * beta_modes)
+                self.sums[e] += scale * float((res_f * beta_f).sum())
+
+        return observe if smoothers else None
+
+    def finish(self, config, result):
+        return {**self.sums, 0.0: result.pairing}
 
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    columns, blowups = _sweep(spec, _sup_energy, record=frozenset())
+    columns, blowups = _sweep(spec, _SupEnergy, record=frozenset())
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
@@ -186,9 +226,10 @@ def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
     way the uniform bound is derived before letting the smoothing vanish.
     """
     eps_values = tuple(spec.eps_grid if eps_grid is None else eps_grid)
+    _check_eps_grid(eps_values)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    columns, blowups = _sweep(spec, _pairing_eps, record=frozenset(), eps_pairing=eps_values)
+    columns, blowups = _sweep(spec, partial(_SmoothedPairings, eps_values), record=frozenset())
     rows = [
         (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
         for lam, ok in zip(spec.lambdas, columns)
@@ -202,22 +243,55 @@ def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
     )
 
 
-def _gaps(config, prev, result):
-    """(u, beta L1, beta H^-2, beta H^-3) gaps to the previous lambda's result; () without one."""
-    if prev is None:
-        return ()
-    grid, dt = config.grid, config.dt
-    du = result.u - prev.u
-    u_gap = float(np.max(np.sqrt(np.sum(du**2, axis=tuple(range(1, du.ndim))))))
-    dbeta = result.beta - prev.beta
-    l1 = 0.0
-    for n in range(dbeta.shape[0]):
-        l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta[n]))))
-    l1 *= dt
-    axes = tuple(range(1, dbeta.ndim))
-    hm2 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -2.0 * dbeta**2, axis=axes))))
-    hm3 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -3.0 * dbeta**2, axis=axes))))
-    return u_gap, l1, hm2, hm3
+class _Gaps:
+    """(u, beta L1, beta H^-2, beta H^-3) gaps to the previous lambda; () without one.
+
+    One (u, beta) history serves the whole lambda chain of a path job: at
+    step k the observer reads the previous lambda's row k, adds that step's
+    gap terms, then overwrites the row with this lambda's values.  A broken
+    chain (first lambda, or after a blow-up) only overwrites.  The per-step
+    norms are kept in (n+1,)/(n,) arrays and reduced with one np.max/np.sum,
+    the order of a whole-history computation.
+    """
+
+    def __init__(self):
+        self.u = self.beta = None
+
+    def start(self, config, chained):
+        grid, n = config.grid, config.n_steps
+        if self.u is None:
+            self.u = np.empty((n + 1, *grid.shape))
+            self.beta = np.empty((n, *grid.shape))
+        self.chained = chained
+        if chained:
+            self.u_norm, self.hm2, self.hm3, self.l1 = np.empty(n + 1), np.empty(n), np.empty(n), 0.0
+            w2, w3 = (1.0 + grid.mu) ** -2.0, (1.0 + grid.mu) ** -3.0
+
+        def observe(k, u, beta_modes):
+            if chained:
+                self.u_norm[k] = np.sqrt(np.sum((u - self.u[k]) ** 2))
+                dbeta = beta_modes - self.beta[k]
+                self.l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta))))
+                self.hm2[k] = np.sqrt(np.sum(w2 * dbeta**2))
+                self.hm3[k] = np.sqrt(np.sum(w3 * dbeta**2))
+            self.u[k] = u
+            self.beta[k] = beta_modes
+
+        return observe
+
+    def finish(self, config, result):
+        n, dt = config.n_steps, config.dt
+        gaps = ()
+        if self.chained:
+            self.u_norm[n] = np.sqrt(np.sum((result.u_final - self.u[n]) ** 2))
+            gaps = (
+                float(np.max(self.u_norm)),
+                self.l1 * dt,
+                dt * float(np.sum(self.hm2)),
+                dt * float(np.sum(self.hm3)),
+            )
+        self.u[n] = result.u_final
+        return gaps
 
 
 def lambda_convergence_study(spec: StudySpec) -> StudyReport:
@@ -228,7 +302,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     """
     if len(spec.lambdas) < 3:
         raise ValueError("lambda convergence needs a grid of at least 3 values")
-    columns, blowups = _sweep(spec, _gaps, record=frozenset({"states"}))
+    columns, blowups = _sweep(spec, _Gaps, record=frozenset())
     rows = []
     for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
         gaps = [g for g in column if g]

@@ -193,6 +193,19 @@ class TestCli:
             assert code == 2
             assert key in capsys.readouterr().err
 
+    def test_negative_eps_exits_2(self, config_file, tmp_path, capsys):
+        code = cli_main(["pairing", "--config", config_file, "--eps-grid=-1e-2,0", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "study.eps_grid" in capsys.readouterr().err
+
+    def test_missing_record_flag_is_named(self, config_file, tmp_path, capsys):
+        code = cli_main(
+            ["simulate", "--config", config_file, "--set", "solver.record=states", "--outdir", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'functionals'" in err and "solver.record" in err
+
     def test_worker_count_below_one_exits_2(self, config_file, tmp_path, capsys):
         for extra in (["--workers", "0"], ["--set", "study.workers=-1"]):
             code = cli_main(["energy", "--config", config_file, "--n-paths", "2", "--outdir", str(tmp_path)] + extra)

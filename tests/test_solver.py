@@ -190,6 +190,11 @@ class TestSolverConfigValidation:
             SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.0, dt=1e-3, t_final=1.0)
         with pytest.raises(ValueError):
             SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=-1e-3, t_final=1.0)
+        for name in ("lam", "dt", "t_final"):
+            for bad in (float("nan"), float("inf")):
+                values = {"lam": 0.1, "dt": 1e-3, "t_final": 1.0, name: bad}
+                with pytest.raises(ValueError, match=f"SolverConfig.{name} "):
+                    SolverConfig(grid=grid64, graph=CubicGraph(), **values)
 
     def test_unknown_record_flag(self, grid64):
         with pytest.raises(ValueError):
@@ -231,6 +236,27 @@ class TestSimulatePath:
         assert a.increment_hash == b.increment_hash
         np.testing.assert_array_equal(a.increments, b.increments)
         assert not np.allclose(a.u_final, b.u_final)
+
+    def test_observer_sees_each_step_before_its_kick(self, stochastic_config):
+        config = replace(stochastic_config, t_final=0.1)
+        seen = []
+        result = simulate_path(config, 3, lambda k, u, beta: seen.append((k, u.copy(), beta.copy())))
+        assert [k for k, _, _ in seen] == list(range(config.n_steps))
+        for k, u, beta in seen:
+            np.testing.assert_array_equal(u, result.u[k])
+            np.testing.assert_array_equal(beta, result.beta[k])
+        plain = simulate_path(config, 3)
+        np.testing.assert_array_equal(plain.u_final, result.u_final)
+        assert plain.pairing == result.pairing
+
+    def test_noise_free_path_records_zero_increments(self, grid64):
+        config = SolverConfig(
+            grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
+            driver=None, u0="smooth:8", record=frozenset({"increments"}),
+        )
+        result = simulate_path(config, 0)
+        assert result.increments.shape == (config.n_steps, 64)
+        assert np.all(result.increments == 0.0)
 
     def test_blow_up_guard_reports_step(self, grid64):
         config = SolverConfig(
@@ -314,7 +340,7 @@ class TestDuhamelResidual:
     def test_requires_recorded_arrays(self, stochastic_config):
         config = replace(stochastic_config, record=frozenset({"functionals"}))
         result = simulate_path(config, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="add 'states' to solver.record"):
             duhamel_residual(result, config)
 
     def test_two_dimensional_stochastic_run(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from math import cos, sin
@@ -11,6 +12,8 @@ from stochwave import (
     LinearGraph,
     MartingaleDriver,
     NuclearCovariance,
+    NumericError,
+    PowerLawGraph,
     SignGraph,
     SolverConfig,
     SpectralGrid,
@@ -20,11 +23,12 @@ from stochwave import (
     lambda_convergence_study,
     pairing_study,
     path_rng,
+    simulate_path,
     write_csv,
     write_field_csv,
 )
 from stochwave import noise
-from stochwave.studies import _sweep_job
+from stochwave.studies import _Gaps, _mean_se, _SupEnergy, _sweep_job
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,28 @@ def scalar_recursion(lam, dt, n_steps, omega=1.0, u0=1.0):
     return np.array(trace)
 
 
+def whole_history_gaps(config, prev, result):
+    """Gap arithmetic over two recorded (u, beta) histories, one array op per quantity."""
+    if prev is None:
+        return ()
+    grid, dt = config.grid, config.dt
+    du = result.u - prev.u
+    u_gap = float(np.max(np.sqrt(np.sum(du**2, axis=tuple(range(1, du.ndim))))))
+    dbeta = result.beta - prev.beta
+    l1 = 0.0
+    for n in range(dbeta.shape[0]):
+        l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta[n]))))
+    l1 *= dt
+    axes = tuple(range(1, dbeta.ndim))
+    hm2 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -2.0 * dbeta**2, axis=axes))))
+    hm3 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -3.0 * dbeta**2, axis=axes))))
+    return u_gap, l1, hm2, hm3
+
+
+def recorded(config, path_index=0):
+    return simulate_path(replace(config, record=frozenset({"states"})), path_index)
+
+
 class TestStudySpecValidation:
     def test_grid_rules(self, small_stochastic_spec):
         base = small_stochastic_spec.base
@@ -67,6 +93,12 @@ class TestStudySpecValidation:
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
                 StudySpec(base=base, lambdas=(1e-2,), workers=workers)
+        for lambdas in ((float("nan"),), (1e-1, float("nan")), (float("inf"), 1e-1)):
+            with pytest.raises(ValueError, match="StudySpec.lambdas"):
+                StudySpec(base=base, lambdas=lambdas)
+        for eps_grid in ((-1e-2, 0.0), (float("nan"),), (float("inf"), 0.0)):
+            with pytest.raises(ValueError, match="study.eps_grid"):
+                StudySpec(base=base, lambdas=(1e-2,), eps_grid=eps_grid)
         # equal neighbours are allowed (gap is exactly zero downstream)
         StudySpec(base=base, lambdas=(1e-2, 1e-2, 1e-3))
 
@@ -84,7 +116,7 @@ class TestLambdaSweep:
         base = small_stochastic_spec.base
         configs = (base, replace(base, lam=1e-3, seed=base.seed + 1))
         with pytest.raises(RuntimeError, match="different noise streams"):
-            _sweep_job(configs, lambda config, prev, result: None, 0)
+            _sweep_job(configs, _SupEnergy, 0)
 
 
 class TestEnergyStudy:
@@ -171,6 +203,47 @@ class TestPairingStudy:
         # smoothing is a contraction mode-wise, so estimates stay comparable
         assert all(np.isfinite(row[2]) for row in report.rows)
 
+    def test_eps_grid_argument_is_checked(self, small_stochastic_spec):
+        for eps_grid in ((-1e-2, 0.0), (float("nan"),)):
+            with pytest.raises(ValueError, match="study.eps_grid"):
+                pairing_study(small_stochastic_spec, eps_grid=eps_grid)
+
+    def test_repeated_eps_is_counted_once(self, small_stochastic_spec):
+        spec = replace(small_stochastic_spec, n_paths=2, lambdas=(1e-2,))
+        once = pairing_study(spec, eps_grid=(1e-2, 0.0)).rows
+        twice = pairing_study(spec, eps_grid=(1e-2, 1e-2, 0.0)).rows
+        assert twice == [once[0], once[0], once[1]]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_rows_match_a_per_step_reference(self, seed):
+        grid = SpectralGrid(1, 16)
+        cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
+        graph = PowerLawGraph(3.0)
+        base = SolverConfig(
+            grid=grid, graph=graph, lam=1e-2, dt=2e-3, t_final=0.25,
+            driver=MartingaleDriver("poisson", cov, rate=5.0),
+            u0="smooth:4", record=frozenset(),
+        )
+        spec = StudySpec(base=base, lambdas=(1e-1, 1e-3), eps_grid=(1e-2, 1e-3, 0.0), n_paths=2, seed=seed)
+        expected = []
+        for lam in spec.lambdas:
+            config = spec.config_for(lam)
+            per_path = []
+            for p in range(spec.n_paths):
+                result = recorded(config, p)
+                sums = {0.0: result.pairing}
+                for eps in (1e-2, 1e-3):
+                    filt, acc = grid.smoother(eps), 0.0
+                    for k in range(config.n_steps):
+                        res_f = graph.resolvent(lam, grid.to_nodes(filt * result.u[k]))
+                        beta_f = grid.to_nodes(filt * result.beta[k])
+                        acc += config.dt * grid.weight * float((res_f * beta_f).sum())
+                    sums[eps] = acc
+                per_path.append(sums)
+            for eps in spec.eps_grid:
+                expected.append((lam, eps, *_mean_se([d[eps] for d in per_path]), spec.n_paths))
+        assert pairing_study(spec).rows == expected
+
     def test_sign_graph_estimates_nonnegative(self, small_stochastic_spec):
         base = replace(small_stochastic_spec.base, graph=SignGraph())
         spec = replace(small_stochastic_spec, base=base, n_paths=3)
@@ -238,6 +311,77 @@ class TestLambdaConvergenceStudy:
         # negative-order gaps are dominated by the L2-equivalent ones
         for row in report.rows:
             assert row[6] >= row[7] >= 0.0
+
+
+class TestGapObserver:
+    """The in-loop gap reducer against the whole-history arithmetic."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_match_whole_history_gaps(self, dim):
+        if dim == 1:
+            grid = SpectralGrid(1, 16)
+            cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
+            graph, driver, sigma = CubicGraph(), MartingaleDriver("wiener", cov), "clip"
+        else:
+            grid = SpectralGrid(2, 8)
+            cov = NuclearCovariance.from_grid(grid, 1.0, 3.0)
+            graph, driver, sigma = SignGraph(), MartingaleDriver("poisson", cov, rate=5.0), "sin"
+        base = SolverConfig(
+            grid=grid, graph=graph, lam=1e-2, dt=2e-3, t_final=0.25, driver=driver,
+            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", record=frozenset(),
+        )
+        spec = StudySpec(base=base, lambdas=(1e-1, 1e-2, 1e-3, 1e-4), n_paths=3, seed=42)
+        columns = [[] for _ in spec.lambdas]
+        for p in range(spec.n_paths):
+            prev = None
+            for column, lam in zip(columns, spec.lambdas):
+                config = spec.config_for(lam)
+                result = recorded(config, p)
+                column.append(whole_history_gaps(config, prev, result))
+                prev = result
+        expected = []
+        for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
+            stats = [_mean_se([g[k] for g in column]) for k in range(4)]
+            expected.append((hi, lo, *stats[0], *stats[1], stats[2][0], stats[3][0], len(column)))
+        assert lambda_convergence_study(spec).rows == expected
+
+    @pytest.mark.parametrize("lam_blowup", [1e-9, 2.4e-7])
+    def test_blow_up_restarts_the_reused_history(self, lam_blowup):
+        grid = SpectralGrid(1, 16)
+        cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
+        base = SolverConfig(
+            grid=grid, graph=LinearGraph(1e9), lam=1e-1, dt=1e-3, t_final=0.1,
+            driver=MartingaleDriver("wiener", cov), diffusion=DiffusionMap.from_name("clip"),
+            u0="smooth:4", seed=3, record=frozenset(),
+        )
+        a, b, c, d = (replace(base, lam=lam) for lam in (1e-1, lam_blowup, 5e-2, 2.5e-2))
+        # b overwrites only the first rows of the history before it blows up
+        with pytest.raises(NumericError) as err:
+            simulate_path(b, 0)
+        assert 1 < err.value.step < base.n_steps
+        values = _sweep_job((a, b, c, d), _Gaps, 0)
+        assert values[:3] == [(), None, ()]
+        assert values[3] == whole_history_gaps(d, recorded(c), recorded(d))
+
+    def test_traced_peak_stays_near_one_history(self):
+        grid = SpectralGrid(2, 16)
+        cov = NuclearCovariance.from_grid(grid, 1.0, 3.0)
+        base = SolverConfig(
+            grid=grid, graph=SignGraph(), lam=1e-2, dt=1e-3, t_final=0.25,
+            driver=MartingaleDriver("poisson", cov, rate=5.0),
+            diffusion=DiffusionMap.from_name("sin"), u0="smooth:4", record=frozenset(),
+        )
+        spec = StudySpec(base=base, lambdas=(1e-1, 1e-2, 1e-3), n_paths=1, seed=42)
+        n, entries = base.n_steps, grid.mu.size
+        history_bytes = ((n + 1) + n) * entries * 8  # one (u, beta) history
+        np.random.default_rng  # numpy imports numpy.random on first use; keep that out of the trace
+        tracemalloc.start()
+        try:
+            lambda_convergence_study(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * history_bytes
 
 
 class TestIsometryStudy:
