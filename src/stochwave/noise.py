@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# at import, not on first use: numpy.random loads OpenSSL through hashlib, a
+# one-off cost of start-up that would otherwise land in a study's first path
+from numpy.random import Generator, Philox, SeedSequence
 
 from .spectral import SpectralGrid
 
@@ -31,10 +34,10 @@ __all__ = [
 _SQRT3 = np.sqrt(3.0)
 
 
-def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
+def path_rng(master_seed: int, path_index: int) -> Generator:
     """Independent per-path stream: Philox keyed by (master_seed, path_index)."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=int(master_seed), spawn_key=(int(path_index),))
+    return Generator(Philox(ss))
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class MartingaleDriver:
 
         return draw
 
-    def sample_increment(self, dt: float, rng: np.random.Generator) -> np.ndarray:
+    def sample_increment(self, dt: float, rng: Generator) -> np.ndarray:
         """One increment of M over a step of length dt, as mode coefficients.
 
         Builds a new sampler on every call, so it is meant for one-off draws;

@@ -8,7 +8,6 @@ identities (energy conservation, Duhamel re-summation) hold at round-off.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -98,6 +97,12 @@ class SolverConfig:
         ratio = self.t_final / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, round(ratio)):
             raise ValueError(f"t_final/dt = {ratio} is not an integer step count")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"study.seed (SolverConfig.seed) must be a non-negative integer, got {self.seed!r}")
+        try:
+            _parse_initial_spec(self.grid, self.u0)
+        except ValueError as exc:
+            raise ValueError(f"solver.u0 (SolverConfig.u0) {self.u0!r}: {exc}") from None
         unknown = set(self.record) - {"states", "increments", "functionals"}
         if unknown:
             raise ValueError(f"unknown record flags {sorted(unknown)}")
@@ -124,7 +129,6 @@ class PathResult:
     v_first: np.ndarray
     u_final: np.ndarray
     v_final: np.ndarray
-    increment_hash: str
     series: Optional[np.ndarray] = None  # columns per SERIES_COLUMNS, minus t
     u: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
@@ -141,6 +145,19 @@ class PathResult:
                 )
 
 
+def _parse_initial_spec(grid: SpectralGrid, spec: str):
+    """(kind, band) of an initial data spec token; band is None for zero."""
+    head, _, arg = spec.strip().partition(":")
+    if head == "zero":
+        return head, None
+    if head not in ("smooth", "random"):
+        raise ValueError(f"unknown initial data spec {spec!r}")
+    k_max = int(arg) if arg else 8
+    if not 1 <= k_max <= grid.n_modes:
+        raise ValueError(f"initial data band {k_max} outside 1..{grid.n_modes}")
+    return head, k_max
+
+
 def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     """Initial (u, v) coefficients from a spec token: zero | smooth:K | random:K.
 
@@ -148,15 +165,9 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     mass for all built-in graphs); random:K draws those amplitudes as centered
     Gaussians with standard deviation 1/mu_k.  v starts at zero either way.
     """
-    head, _, arg = spec.strip().partition(":")
-    u = grid.zero_field()
+    head, k_max = _parse_initial_spec(grid, spec)
     if head == "zero":
-        return u, grid.zero_field()
-    if head not in ("smooth", "random"):
-        raise ValueError(f"unknown initial data spec {spec!r}")
-    k_max = int(arg) if arg else 8
-    if not 1 <= k_max <= grid.n_modes:
-        raise ValueError(f"initial data band {k_max} outside 1..{grid.n_modes}")
+        return grid.zero_field(), grid.zero_field()
     sel = (grid.mode_indices <= k_max).all(axis=1).reshape(grid.shape)
     amp = np.where(sel, 1.0 / grid.mu, 0.0)
     if head == "random":
@@ -180,9 +191,13 @@ def _drift(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u, warm=None):
 
 
 def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm):
-    """Kick v with the drift and the diffused increment dm, then apply the group."""
+    """Kick v with the drift and the diffused increment dm, then apply the group.
+
+    An all-zero dm (a jump-free compound-Poisson step) adds an exactly-zero
+    product, so it is skipped; only the sign of a zero entry of v can differ.
+    """
     w = v - cache.dt * beta_modes
-    if dm is not None:
+    if dm is not None and np.count_nonzero(dm):
         w = w + diffusion.apply(cache.grid, u_nodes, dm)
     return cache.rotate(u, w)
 
@@ -246,7 +261,6 @@ def simulate_path(
     # a noise-free path records its true increments: zeros
     inc_hist = np.zeros((n,) + grid.shape) if rec_inc else None
 
-    hasher = hashlib.sha256()
     u_first, v_first = u.copy(), v.copy()
     sup_energy = -np.inf
     chain_lhs = 0.0
@@ -289,7 +303,6 @@ def simulate_path(
         dm = None
         if draw is not None:
             dm = draw(rng)
-            hasher.update(dm.tobytes())
             if rec_inc:
                 inc_hist[step_idx] = dm
         if rec_states:
@@ -306,7 +319,6 @@ def simulate_path(
         v_first=v_first,
         u_final=u,
         v_final=v,
-        increment_hash=hasher.hexdigest(),
         series=series,
         u=u_hist,
         v=v_hist,

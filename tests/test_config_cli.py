@@ -94,6 +94,11 @@ class TestBuilders:
         bad["noise.r"] = 0.5  # trace diverges
         with pytest.raises(ConfigError):
             build_solver_config(bad)
+        for u0 in ("bogus", "smooth:abc", "smooth:100", "random:0"):
+            bad = parse_config_text(BASE_TEXT)
+            bad["solver.u0"] = u0
+            with pytest.raises(ConfigError, match="solver.u0"):
+                build_solver_config(bad)
 
     def test_study_spec_grids(self):
         values = parse_config_text(BASE_TEXT)
@@ -211,6 +216,19 @@ class TestCli:
             code = cli_main(["energy", "--config", config_file, "--n-paths", "2", "--outdir", str(tmp_path)] + extra)
             assert code == 2
             assert "study.workers" in capsys.readouterr().err
+
+    def test_negative_seed_is_named(self, config_file, tmp_path, capsys):
+        code = cli_main(["lambda-conv", "--config", config_file, "--seed", "-3", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "study.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u0", ["bogus", "smooth:abc", "smooth:100", "random:0"])
+    def test_bad_initial_data_is_named(self, config_file, tmp_path, capsys, u0):
+        code = cli_main(
+            ["isometry", "--config", config_file, "--set", f"solver.u0={u0}", "--outdir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "solver.u0" in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0

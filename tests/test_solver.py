@@ -115,6 +115,17 @@ class TestStep:
             step(cache, WaveState(u, grid64.zero_field()), LinearGraph(0.0), 1.0)
         assert err.value.step is None
 
+    @pytest.mark.parametrize("sigma", ["sin", "clip", "one"])
+    def test_zero_increment_equals_no_increment(self, stochastic_config, sigma):
+        grid = stochastic_config.grid
+        cache = GroupCache(grid, 1e-3)
+        state = WaveState(*build_initial_state(grid, "smooth:8"))
+        diffusion = DiffusionMap.from_name(sigma)
+        skipped = step(cache, state, CubicGraph(), 1e-2, diffusion, grid.zero_field())
+        plain = step(cache, state, CubicGraph(), 1e-2)
+        np.testing.assert_array_equal(skipped.u, plain.u)
+        np.testing.assert_array_equal(skipped.v, plain.v)
+
     @pytest.mark.parametrize("graph", [JumpGraph(2.0), SignGraph(), LinearGraph(1.0)])
     def test_step_replays_simulate_path(self, stochastic_config, graph):
         # both entry points share one kernel: feeding step() the recorded
@@ -196,6 +207,15 @@ class TestSolverConfigValidation:
                 with pytest.raises(ValueError, match=f"SolverConfig.{name} "):
                     SolverConfig(grid=grid64, graph=CubicGraph(), **values)
 
+    def test_negative_seed_is_named(self, grid64):
+        with pytest.raises(ValueError, match="SolverConfig.seed"):
+            SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0, seed=-3)
+
+    @pytest.mark.parametrize("u0", ["bogus", "smooth:abc", "smooth:100", "random:0"])
+    def test_bad_initial_data_is_named(self, grid64, u0):
+        with pytest.raises(ValueError, match="solver.u0"):
+            SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0, u0=u0)
+
     def test_unknown_record_flag(self, grid64):
         with pytest.raises(ValueError):
             SolverConfig(
@@ -226,15 +246,14 @@ class TestSimulatePath:
     def test_deterministic_given_seed_and_path(self, stochastic_config):
         a = simulate_path(stochastic_config, 4)
         b = simulate_path(stochastic_config, 4)
-        assert a.increment_hash == b.increment_hash
+        assert np.array_equal(a.increments, b.increments)
         np.testing.assert_array_equal(a.u_final, b.u_final)
         np.testing.assert_array_equal(a.series, b.series)
 
     def test_coupled_lambdas_share_noise(self, stochastic_config):
         a = simulate_path(replace(stochastic_config, lam=1e-1), 2)
         b = simulate_path(replace(stochastic_config, lam=1e-3), 2)
-        assert a.increment_hash == b.increment_hash
-        np.testing.assert_array_equal(a.increments, b.increments)
+        assert np.array_equal(a.increments, b.increments)
         assert not np.allclose(a.u_final, b.u_final)
 
     def test_observer_sees_each_step_before_its_kick(self, stochastic_config):
@@ -315,6 +334,64 @@ class TestSimulatePath:
             if dt == 1e-4:
                 assert drifts[dt] <= 1e-3 * lyap[0]
         assert 1.7 <= drifts[2e-4] / drifts[1e-4] <= 2.3
+
+
+def poisson_config(dim, sigma):
+    grid = SpectralGrid(dim, 16 if dim == 1 else 8)
+    cov = NuclearCovariance.from_grid(grid, 1.0, dim + 1.0)
+    return SolverConfig(
+        grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.2,
+        driver=MartingaleDriver("poisson", cov, rate=50.0),
+        diffusion=DiffusionMap.from_name(sigma), u0="smooth:3", seed=5,
+        record=frozenset({"increments"}),
+    )
+
+
+def always_kicked_path(config, increments):
+    """(u_final, v_final, sup_energy) of a loop that adds sigma(u) dM at every step."""
+    grid, graph, lam, dt = config.grid, config.graph, config.lam, config.dt
+    cache = GroupCache(grid, dt)
+    u, v = build_initial_state(grid, config.u0)
+    sup_energy, warm = -np.inf, None
+    for dm in (*increments, None):
+        sup_energy = max(sup_energy, float((grid.mu * u * u).sum() + (v * v).sum()))
+        if dm is None:
+            break
+        u_nodes = grid.to_nodes(u)
+        warm = graph.resolvent_warm(lam, u_nodes, warm)
+        beta_modes = grid.to_modes((u_nodes - warm) / lam)
+        w = v - dt * beta_modes + config.diffusion.apply(grid, u_nodes, dm)
+        u, v = cache.rotate(u, w)
+    return u, v, sup_energy
+
+
+class TestJumpFreeSteps:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("sigma", ["sin", "clip"])
+    def test_matches_a_loop_that_always_adds_the_noise_product(self, dim, sigma):
+        config = poisson_config(dim, sigma)
+        result = simulate_path(config, 1)
+        jumps = sum(bool(np.count_nonzero(dm)) for dm in result.increments)
+        assert 0 < jumps < config.n_steps
+        u, v, sup_energy = always_kicked_path(config, result.increments)
+        np.testing.assert_array_equal(result.u_final, u)
+        np.testing.assert_array_equal(result.v_final, v)
+        assert result.sup_energy == sup_energy
+
+    def test_noise_product_runs_once_per_jump_step(self, monkeypatch):
+        config = poisson_config(1, "sin")
+        calls = []
+        apply = DiffusionMap.apply
+
+        def counting_apply(self, grid, u_nodes, dm):
+            calls.append(1)
+            return apply(self, grid, u_nodes, dm)
+
+        monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
+        result = simulate_path(config, 1)
+        jumps = sum(bool(np.count_nonzero(dm)) for dm in result.increments)
+        assert jumps > 0
+        assert len(calls) == jumps
 
 
 class TestDuhamelResidual:

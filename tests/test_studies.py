@@ -28,7 +28,7 @@ from stochwave import (
     write_field_csv,
 )
 from stochwave import noise
-from stochwave.studies import _Gaps, _mean_se, _SupEnergy, _sweep_job
+from stochwave.studies import _Gaps, _mean_se, _sweep_job
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,8 @@ class TestStudySpecValidation:
         for eps_grid in ((-1e-2, 0.0), (float("nan"),), (float("inf"), 0.0)):
             with pytest.raises(ValueError, match="study.eps_grid"):
                 StudySpec(base=base, lambdas=(1e-2,), eps_grid=eps_grid)
+        with pytest.raises(ValueError, match="study.seed"):
+            StudySpec(base=base, lambdas=(1e-2,), seed=-3)
         # equal neighbours are allowed (gap is exactly zero downstream)
         StudySpec(base=base, lambdas=(1e-2, 1e-2, 1e-3))
 
@@ -112,11 +114,24 @@ class TestLambdaSweep:
         pooled = study(replace(small_stochastic_spec, workers=2))
         assert serial.rows == pooled.rows
 
-    def test_sweep_rejects_lambdas_on_different_noise(self, small_stochastic_spec):
-        base = small_stochastic_spec.base
-        configs = (base, replace(base, lam=1e-3, seed=base.seed + 1))
-        with pytest.raises(RuntimeError, match="different noise streams"):
-            _sweep_job(configs, _SupEnergy, 0)
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind):
+        spec = small_stochastic_spec
+        driver = MartingaleDriver(kind, spec.base.driver.covariance, rate=50.0)
+        base = replace(spec.base, driver=driver, record=frozenset({"increments"}))
+
+        class Increments:
+            def start(self, config, chained):
+                return None
+
+            def finish(self, config, result):
+                return result.increments, result.u_final
+
+        (first, u_first), *rest = _sweep_job(base, spec.lambdas, Increments, 2)
+        assert np.count_nonzero(first) > 0
+        for increments, u_final in rest:
+            np.testing.assert_array_equal(increments, first)
+            assert not np.array_equal(u_final, u_first)
 
 
 class TestEnergyStudy:
@@ -359,7 +374,7 @@ class TestGapObserver:
         with pytest.raises(NumericError) as err:
             simulate_path(b, 0)
         assert 1 < err.value.step < base.n_steps
-        values = _sweep_job((a, b, c, d), _Gaps, 0)
+        values = _sweep_job(base, (a.lam, b.lam, c.lam, d.lam), _Gaps, 0)
         assert values[:3] == [(), None, ()]
         assert values[3] == whole_history_gaps(d, recorded(c), recorded(d))
 
