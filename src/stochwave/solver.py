@@ -221,9 +221,15 @@ def step(
     return WaveState(u_new, v_new)
 
 
+def _energy_terms(mu, u, v):
+    """(|grad u|^2, |v|^2), one BLAS dot each; every quadratic energy is their sum."""
+    return float(np.vdot(mu * u, u)), float(np.vdot(v, v))
+
+
 def energy(grid: SpectralGrid, state: WaveState) -> float:
     """|grad u|^2 + |v|^2 in L2: the quadratic part of the invariant."""
-    return float(np.sum(grid.mu * state.u**2) + np.sum(state.v**2))
+    grad2, kin2 = _energy_terms(grid.mu, state.u, state.v)
+    return grad2 + kin2
 
 
 def lyapunov(grid: SpectralGrid, state: WaveState, graph: MonotoneGraph, lam: float) -> float:
@@ -269,8 +275,9 @@ def simulate_path(
     draw = driver.increment_sampler(dt) if driver is not None else None
 
     for step_idx in range(n + 1):
-        quad = float((mu * u * u).sum() + (v * v).sum())
-        if not np.isfinite(quad) or quad > BLOWUP_ENERGY:
+        grad2, kin2 = _energy_terms(mu, u, v)
+        quad = grad2 + kin2
+        if not math.isfinite(quad) or quad > BLOWUP_ENERGY:
             raise NumericError(
                 f"energy blow-up at step {step_idx} (lambda={lam:g}, energy={quad:.3e})", step=step_idx
             )
@@ -280,13 +287,13 @@ def simulate_path(
         warm = res
 
         if rec_series:
-            lyap = quad + 2.0 * weight * float((graph.potential(res) + 0.5 * lam * yos**2).sum())
+            envelope = float(graph.potential(res).sum()) + 0.5 * lam * float(np.vdot(yos, yos))
             series[step_idx] = (
                 quad,
-                lyap,
-                float(np.sqrt((u * u).sum())),
-                float(np.sqrt((mu * u * u).sum())),
-                float(np.sqrt((v * v).sum())),
+                quad + 2.0 * weight * envelope,
+                math.sqrt(np.vdot(u, u)),
+                math.sqrt(grad2),
+                math.sqrt(kin2),
                 pairing,
             )
         if rec_states:
@@ -295,8 +302,8 @@ def simulate_path(
         if step_idx == n:
             break
 
-        chain_lhs += dt * float((beta_modes * v).sum())
-        pairing += dt * weight * float((yos * res).sum())
+        chain_lhs += dt * float(np.vdot(beta_modes, v))
+        pairing += dt * weight * float(np.vdot(yos, res))
         if observe is not None:
             observe(step_idx, u, beta_modes)
 

@@ -33,9 +33,11 @@ class SpectralGrid:
         self.nodes_1d = k * np.pi / (n_modes + 1.0)
         self.h = np.pi / (n_modes + 1.0)
         self.weight = self.h**dim
-        # sine matrix S[i-1, k-1] = sin(i k pi / (N+1)); symmetric, S@S = (N+1)/2 I
-        self._sine = np.sin(np.outer(k, k) * np.pi / (n_modes + 1.0))
-        self._scale = (2.0 / np.pi) ** (dim / 2.0)
+        # sine matrix S[i-1, k-1] = sin(i k pi / (N+1)); symmetric, S@S = (N+1)/2 I.
+        # Per axis, synthesis is sqrt(2/pi) S and analysis adds the weight h.
+        sine = np.sin(np.outer(k, k) * np.pi / (n_modes + 1.0))
+        self._synthesis = np.sqrt(2.0 / np.pi) * sine
+        self._analysis = self.h * self._synthesis
 
         if dim == 1:
             self.mu = k**2
@@ -70,16 +72,16 @@ class SpectralGrid:
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_shape(coeffs, "coefficient array")
         if self.dim == 1:
-            return self._scale * (self._sine @ coeffs)
-        return self._scale * (self._sine @ coeffs @ self._sine)
+            return self._synthesis @ coeffs
+        return self._synthesis @ coeffs @ self._synthesis
 
     def to_modes(self, nodal: np.ndarray) -> np.ndarray:
         """Project nodal values onto the eigenbasis (quadrature inner products)."""
         nodal = np.asarray(nodal, dtype=float)
         self._check_shape(nodal, "nodal array")
         if self.dim == 1:
-            return self._scale * self.h * (self._sine @ nodal)
-        return self._scale * self.h**2 * (self._sine @ nodal @ self._sine)
+            return self._analysis @ nodal
+        return self._analysis @ nodal @ self._analysis
 
     def apply_spectral(self, coeffs: np.ndarray, phi) -> np.ndarray:
         """Multiply mode k by phi(mu_k); realizes any function of -Laplacian."""
@@ -108,14 +110,14 @@ class SpectralGrid:
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_shape(coeffs, "coefficient array")
         if m == 0.0:
-            return float(np.sqrt(np.sum(coeffs**2)))
+            return float(np.sqrt(np.vdot(coeffs, coeffs)))
         return float(np.sqrt(np.sum((1.0 + self.mu) ** m * coeffs**2)))
 
     def grad_seminorm(self, coeffs: np.ndarray) -> float:
         """|grad u|_{L2} = (sum mu_k uhat_k^2)^(1/2), the H^1_0 energy norm."""
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_shape(coeffs, "coefficient array")
-        return float(np.sqrt(np.sum(self.mu * coeffs**2)))
+        return float(np.sqrt(np.vdot(self.mu * coeffs, coeffs)))
 
     def quad_l2(self, nodal: np.ndarray) -> float:
         """L2 norm of nodal values via the collocation quadrature."""
@@ -133,10 +135,10 @@ class SpectralGrid:
         """Nodal values of sum_k w_k e_k(x)^2 for per-mode weights w."""
         weights = np.asarray(weights, dtype=float)
         self._check_shape(weights, "weight array")
-        sine2 = self._sine**2
+        sine2 = self._synthesis**2
         if self.dim == 1:
-            return (2.0 / np.pi) * (sine2 @ weights)
-        return (2.0 / np.pi) ** 2 * (sine2 @ weights @ sine2)
+            return sine2 @ weights
+        return sine2 @ weights @ sine2
 
     def __repr__(self):
         return f"SpectralGrid(dim={self.dim}, n_modes={self.n_modes})"

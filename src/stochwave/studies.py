@@ -52,8 +52,8 @@ class StudySpec:
             raise ValueError("lambda grid must be non-empty")
         if not all(map(math.isfinite, self.lambdas)):
             raise ValueError(f"StudySpec.lambdas entries must be finite, got {self.lambdas}")
-        if any(l2 > l1 for l1, l2 in zip(self.lambdas, self.lambdas[1:])):
-            raise ValueError("lambda grid must be descending")
+        if any(l2 >= l1 for l1, l2 in zip(self.lambdas, self.lambdas[1:])):
+            raise ValueError(f"study.lambda_grid must be strictly descending, got {tuple(self.lambdas)}")
         if any(l <= 0 for l in self.lambdas):
             raise ValueError("lambda grid entries must be positive")
         _check_eps_grid(self.eps_grid)
@@ -118,6 +118,8 @@ def _map_ordered(fn, items, workers):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(workers, len(items))
     chunk = max(1, math.ceil(len(items) / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
@@ -202,7 +204,7 @@ class _SmoothedPairings:
             for e, filt in smoothers.items():
                 res_f = graph.resolvent(lam, grid.to_nodes(filt * u))
                 beta_f = grid.to_nodes(filt * beta_modes)
-                self.sums[e] += scale * float((res_f * beta_f).sum())
+                self.sums[e] += scale * float(np.vdot(res_f, beta_f))
 
         return observe if smoothers else None
 
@@ -251,10 +253,10 @@ class _Gaps:
     One (u, beta) history serves the whole lambda chain of a path job: at
     step k the observer reads the previous lambda's row k, adds that step's
     gap terms, then overwrites the row with this lambda's values.  A broken
-    chain (first lambda, or after a blow-up) only overwrites.  The per-step
-    norms are kept in (n+1,)/(n,) arrays and reduced with one np.max/np.sum,
-    the order of a whole-history computation.  Per step, ``ndarray.sum`` and
-    ``math.sqrt`` give the bits of ``np.sum`` and ``np.sqrt`` at less call cost.
+    chain (first lambda, or after a blow-up) only overwrites.  Each per-step
+    squared norm is one BLAS dot (``np.vdot``), like the solver's inner
+    products; the norms are kept in (n+1,)/(n,) arrays and reduced over the
+    steps with one np.max/np.sum.
     """
 
     def __init__(self):
@@ -272,12 +274,13 @@ class _Gaps:
 
         def observe(k, u, beta_modes):
             if chained:
-                self.u_norm[k] = math.sqrt(((u - self.u[k]) ** 2).sum())
+                du = u - self.u[k]
+                self.u_norm[k] = math.sqrt(np.vdot(du, du))
                 dbeta = beta_modes - self.beta[k]
                 self.l1 += grid.weight * float(np.abs(grid.to_nodes(dbeta)).sum())
                 dbeta2 = dbeta**2
-                self.hm2[k] = math.sqrt((w2 * dbeta2).sum())
-                self.hm3[k] = math.sqrt((w3 * dbeta2).sum())
+                self.hm2[k] = math.sqrt(np.vdot(w2, dbeta2))
+                self.hm3[k] = math.sqrt(np.vdot(w3, dbeta2))
             self.u[k] = u
             self.beta[k] = beta_modes
 
@@ -287,7 +290,8 @@ class _Gaps:
         n, dt = config.n_steps, config.dt
         gaps = ()
         if self.chained:
-            self.u_norm[n] = np.sqrt(np.sum((result.u_final - self.u[n]) ** 2))
+            du = result.u_final - self.u[n]
+            self.u_norm[n] = math.sqrt(np.vdot(du, du))
             gaps = (
                 float(np.max(self.u_norm)),
                 self.l1 * dt,

@@ -198,6 +198,14 @@ class TestCli:
             assert code == 2
             assert key in capsys.readouterr().err
 
+    def test_repeated_lambda_exits_2(self, config_file, tmp_path, capsys):
+        code = cli_main(
+            ["lambda-conv", "--config", config_file, "--lambda-grid", "1e-1,1e-2,1e-2", "--outdir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "study.lambda_grid" in capsys.readouterr().err
+        assert not (tmp_path / "lambda-conv.csv").exists()
+
     def test_negative_eps_exits_2(self, config_file, tmp_path, capsys):
         code = cli_main(["pairing", "--config", config_file, "--eps-grid=-1e-2,0", "--outdir", str(tmp_path)])
         assert code == 2

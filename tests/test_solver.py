@@ -354,7 +354,7 @@ def always_kicked_path(config, increments):
     u, v = build_initial_state(grid, config.u0)
     sup_energy, warm = -np.inf, None
     for dm in (*increments, None):
-        sup_energy = max(sup_energy, float((grid.mu * u * u).sum() + (v * v).sum()))
+        sup_energy = max(sup_energy, float(np.vdot(grid.mu * u, u) + np.vdot(v, v)))
         if dm is None:
             break
         u_nodes = grid.to_nodes(u)
@@ -392,6 +392,63 @@ class TestJumpFreeSteps:
         jumps = sum(bool(np.count_nonzero(dm)) for dm in result.increments)
         assert jumps > 0
         assert len(calls) == jumps
+
+
+def summed_reductions(config, result):
+    """(sup_energy, chain_lhs, pairing) of a recorded path, each product reduced with .sum()."""
+    grid, graph, lam, dt = config.grid, config.graph, config.lam, config.dt
+    sup_energy = max(float((grid.mu * u * u).sum() + (v * v).sum()) for u, v in zip(result.u, result.v))
+    chain_lhs = pairing = 0.0
+    for u, v, beta_modes in zip(result.u, result.v, result.beta):
+        u_nodes = grid.to_nodes(u)
+        res = graph.resolvent(lam, u_nodes)
+        chain_lhs += dt * float((beta_modes * v).sum())
+        pairing += dt * grid.weight * float(((u_nodes - res) / lam * res).sum())
+    return sup_energy, chain_lhs, pairing
+
+
+class TestDotReductions:
+    """The kernel's BLAS-dot reductions against pairwise .sum() ones."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_path_functionals_match_summed_products(self, dim):
+        if dim == 1:
+            grid = SpectralGrid(1, 64)
+            config = SolverConfig(
+                grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.2,
+                driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
+                diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=3,
+                record=frozenset({"states"}),
+            )
+        else:
+            config = replace(poisson_config(2, "sin"), record=frozenset({"states"}))
+        result = simulate_path(config, 1)
+        expected = summed_reductions(config, result)
+        actual = (result.sup_energy, result.chain_lhs, result.pairing)
+        np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 32)])
+    def test_prescaled_transforms_round_trip(self, dim, n_modes):
+        grid = SpectralGrid(dim, n_modes)
+        x = np.random.default_rng(11).random(grid.shape)  # entries in [0, 1)
+        np.testing.assert_allclose(grid.to_nodes(grid.to_modes(x)), x, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(grid.to_modes(grid.to_nodes(x)), x, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_energy_and_norms_are_the_recorded_series(self, grid64, seed):
+        config = SolverConfig(
+            grid=grid64, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.1,
+            driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid64, 1.0, 2.0)),
+            diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=seed,
+            record=frozenset({"states", "functionals"}),
+        )
+        result = simulate_path(config, 0)
+        energies = [energy(grid64, WaveState(u, v)) for u, v in zip(result.u, result.v)]
+        assert energies == result.series[:, 0].tolist()
+        assert result.sup_energy == max(energies)
+        assert [grid64.norm(u) for u in result.u] == result.series[:, 2].tolist()
+        assert [grid64.grad_seminorm(u) for u in result.u] == result.series[:, 3].tolist()
+        assert [grid64.norm(v) for v in result.v] == result.series[:, 4].tolist()
 
 
 class TestDuhamelResidual:

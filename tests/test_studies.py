@@ -27,7 +27,7 @@ from stochwave import (
     write_csv,
     write_field_csv,
 )
-from stochwave import noise
+from stochwave import noise, studies
 from stochwave.studies import _Gaps, _mean_se, _sweep_job
 
 
@@ -65,15 +65,14 @@ def whole_history_gaps(config, prev, result):
         return ()
     grid, dt = config.grid, config.dt
     du = result.u - prev.u
-    u_gap = float(np.max(np.sqrt(np.sum(du**2, axis=tuple(range(1, du.ndim))))))
+    u_gap = float(np.max(np.sqrt([np.vdot(row, row) for row in du])))
     dbeta = result.beta - prev.beta
     l1 = 0.0
     for n in range(dbeta.shape[0]):
         l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta[n]))))
     l1 *= dt
-    axes = tuple(range(1, dbeta.ndim))
-    hm2 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -2.0 * dbeta**2, axis=axes))))
-    hm3 = dt * float(np.sum(np.sqrt(np.sum((1.0 + grid.mu) ** -3.0 * dbeta**2, axis=axes))))
+    hm2 = dt * float(np.sum(np.sqrt([np.vdot((1.0 + grid.mu) ** -2.0, row**2) for row in dbeta])))
+    hm3 = dt * float(np.sum(np.sqrt([np.vdot((1.0 + grid.mu) ** -3.0, row**2) for row in dbeta])))
     return u_gap, l1, hm2, hm3
 
 
@@ -101,8 +100,11 @@ class TestStudySpecValidation:
                 StudySpec(base=base, lambdas=(1e-2,), eps_grid=eps_grid)
         with pytest.raises(ValueError, match="study.seed"):
             StudySpec(base=base, lambdas=(1e-2,), seed=-3)
-        # equal neighbours are allowed (gap is exactly zero downstream)
-        StudySpec(base=base, lambdas=(1e-2, 1e-2, 1e-3))
+
+    def test_repeated_lambda_is_rejected(self, small_stochastic_spec):
+        for lambdas in ((1e-2, 1e-2, 1e-3), (1e-1, 1e-2, 1e-2)):
+            with pytest.raises(ValueError, match="study.lambda_grid"):
+                StudySpec(base=small_stochastic_spec.base, lambdas=lambdas)
 
 
 class TestLambdaSweep:
@@ -113,6 +115,28 @@ class TestLambdaSweep:
         serial = study(replace(small_stochastic_spec, workers=1))
         pooled = study(replace(small_stochastic_spec, workers=2))
         assert serial.rows == pooled.rows
+
+    def test_pool_is_capped_at_the_path_count(self, small_stochastic_spec, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(studies, "ProcessPoolExecutor", SerialPool)
+        spec = replace(small_stochastic_spec, n_paths=3)
+        pooled = energy_study(replace(spec, workers=64))
+        assert sizes == [3]
+        assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind):
@@ -252,7 +276,7 @@ class TestPairingStudy:
                     for k in range(config.n_steps):
                         res_f = graph.resolvent(lam, grid.to_nodes(filt * result.u[k]))
                         beta_f = grid.to_nodes(filt * result.beta[k])
-                        acc += config.dt * grid.weight * float((res_f * beta_f).sum())
+                        acc += config.dt * grid.weight * float(np.vdot(res_f, beta_f))
                     sums[eps] = acc
                 per_path.append(sums)
             for eps in spec.eps_grid:
@@ -294,10 +318,11 @@ class TestLambdaConvergenceStudy:
             assert gap_ratio == pytest.approx(coefs[j] / coefs[j + 1], rel=0.15)
 
     def test_equal_lambdas_give_zero_gap(self, small_stochastic_spec):
-        spec = replace(small_stochastic_spec, lambdas=(1e-2, 1e-2, 1e-3), n_paths=2)
-        report = lambda_convergence_study(spec)
-        first = report.rows[0]
-        assert first[2] == 0.0 and first[4] == 0.0
+        # a study grid rejects a repeated lambda, so the coupled sweep is run directly
+        base = small_stochastic_spec.config_for(1e-2)
+        for p in range(2):
+            _, first, _ = _sweep_job(base, (1e-2, 1e-2, 1e-3), _Gaps, p)
+            assert first[0] == 0.0 and first[1] == 0.0
 
     def test_blow_up_pairs_are_flagged_and_study_continues(self):
         grid = SpectralGrid(1, 16)
