@@ -177,7 +177,6 @@ def build_study_spec(values: dict) -> StudySpec:
             lambdas=_parse_float_grid("study.lambda_grid", values["study.lambda_grid"]),
             eps_grid=_parse_float_grid("study.eps_grid", values["study.eps_grid"]),
             n_paths=values["study.n_paths"],
-            seed=values["study.seed"],
             workers=values["study.workers"],
         )
     except ValueError as exc:

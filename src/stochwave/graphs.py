@@ -168,22 +168,6 @@ class LinearGraph(MonotoneGraph):
         return x / (1.0 + lam * self.c)
 
 
-class SignGraph(MonotoneGraph):
-    """beta = subdifferential of |x|: the sign graph with [-1, 1] at 0."""
-
-    name = "sign"
-
-    def potential(self, x):
-        return np.abs(x)
-
-    def _section_impl(self, x):
-        s = np.sign(x)
-        return np.where(x == 0.0, -1.0, s), np.where(x == 0.0, 1.0, s)
-
-    def _resolvent_impl(self, lam, x):
-        return _soft_threshold(lam, x)
-
-
 class PowerLawGraph(MonotoneGraph):
     """beta(x) = |x|^(p-1) * sign(x) with p >= 1; p = 1 is the sign graph.
 
@@ -206,7 +190,8 @@ class PowerLawGraph(MonotoneGraph):
 
     def _section_impl(self, x):
         if self.p == 1.0:
-            return SignGraph._section_impl(self, x)
+            s = np.sign(x)
+            return np.where(x == 0.0, -1.0, s), np.where(x == 0.0, 1.0, s)
         v = self._beta(x)
         return v, v
 
@@ -255,6 +240,18 @@ class CubicGraph(PowerLawGraph):
     def __init__(self):
         super().__init__(4.0)
         self.name = "cubic"
+
+
+class SignGraph(PowerLawGraph):
+    """beta = subdifferential of |x|: the sign graph with [-1, 1] at 0.
+
+    It is ``PowerLawGraph(1)`` under another name, the way ``CubicGraph`` is
+    p = 4, so both agree bit for bit.
+    """
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.name = "sign"
 
 
 class JumpGraph(MonotoneGraph):

@@ -13,6 +13,7 @@ possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +54,10 @@ class NuclearCovariance:
 
     @classmethod
     def from_grid(cls, grid: SpectralGrid, q0: float, r: float) -> "NuclearCovariance":
-        if q0 < 0.0:
-            raise ValueError(f"q0 must be >= 0, got {q0}")
-        if r <= grid.dim:
-            raise ValueError(f"decay exponent r must exceed dim={grid.dim}, got {r}")
+        if not 0.0 <= q0 < math.inf:
+            raise ValueError(f"q0 must be finite and >= 0, got {q0}")
+        if not grid.dim < r < math.inf:
+            raise ValueError(f"decay exponent r must be finite and exceed dim={grid.dim}, got {r}")
         # |k| = sqrt(mu_k), so q = q0 * mu^(-r/2)
         q = q0 * grid.mu ** (-r / 2.0)
         return cls(q0=float(q0), r=float(r), q=q)
@@ -77,6 +78,8 @@ class MartingaleDriver:
     def __post_init__(self):
         if self.kind not in ("wiener", "poisson"):
             raise ValueError(f"unknown driver kind {self.kind!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
         if self.kind == "poisson" and self.rate <= 0.0:
             raise ValueError(f"poisson driver needs rate > 0, got {self.rate}")
 
@@ -121,14 +124,6 @@ class MartingaleDriver:
 
         return draw
 
-    def sample_increment(self, dt: float, rng: Generator) -> np.ndarray:
-        """One increment of M over a step of length dt, as mode coefficients.
-
-        Builds a new sampler on every call, so it is meant for one-off draws;
-        loops should draw from one ``increment_sampler(dt)``.
-        """
-        return self.increment_sampler(dt)(rng)
-
 
 def _clip_unit(x):
     return np.asarray(x).clip(-1.0, 1.0)
@@ -136,10 +131,10 @@ def _clip_unit(x):
 
 # named module-level callables only: maps must survive pickling into worker pools
 DIFFUSION_MAPS = {
-    "one": (np.ones_like, 1.0, 0.0),
-    "clip": (_clip_unit, 1.0, 1.0),
-    "sin": (np.sin, 1.0, 1.0),
-    "zero": (np.zeros_like, 0.0, 0.0),  # switches the noise term off entirely
+    "one": np.ones_like,
+    "clip": _clip_unit,
+    "sin": np.sin,
+    "zero": np.zeros_like,  # switches the noise term off entirely
 }
 
 
@@ -149,16 +144,14 @@ class DiffusionMap:
 
     name: str
     func: object = field(repr=False)
-    bound: float = 1.0
-    lipschitz: float = 1.0
 
     @classmethod
     def from_name(cls, name: str) -> "DiffusionMap":
         try:
-            func, bound, lip = DIFFUSION_MAPS[name]
+            func = DIFFUSION_MAPS[name]
         except KeyError:
             raise ValueError(f"unknown diffusion map {name!r}") from None
-        return cls(name=name, func=func, bound=bound, lipschitz=lip)
+        return cls(name=name, func=func)
 
     def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray) -> np.ndarray:
         """Modes of sigma(u(x)) * dM(x); sigma evaluated at the pre-step state."""
@@ -221,8 +214,8 @@ def ito_isometry_check(
     The integrand is the identity, so M(T) is just the accumulated increment;
     the estimator averages the squared coefficient norm across paths.
     """
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rhs = t_final * driver.covariance.trace

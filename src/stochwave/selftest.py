@@ -133,9 +133,8 @@ def run_selftest(out=print) -> int:
         return mean_ok and var_ok
 
     def increment_determinism_ok():
-        a = wiener.sample_increment(0.5, path_rng(3, 9))
-        b = wiener.sample_increment(0.5, path_rng(3, 9))
-        return np.array_equal(a, b)
+        draw = wiener.increment_sampler(0.5)
+        return np.array_equal(draw(path_rng(3, 9)), draw(path_rng(3, 9)))
 
     def isometry_ok():
         for driver in (wiener, poisson):

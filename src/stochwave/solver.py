@@ -232,10 +232,21 @@ def energy(grid: SpectralGrid, state: WaveState) -> float:
     return grad2 + kin2
 
 
+def _envelope_mass(weight, graph: MonotoneGraph, lam: float, res, yos) -> float:
+    """Integrated Moreau envelope weight * sum(j(res) + lam/2 * yos^2) of nodal resolvent/Yosida values."""
+    return weight * (float(graph.potential(res).sum()) + 0.5 * lam * float(np.vdot(yos, yos)))
+
+
+def _cold_envelope_mass(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u) -> float:
+    """``_envelope_mass`` of the modes u through the cold resolvent."""
+    u_nodes = grid.to_nodes(u)
+    res = graph.resolvent(lam, u_nodes)
+    return _envelope_mass(grid.weight, graph, lam, res, (u_nodes - res) / lam)
+
+
 def lyapunov(grid: SpectralGrid, state: WaveState, graph: MonotoneGraph, lam: float) -> float:
     """energy + 2 * integral of the Moreau envelope of u; deterministic invariant."""
-    u_nodes = grid.to_nodes(state.u)
-    return energy(grid, state) + 2.0 * grid.quad_integral(graph.moreau(lam, u_nodes))
+    return energy(grid, state) + 2.0 * _cold_envelope_mass(grid, graph, lam, state.u)
 
 
 def simulate_path(
@@ -287,10 +298,9 @@ def simulate_path(
         warm = res
 
         if rec_series:
-            envelope = float(graph.potential(res).sum()) + 0.5 * lam * float(np.vdot(yos, yos))
             series[step_idx] = (
                 quad,
-                quad + 2.0 * weight * envelope,
+                quad + 2.0 * _envelope_mass(weight, graph, lam, res, yos),
                 math.sqrt(np.vdot(u, u)),
                 math.sqrt(grad2),
                 math.sqrt(kin2),
@@ -375,9 +385,7 @@ def duhamel_residual(result: PathResult, config: SolverConfig) -> float:
 def chain_rule_check(result: PathResult, config: SolverConfig) -> dict:
     """Compare the accumulated <yosida(u), v> integral with the envelope change."""
     grid, graph, lam = config.grid, config.graph, config.lam
-    rhs = grid.quad_integral(graph.moreau(lam, grid.to_nodes(result.u_final))) - grid.quad_integral(
-        graph.moreau(lam, grid.to_nodes(result.u_first))
-    )
+    rhs = _cold_envelope_mass(grid, graph, lam, result.u_final) - _cold_envelope_mass(grid, graph, lam, result.u_first)
     lhs = result.chain_lhs
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 

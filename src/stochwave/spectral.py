@@ -125,12 +125,6 @@ class SpectralGrid:
         self._check_shape(nodal, "nodal array")
         return float(np.sqrt(self.weight * np.sum(nodal**2)))
 
-    def quad_integral(self, nodal: np.ndarray) -> float:
-        """Integral over the box of nodal values via the collocation quadrature."""
-        nodal = np.asarray(nodal, dtype=float)
-        self._check_shape(nodal, "nodal array")
-        return float(self.weight * np.sum(nodal))
-
     def mode_square_sum(self, weights: np.ndarray) -> np.ndarray:
         """Nodal values of sum_k w_k e_k(x)^2 for per-mode weights w."""
         weights = np.asarray(weights, dtype=float)

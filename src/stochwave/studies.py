@@ -31,20 +31,18 @@ __all__ = [
 ]
 
 
-def _check_eps_grid(eps_values):
-    if not all(math.isfinite(e) and e >= 0.0 for e in eps_values):
-        raise ValueError(f"study.eps_grid entries must be finite and >= 0, got {tuple(eps_values)}")
-
-
 @dataclass
 class StudySpec:
-    """A base solver setup plus the parameter grids a study sweeps over."""
+    """A base solver setup plus the parameter grids a study sweeps over.
+
+    The base config owns every setting a path needs, the seed included; a
+    study varies only lambda and what is recorded.
+    """
 
     base: SolverConfig
     lambdas: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
     eps_grid: tuple = (1e-2, 1e-3, 0.0)
     n_paths: int = 200
-    seed: int = 42
     workers: int = 1
 
     def __post_init__(self):
@@ -56,16 +54,12 @@ class StudySpec:
             raise ValueError(f"study.lambda_grid must be strictly descending, got {tuple(self.lambdas)}")
         if any(l <= 0 for l in self.lambdas):
             raise ValueError("lambda grid entries must be positive")
-        _check_eps_grid(self.eps_grid)
+        if not all(math.isfinite(e) and e >= 0.0 for e in self.eps_grid):
+            raise ValueError(f"study.eps_grid entries must be finite and >= 0, got {tuple(self.eps_grid)}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.workers < 1:
             raise ValueError(f"study.workers must be >= 1, got {self.workers}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"study.seed must be a non-negative integer, got {self.seed!r}")
-
-    def config_for(self, lam, **overrides) -> SolverConfig:
-        return replace(self.base, lam=lam, seed=self.seed, **overrides)
 
 
 @dataclass
@@ -160,14 +154,15 @@ def _sweep_job(base, lambdas, make_reducer, path_index):
     return values
 
 
-def _sweep(spec: StudySpec, make_reducer, **overrides):
+def _sweep(spec: StudySpec, make_reducer):
     """Map the lambda sweep over every path in one pool; blow-ups are counted, not fatal.
 
     Returns, per lambda in grid order, the reduced values of the finished
     paths in path order, and a {lambda: blown-up path count} dict of the
-    lambdas that had any.
+    lambdas that had any.  Studies reduce paths while they step, so nothing
+    is recorded.
     """
-    base = spec.config_for(spec.lambdas[0], **overrides)
+    base = replace(spec.base, record=frozenset())
     job = partial(_sweep_job, base, spec.lambdas, make_reducer)
     per_path = _map_ordered(job, range(spec.n_paths), spec.workers)
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
@@ -214,7 +209,7 @@ class _SmoothedPairings:
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    columns, blowups = _sweep(spec, _SupEnergy, record=frozenset())
+    columns, blowups = _sweep(spec, _SupEnergy)
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
@@ -223,17 +218,16 @@ def energy_study(spec: StudySpec) -> StudyReport:
     )
 
 
-def pairing_study(spec: StudySpec, eps_grid=None) -> StudyReport:
+def pairing_study(spec: StudySpec) -> StudyReport:
     """E int <yosida(u), resolvent(u)> dt per (lambda, eps), eps -> 0 sweep.
 
     Positive eps applies the elliptic smoother to both pairing factors, the
     way the uniform bound is derived before letting the smoothing vanish.
     """
-    eps_values = tuple(spec.eps_grid if eps_grid is None else eps_grid)
-    _check_eps_grid(eps_values)
+    eps_values = tuple(spec.eps_grid)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    columns, blowups = _sweep(spec, partial(_SmoothedPairings, eps_values), record=frozenset())
+    columns, blowups = _sweep(spec, partial(_SmoothedPairings, eps_values))
     rows = [
         (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
         for lam, ok in zip(spec.lambdas, columns)
@@ -310,7 +304,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     """
     if len(spec.lambdas) < 3:
         raise ValueError("lambda convergence needs a grid of at least 3 values")
-    columns, blowups = _sweep(spec, _Gaps, record=frozenset())
+    columns, blowups = _sweep(spec, _Gaps)
     rows = []
     for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
         gaps = [g for g in column if g]
@@ -341,7 +335,7 @@ def isometry_study(spec: StudySpec) -> StudyReport:
     if base.driver is None:
         raise ValueError("isometry study needs a noise driver in the base config")
     driver = base.driver
-    iso = ito_isometry_check(driver, base.t_final, 1, spec.n_paths, spec.seed)
+    iso = ito_isometry_check(driver, base.t_final, 1, spec.n_paths, base.seed)
     rows = [
         (
             f"ito_isometry_{driver.kind}",
@@ -353,7 +347,7 @@ def isometry_study(spec: StudySpec) -> StudyReport:
     ]
 
     qv = np.empty(spec.n_paths)
-    paths = _path_increments(driver, base.dt, base.n_steps, spec.n_paths, spec.seed)
+    paths = _path_increments(driver, base.dt, base.n_steps, spec.n_paths, base.seed)
     for p, blocks in enumerate(paths):
         total = 0.0
         for block in blocks:
@@ -364,11 +358,10 @@ def isometry_study(spec: StudySpec) -> StudyReport:
         ("quadratic_variation", qv_est, base.t_final * driver.covariance.trace, qv_se, spec.n_paths)
     )
 
-    config = spec.config_for(spec.lambdas[0], record=frozenset({"states"}))
-    result = simulate_path(config, 0)
-    grid = config.grid
+    result = simulate_path(replace(base, lam=spec.lambdas[0], record=frozenset({"states"})), 0)
+    grid = base.grid
     worst = 0.0
-    probe_rng = path_rng(spec.seed, 2**31)
+    probe_rng = path_rng(base.seed, 2**31)
     probes = [
         (grid.basis_field(*grid.mode_indices[0]), grid.basis_field(*grid.mode_indices[-1])),
         (probe_rng.standard_normal(grid.shape), probe_rng.standard_normal(grid.shape)),

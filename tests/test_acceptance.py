@@ -205,7 +205,6 @@ def test_criterion_7_uniform_energy_bound(default_profile):
             base=default_profile,
             lambdas=(1e-1, 1e-2, 1e-3, 1e-4),
             n_paths=200,
-            seed=42,
             workers=WORKERS,
         )
         report = energy_study(spec)
@@ -230,7 +229,7 @@ def test_criterion_8_lambda_cauchy_decay(default_profile):
     with criterion(8, "coupled-noise Cauchy gaps decay along the lambda grid"):
         lams = tuple(1e-1 * 2.0**-j for j in range(5))
         spec = StudySpec(
-            base=default_profile, lambdas=lams, n_paths=100, seed=42, workers=WORKERS
+            base=default_profile, lambdas=lams, n_paths=100, workers=WORKERS
         )
         report = lambda_convergence_study(spec)
         u_gaps = [row[2] for row in report.rows]

@@ -145,15 +145,28 @@ class TestClosedFormResolvents:
             assert np.array_equal(PowerLawGraph(2.0).resolvent(lam, x), LinearGraph(1.0).resolvent(lam, x))
 
     def test_cubic_is_power_four_bit_for_bit(self):
+        """Also the sign graph against p = 1; bytes, so the sign of a zero counts too."""
         x = np.random.default_rng(4).uniform(-5.0, 5.0, 100_000)
         x[::1000] = 0.0
-        cubic, power4 = CubicGraph(), PowerLawGraph(4.0)
-        assert np.array_equal(cubic.potential(x), power4.potential(x))
-        for a, b in zip(cubic.section(x), power4.section(x)):
-            assert np.array_equal(a, b)
-        for lam in self.LAMS:
-            for name in ("resolvent", "yosida", "moreau"):
-                assert np.array_equal(getattr(cubic, name)(lam, x), getattr(power4, name)(lam, x))
+        x[500::1000] = -0.0
+        hint = x / 2.0
+
+        def same(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        for named, name, power in (
+            (CubicGraph(), "cubic", PowerLawGraph(4.0)),
+            (SignGraph(), "sign", PowerLawGraph(1.0)),
+            (parse_graph("sign"), "sign", PowerLawGraph(1.0)),
+        ):
+            assert named.name == name
+            assert same(named.potential(x), power.potential(x))
+            for a, b in zip(named.section(x), power.section(x)):
+                assert same(a, b)
+            for lam in self.LAMS:
+                for method in ("resolvent", "yosida", "moreau"):
+                    assert same(getattr(named, method)(lam, x), getattr(power, method)(lam, x))
+                assert same(named.resolvent_warm(lam, x, hint), power.resolvent_warm(lam, x, hint))
 
 
 class TestYosidaExamples:

@@ -39,17 +39,30 @@ class TestCovariance:
         with pytest.raises(ValueError):
             NuclearCovariance.from_grid(grid8, 1.0, 1.0)  # r must exceed dim
 
+    def test_non_finite_parameters_are_named(self, grid8, cov8):
+        nan, inf = float("nan"), float("inf")
+        for q0, r, key in ((nan, 2.0, "q0"), (inf, 2.0, "q0"), (1.0, nan, "r"), (1.0, inf, "r")):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                NuclearCovariance.from_grid(grid8, q0, r)
+        for rate in (nan, inf):
+            with pytest.raises(ValueError, match="rate must be finite"):
+                MartingaleDriver("poisson", cov8, rate=rate)
+        driver = MartingaleDriver("wiener", cov8)
+        for t_final in (nan, inf):
+            with pytest.raises(ValueError, match="t_final must be finite"):
+                ito_isometry_check(driver, t_final, 10, 5, 0)
+
 
 class TestIncrements:
     def test_zero_covariance_gives_zero_field(self, grid8):
         cov = NuclearCovariance.from_grid(grid8, 0.0, 2.0)
         driver = MartingaleDriver("wiener", cov)
-        assert np.all(driver.sample_increment(0.1, path_rng(0, 0)) == 0.0)
+        assert np.all(driver.increment_sampler(0.1)(path_rng(0, 0)) == 0.0)
 
     def test_dt_must_be_positive(self, cov8):
         driver = MartingaleDriver("wiener", cov8)
         with pytest.raises(ValueError):
-            driver.sample_increment(0.0, path_rng(0, 0))
+            driver.increment_sampler(0.0)(path_rng(0, 0))
 
     def test_driver_validation(self, cov8):
         with pytest.raises(ValueError):
@@ -60,11 +73,11 @@ class TestIncrements:
     def test_reproducible_streams(self, cov8):
         for kind, rate in (("wiener", 0.0), ("poisson", 5.0)):
             driver = MartingaleDriver(kind, cov8, rate=rate)
-            a = driver.sample_increment(1.0, path_rng(7, 3))
-            b = driver.sample_increment(1.0, path_rng(7, 3))
+            a = driver.increment_sampler(1.0)(path_rng(7, 3))
+            b = driver.increment_sampler(1.0)(path_rng(7, 3))
             assert np.array_equal(a, b)
             # different path index -> different draw
-            c = driver.sample_increment(1.0, path_rng(7, 4))
+            c = driver.increment_sampler(1.0)(path_rng(7, 4))
             assert not np.array_equal(a, c)
 
     def test_mean_zero_per_mode(self, cov8):
@@ -115,7 +128,7 @@ class TestIncrements:
             rng = path_rng(42, p)
             m = np.zeros(cov8.q.shape)
             for _ in range(n_steps):
-                m += driver.sample_increment(dt, rng)
+                m += driver.increment_sampler(dt)(rng)
             finals[p] = m
         t_final = n_steps * dt
         sq = finals**2
@@ -164,19 +177,19 @@ class TestBlockDraws:
 class TestDiffusion:
     def test_constant_map_is_identity_on_noise(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
-        dm = driver.sample_increment(0.1, path_rng(1, 1))
+        dm = driver.increment_sampler(0.1)(path_rng(1, 1))
         sigma = DiffusionMap.from_name("one")
         np.testing.assert_allclose(sigma.apply(grid8, np.zeros(grid8.shape), dm), dm, atol=1e-12)
 
     def test_zero_map_annihilates(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
-        dm = driver.sample_increment(0.1, path_rng(1, 2))
+        dm = driver.increment_sampler(0.1)(path_rng(1, 2))
         sigma = DiffusionMap.from_name("zero")
         assert np.all(sigma.apply(grid8, np.ones(grid8.shape), dm) == 0.0)
 
     def test_clip_is_nodally_bounded(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
-        dm = driver.sample_increment(0.1, path_rng(1, 3))
+        dm = driver.increment_sampler(0.1)(path_rng(1, 3))
         sigma = DiffusionMap.from_name("clip")
         u_nodes = 50.0 * np.sin(np.arange(8.0))  # mostly saturated
         out_nodes = grid8.to_nodes(sigma.apply(grid8, u_nodes, dm))
@@ -283,7 +296,7 @@ class TestItoIsometry:
         for p in range(n_paths):
             rng = path_rng(77, p)
             totals[p] = sum(
-                float(np.sum(driver.sample_increment(dt, rng) ** 2)) for _ in range(n_steps)
+                float(np.sum(driver.increment_sampler(dt)(rng) ** 2)) for _ in range(n_steps)
             )
         se = np.std(totals, ddof=1) / np.sqrt(n_paths)
         assert abs(np.mean(totals) - cov8.trace) <= 3.0 * se

@@ -23,6 +23,7 @@ from stochwave import (
     energy,
     ibp_residual,
     lyapunov,
+    parse_graph,
     simulate_path,
     step,
 )
@@ -158,6 +159,31 @@ class TestEnergyFunctionals:
         u_nodes = grid64.to_nodes(state.u)
         expected = 1.0 + 2.0 * grid64.weight * np.sum(graph.moreau(lam, u_nodes))
         assert lyapunov(grid64, state, graph, lam) == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def _lyapunov_and_series(grid, spec, seed):
+        config = SolverConfig(
+            grid=grid, graph=parse_graph(spec), lam=1e-2, dt=1e-3, t_final=0.1,
+            driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
+            diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=seed,
+            record=frozenset({"states", "functionals"}),
+        )
+        r = simulate_path(config, 0)
+        values = [lyapunov(grid, WaveState(u, v), config.graph, config.lam) for u, v in zip(r.u, r.v)]
+        return np.array(values), r.series[:, 1]
+
+    @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "jump:2", "linear:1"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lyapunov_is_the_recorded_series(self, grid64, spec, seed):
+        # closed-form resolvents: the cold solve is the kernel's warm one, bit for bit
+        values, series = self._lyapunov_and_series(grid64, spec, seed)
+        assert values.tolist() == series.tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lyapunov_matches_the_warm_newton_series(self, grid64, seed):
+        # no closed form: cold safeguarded Newton against warm plain Newton
+        values, series = self._lyapunov_and_series(grid64, "power:2.5", seed)
+        np.testing.assert_allclose(values, series, rtol=1e-15, atol=0.0)
 
 
 class TestInitialData:
