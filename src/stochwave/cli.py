@@ -114,6 +114,8 @@ def cli_main(argv) -> int:
         os.makedirs(args.outdir, exist_ok=True)
         if args.command == "simulate":
             config = build_solver_config(values)
+            if "functionals" not in config.record:
+                raise ConfigError("simulate writes the functional series; add 'functionals' to solver.record")
             result = simulate_path(config, 0)
             csv_path = os.path.join(args.outdir, "simulate.csv")
             write_path_csv(result, csv_path)

@@ -9,7 +9,7 @@ identities (energy conservation, Duhamel re-summation) hold at round-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,35 +85,32 @@ class SolverConfig:
     record: frozenset = frozenset({"functionals"})
 
     def __post_init__(self):
-        for name, value in (("lam", self.lam), ("dt", self.dt), ("t_final", self.t_final)):
+        for key, name in (("solver.lambda", "lam"), ("solver.dt", "dt"), ("solver.t_final", "t_final")):
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"SolverConfig.{name} must be finite, got {value}")
+                raise ValueError(f"{key} (SolverConfig.{name} = {value}) must be finite")
         if self.lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+            raise ValueError(f"solver.lambda (SolverConfig.lam) must be positive, got {self.lam}")
         if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"solver.dt (SolverConfig.dt) must be positive, got {self.dt}")
         if self.t_final < self.dt:
-            raise ValueError("t_final must be at least one step")
+            raise ValueError(f"solver.t_final (SolverConfig.t_final) {self.t_final} is below one step of solver.dt")
         ratio = self.t_final / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, round(ratio)):
-            raise ValueError(f"t_final/dt = {ratio} is not an integer step count")
+            raise ValueError(f"solver.t_final / solver.dt = {ratio} is not an integer step count")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"study.seed (SolverConfig.seed) must be a non-negative integer, got {self.seed!r}")
         try:
             _parse_initial_spec(self.grid, self.u0)
         except ValueError as exc:
             raise ValueError(f"solver.u0 (SolverConfig.u0) {self.u0!r}: {exc}") from None
-        unknown = set(self.record) - {"states", "increments", "functionals"}
+        unknown = set(self.record) - {"functionals"}
         if unknown:
-            raise ValueError(f"unknown record flags {sorted(unknown)}")
+            raise ValueError(f"solver.record (SolverConfig.record) accepts only 'functionals', got {sorted(unknown)}")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-
-# record flag that fills each optional PathResult field
-_RECORD_FLAGS = {"series": "functionals", "u": "states", "v": "states", "beta": "states", "increments": "increments"}
 
 
 @dataclass
@@ -129,20 +126,7 @@ class PathResult:
     v_first: np.ndarray
     u_final: np.ndarray
     v_final: np.ndarray
-    series: Optional[np.ndarray] = None  # columns per SERIES_COLUMNS, minus t
-    u: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    beta: Optional[np.ndarray] = None
-    increments: Optional[np.ndarray] = None
-
-    def require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                flag = _RECORD_FLAGS[name]
-                raise ValueError(
-                    f"path was simulated without recording {name!r}; "
-                    f"add {flag!r} to solver.record (SolverConfig.record)"
-                )
+    series: Optional[np.ndarray] = None  # columns per SERIES_COLUMNS, minus t; needs 'functionals'
 
 
 def _parse_initial_spec(grid: SpectralGrid, spec: str):
@@ -254,9 +238,11 @@ def simulate_path(
 ) -> PathResult:
     """Run one trajectory; raises NumericError with the step index on blow-up.
 
-    ``observe(k, u, beta_modes)``, if given, sees the state and the drift
-    modes of every step k < n before its kick, so a study can reduce them
-    on the fly instead of recording whole histories.
+    ``observe(k, u, v, beta_modes, dm)``, if given, is called once per step
+    k < n, after the step's increment draw (dm is None without a driver) and
+    before its kick.  It is the only way to read a path between its ends;
+    the state after the last step is ``u_final``/``v_final``.  The kernel
+    never writes to an array it has handed out, so an observer may keep it.
     """
     grid, graph, lam = config.grid, config.graph, config.lam
     dt, n = config.dt, config.n_steps
@@ -267,16 +253,9 @@ def simulate_path(
     cache = GroupCache(grid, dt)
     driver, diffusion = config.driver, config.diffusion
 
-    rec_states = "states" in config.record
-    rec_inc = "increments" in config.record
     rec_series = "functionals" in config.record
     times = dt * np.arange(n + 1)
     series = np.empty((n + 1, 6)) if rec_series else None
-    u_hist = np.empty((n + 1,) + grid.shape) if rec_states else None
-    v_hist = np.empty((n + 1,) + grid.shape) if rec_states else None
-    beta_hist = np.empty((n,) + grid.shape) if rec_states else None
-    # a noise-free path records its true increments: zeros
-    inc_hist = np.zeros((n,) + grid.shape) if rec_inc else None
 
     u_first, v_first = u.copy(), v.copy()
     sup_energy = -np.inf
@@ -306,24 +285,14 @@ def simulate_path(
                 math.sqrt(kin2),
                 pairing,
             )
-        if rec_states:
-            u_hist[step_idx] = u
-            v_hist[step_idx] = v
         if step_idx == n:
             break
 
         chain_lhs += dt * float(np.vdot(beta_modes, v))
         pairing += dt * weight * float(np.vdot(yos, res))
+        dm = draw(rng) if draw is not None else None
         if observe is not None:
-            observe(step_idx, u, beta_modes)
-
-        dm = None
-        if draw is not None:
-            dm = draw(rng)
-            if rec_inc:
-                inc_hist[step_idx] = dm
-        if rec_states:
-            beta_hist[step_idx] = beta_modes
+            observe(step_idx, u, v, beta_modes, dm)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm)
 
     return PathResult(
@@ -337,48 +306,48 @@ def simulate_path(
         u_final=u,
         v_final=v,
         series=series,
-        u=u_hist,
-        v=v_hist,
-        beta=beta_hist,
-        increments=inc_hist,
     )
 
 
-def duhamel_residual(result: PathResult, config: SolverConfig) -> float:
-    """Re-derive u_n from the mild-form convolution sums; max L2 discrepancy.
+def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
+    """Re-derive every u_k of one path from the mild-form convolution sums; max L2 discrepancy.
 
-    The sums are rebuilt from scratch with two running accumulators obtained
-    from the angle-addition split sin((t_n - t_m)w) = sin(t_n w)cos(t_m w)
-    - cos(t_n w)sin(t_m w), a different association order from the stepper's
-    rotation recursion, at O(modes) work per step.
+    The sums are rebuilt from scratch, while the path steps, with two running
+    accumulators obtained from the angle-addition split sin((t_n - t_m)w) =
+    sin(t_n w)cos(t_m w) - cos(t_n w)sin(t_m w), a different association order
+    from the stepper's rotation recursion, at O(modes) work per step.
     """
-    result.require("u", "beta")
-    grid, dt = config.grid, config.dt
+    grid, dt, n = config.grid, config.dt, config.n_steps
+    diffusion = config.diffusion
     om = np.sqrt(grid.mu)
-    n = len(result.times) - 1
-    with_noise = config.driver is not None
-    if with_noise:
-        result.require("increments")
-    u0, v0 = result.u_first, result.v_first
+    times = dt * np.arange(n + 1)
     acc_cos = np.zeros(grid.shape)
     acc_sin = np.zeros(grid.shape)
+    start = []  # (u_0, v_0) as handed to the observer
     worst = 0.0
-    for idx in range(n + 1):
-        if idx > 0:
-            m = idx - 1
-            t_m = result.times[m]
-            forcing = -dt * result.beta[m]
-            if with_noise:
-                u_nodes = grid.to_nodes(result.u[m])
-                forcing = forcing + config.diffusion.apply(grid, u_nodes, result.increments[m])
-            acc_cos += np.cos(t_m * om) * forcing
-            acc_sin += np.sin(t_m * om) * forcing
-        t_n = result.times[idx]
-        c, s = np.cos(t_n * om), np.sin(t_n * om)
+
+    def check(k, u):
+        nonlocal worst
+        u0, v0 = start
+        c, s = np.cos(times[k] * om), np.sin(times[k] * om)
         predicted = c * u0 + (s / om) * v0 + (s * acc_cos - c * acc_sin) / om
-        resid = float(np.sqrt(np.sum((result.u[idx] - predicted) ** 2)))
+        resid = float(np.sqrt(np.sum((u - predicted) ** 2)))
         if resid > worst:
             worst = resid
+
+    def observe(k, u, v, beta_modes, dm):
+        nonlocal acc_cos, acc_sin
+        if k == 0:
+            start.extend((u, v))
+        check(k, u)
+        forcing = -dt * beta_modes
+        if dm is not None:
+            forcing = forcing + diffusion.apply(grid, grid.to_nodes(u), dm)
+        acc_cos += np.cos(times[k] * om) * forcing
+        acc_sin += np.sin(times[k] * om) * forcing
+
+    result = simulate_path(replace(config, record=frozenset()), path_index, observe)
+    check(n, result.u_final)
     return worst
 
 
@@ -390,16 +359,27 @@ def chain_rule_check(result: PathResult, config: SolverConfig) -> dict:
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
-def ibp_residual(result: PathResult, phi: np.ndarray, psi: np.ndarray) -> float:
-    """Telescoping integration-by-parts defect for (Z1, Z2) = (<u,phi>, <v,psi>).
+def ibp_residual(config: SolverConfig, probes, path_index: int = 0) -> float:
+    """Worst telescoping integration-by-parts defect of one path over its (phi, psi) probes.
 
-    Z1Z2(T) - Z1Z2(0) = sum Z1 dZ2 + sum Z2 dZ1 + sum dZ1 dZ2 holds exactly;
-    the return value is the absolute defect of the recorded path.
+    For (Z1, Z2) = (<u,phi>, <v,psi>), Z1Z2(T) - Z1Z2(0) = sum Z1 dZ2 +
+    sum Z2 dZ1 + sum dZ1 dZ2 holds exactly; an observer records Z1 and Z2 at
+    every step, and each probe's defect is the absolute residual of the identity.
     """
-    result.require("u", "v")
-    axes = tuple(range(1, result.u.ndim))
-    z1 = np.sum(result.u * phi, axis=axes)
-    z2 = np.sum(result.v * psi, axis=axes)
-    dz1, dz2 = np.diff(z1), np.diff(z2)
-    total = np.sum(z1[:-1] * dz2) + np.sum(z2[:-1] * dz1) + np.sum(dz1 * dz2)
-    return float(abs(z1[-1] * z2[-1] - z1[0] * z2[0] - total))
+    phi, psi = (np.array(fields) for fields in zip(*probes))  # one row per probe
+    axes = tuple(range(1, phi.ndim))
+    z1 = np.empty((len(phi), config.n_steps + 1))
+    z2 = np.empty_like(z1)
+
+    def observe(k, u, v, beta_modes=None, dm=None):
+        (u * phi).sum(axis=axes, out=z1[:, k])
+        (v * psi).sum(axis=axes, out=z2[:, k])
+
+    result = simulate_path(replace(config, record=frozenset()), path_index, observe)
+    observe(config.n_steps, result.u_final, result.v_final)
+    worst = 0.0
+    for a, b in zip(z1, z2):
+        dz1, dz2 = np.diff(a), np.diff(b)
+        total = np.sum(a[:-1] * dz2) + np.sum(b[:-1] * dz1) + np.sum(dz1 * dz2)
+        worst = max(worst, float(abs(a[-1] * b[-1] - a[0] * b[0] - total)))
+    return worst

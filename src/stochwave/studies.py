@@ -47,17 +47,17 @@ class StudySpec:
 
     def __post_init__(self):
         if not self.lambdas:
-            raise ValueError("lambda grid must be non-empty")
+            raise ValueError("study.lambda_grid (StudySpec.lambdas) must be non-empty")
         if not all(map(math.isfinite, self.lambdas)):
-            raise ValueError(f"StudySpec.lambdas entries must be finite, got {self.lambdas}")
+            raise ValueError(f"study.lambda_grid (StudySpec.lambdas) entries must be finite, got {self.lambdas}")
         if any(l2 >= l1 for l1, l2 in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError(f"study.lambda_grid must be strictly descending, got {tuple(self.lambdas)}")
         if any(l <= 0 for l in self.lambdas):
-            raise ValueError("lambda grid entries must be positive")
+            raise ValueError(f"study.lambda_grid (StudySpec.lambdas) entries must be positive, got {self.lambdas}")
         if not all(math.isfinite(e) and e >= 0.0 for e in self.eps_grid):
             raise ValueError(f"study.eps_grid entries must be finite and >= 0, got {tuple(self.eps_grid)}")
         if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+            raise ValueError(f"study.n_paths (StudySpec.n_paths) must be >= 1, got {self.n_paths}")
         if self.workers < 1:
             raise ValueError(f"study.workers must be >= 1, got {self.workers}")
 
@@ -87,7 +87,8 @@ def write_csv(report: StudyReport, path) -> None:
 
 def write_path_csv(result: PathResult, path) -> None:
     """Per-step functional trace: t,energy,lyapunov,l2_u,h1_u,l2_v,pairing_running."""
-    result.require("series")
+    if result.series is None:
+        raise ValueError("path has no functional series; add 'functionals' to solver.record (SolverConfig.record)")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(SERIES_COLUMNS) + "\n")
         for t, row in zip(result.times, result.series):
@@ -195,7 +196,7 @@ class _SmoothedPairings:
         smoothers = {e: grid.smoother(e) for e in self.eps_values}
         scale = config.dt * grid.weight
 
-        def observe(k, u, beta_modes):
+        def observe(k, u, v, beta_modes, dm):
             for e, filt in smoothers.items():
                 res_f = graph.resolvent(lam, grid.to_nodes(filt * u))
                 beta_f = grid.to_nodes(filt * beta_modes)
@@ -266,7 +267,7 @@ class _Gaps:
             self.u_norm, self.hm2, self.hm3, self.l1 = np.empty(n + 1), np.empty(n), np.empty(n), 0.0
             w2, w3 = (1.0 + grid.mu) ** -2.0, (1.0 + grid.mu) ** -3.0
 
-        def observe(k, u, beta_modes):
+        def observe(k, u, v, beta_modes, dm):
             if chained:
                 du = u - self.u[k]
                 self.u_norm[k] = math.sqrt(np.vdot(du, du))
@@ -358,16 +359,13 @@ def isometry_study(spec: StudySpec) -> StudyReport:
         ("quadratic_variation", qv_est, base.t_final * driver.covariance.trace, qv_se, spec.n_paths)
     )
 
-    result = simulate_path(replace(base, lam=spec.lambdas[0], record=frozenset({"states"})), 0)
     grid = base.grid
-    worst = 0.0
     probe_rng = path_rng(base.seed, 2**31)
     probes = [
         (grid.basis_field(*grid.mode_indices[0]), grid.basis_field(*grid.mode_indices[-1])),
         (probe_rng.standard_normal(grid.shape), probe_rng.standard_normal(grid.shape)),
     ]
-    for phi, psi in probes:
-        worst = max(worst, ibp_residual(result, phi, psi))
+    worst = ibp_residual(replace(base, lam=spec.lambdas[0]), probes)
     rows.append(("integration_by_parts", worst, 0.0, 0.0, 1))
 
     return StudyReport(

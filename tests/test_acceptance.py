@@ -178,11 +178,7 @@ def test_criterion_4_ito_isometry(grid64):
 
 def test_criterion_5_duhamel_residual(default_profile):
     with criterion(5, "mild-form re-summation residual at round-off scale"):
-        config = replace(
-            default_profile, record=frozenset({"states", "increments", "functionals"})
-        )
-        result = simulate_path(config, 0)
-        assert duhamel_residual(result, config) <= 1e-9
+        assert duhamel_residual(default_profile, 0) <= 1e-9
 
 
 def test_criterion_6_chain_rule_order(default_profile):
@@ -246,30 +242,29 @@ def test_criterion_9_integration_by_parts(default_profile, grid64):
         grid2 = SpectralGrid(2, 8)
         cov2 = NuclearCovariance.from_grid(grid2, 1.0, 3.0)
         configs = [
-            replace(default_profile, record=frozenset({"states"})),
+            default_profile,
             replace(
                 default_profile,
                 graph=SignGraph(),
                 driver=MartingaleDriver("poisson", cov, rate=5.0),
                 diffusion=DiffusionMap.from_name("sin"),
-                record=frozenset({"states"}),
             ),
-            replace(default_profile, driver=None, record=frozenset({"states"})),
+            replace(default_profile, driver=None),
             SolverConfig(
                 grid=grid2, graph=CubicGraph(), lam=1e-2, dt=2e-3, t_final=0.25,
                 driver=MartingaleDriver("wiener", cov2),
                 diffusion=DiffusionMap.from_name("clip"),
-                u0="smooth:3", seed=42, record=frozenset({"states"}),
+                u0="smooth:3", seed=42, record=frozenset(),
             ),
         ]
         rng = np.random.default_rng(99)
         for config in configs:
             for path in range(2):
-                result = simulate_path(config, path)
-                for _ in range(2):
-                    phi = rng.standard_normal(config.grid.shape)
-                    psi = rng.standard_normal(config.grid.shape)
-                    assert ibp_residual(result, phi, psi) <= 1e-12
+                probes = [
+                    (rng.standard_normal(config.grid.shape), rng.standard_normal(config.grid.shape))
+                    for _ in range(2)
+                ]
+                assert ibp_residual(config, probes, path) <= 1e-12
 
 
 def test_criterion_10_byte_identical_reports(tmp_path):

@@ -1,10 +1,13 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from stochwave import ConfigError, CubicGraph, SignGraph
+from stochwave import cli
 from stochwave.cli import cli_main
 from stochwave.config import (
+    DEFAULTS,
     apply_overrides,
     build_solver_config,
     build_study_spec,
@@ -67,6 +70,15 @@ class TestConfigParsing:
     def test_defaults_without_file(self):
         values = load_config(None)
         assert values["graph.kind"] == "cubic"
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config format", 1)[1].split("```", 2)[1]
+        assert parse_config_text(block) == DEFAULTS
+        # every key is spelled out, not merely left at its default
+        lines = (line.split("#", 1)[0] for line in block.splitlines())
+        keys = {token.partition("=")[0] for line in lines for token in line.split() if "=" in token}
+        assert keys == {key.split(".", 1)[1] for key in DEFAULTS}
 
 
 class TestBuilders:
@@ -210,6 +222,37 @@ class TestCli:
         code = cli_main(["pairing", "--config", config_file, "--eps-grid=-1e-2,0", "--outdir", str(tmp_path)])
         assert code == 2
         assert "study.eps_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            (["--n-paths", "0"], "study.n_paths"),
+            (["--lambda-grid", ","], "study.lambda_grid"),
+            (["--lambda-grid", "1e-1,-1e-2"], "study.lambda_grid"),
+            (["--set", "solver.lambda=0"], "solver.lambda"),
+            (["--set", "solver.dt=0"], "solver.dt"),
+            (["--set", "solver.dt=-1e-3"], "solver.dt"),
+            (["--set", "solver.t_final=1e-3"], "solver.t_final"),  # below one dt=2e-3 step
+            (["--set", "solver.t_final=0.2501"], "solver.t_final"),  # not a whole step count
+            (["--set", "solver.record=functionals,states"], "solver.record"),
+        ],
+    )
+    def test_config_errors_name_their_key(self, config_file, tmp_path, capsys, extra, key):
+        code = cli_main(["energy", "--config", config_file, "--outdir", str(tmp_path)] + extra)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "energy.csv").exists()
+
+    def test_simulate_without_functionals_fails_before_the_path(self, config_file, tmp_path, capsys, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("simulate_path ran")
+
+        monkeypatch.setattr(cli, "simulate_path", no_path)
+        code = cli_main(["simulate", "--config", config_file, "--set", "solver.record=", "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'functionals'" in err and "solver.record" in err
+        assert not (tmp_path / "simulate.csv").exists()
 
     def test_missing_record_flag_is_named(self, config_file, tmp_path, capsys):
         code = cli_main(

@@ -47,7 +47,7 @@ def stochastic_config(grid64):
         diffusion=DiffusionMap.from_name("clip"),
         u0="smooth:8",
         seed=7,
-        record=frozenset({"states", "increments", "functionals"}),
+        record=frozenset({"functionals"}),
     )
 
 
@@ -128,11 +128,11 @@ class TestStep:
         np.testing.assert_array_equal(skipped.v, plain.v)
 
     @pytest.mark.parametrize("graph", [JumpGraph(2.0), SignGraph(), LinearGraph(1.0)])
-    def test_step_replays_simulate_path(self, stochastic_config, graph):
+    def test_step_replays_simulate_path(self, stochastic_config, graph, record_path):
         # both entry points share one kernel: feeding step() the recorded
         # increments must reproduce the path bit for bit
-        config = replace(stochastic_config, graph=graph, t_final=0.2, record=frozenset({"increments"}))
-        result = simulate_path(config, 3)
+        config = replace(stochastic_config, graph=graph, t_final=0.2, record=frozenset())
+        result = record_path(config, 3)
         grid = config.grid
         cache = GroupCache(grid, config.dt)
         state = WaveState(*build_initial_state(grid, config.u0))
@@ -161,28 +161,28 @@ class TestEnergyFunctionals:
         assert lyapunov(grid64, state, graph, lam) == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
-    def _lyapunov_and_series(grid, spec, seed):
+    def _lyapunov_and_series(grid, spec, seed, record_path):
         config = SolverConfig(
             grid=grid, graph=parse_graph(spec), lam=1e-2, dt=1e-3, t_final=0.1,
             driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
             diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=seed,
-            record=frozenset({"states", "functionals"}),
+            record=frozenset({"functionals"}),
         )
-        r = simulate_path(config, 0)
+        r = record_path(config, 0)
         values = [lyapunov(grid, WaveState(u, v), config.graph, config.lam) for u, v in zip(r.u, r.v)]
         return np.array(values), r.series[:, 1]
 
     @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "jump:2", "linear:1"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_lyapunov_is_the_recorded_series(self, grid64, spec, seed):
+    def test_lyapunov_is_the_recorded_series(self, grid64, spec, seed, record_path):
         # closed-form resolvents: the cold solve is the kernel's warm one, bit for bit
-        values, series = self._lyapunov_and_series(grid64, spec, seed)
+        values, series = self._lyapunov_and_series(grid64, spec, seed, record_path)
         assert values.tolist() == series.tolist()
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_lyapunov_matches_the_warm_newton_series(self, grid64, seed):
+    def test_lyapunov_matches_the_warm_newton_series(self, grid64, seed, record_path):
         # no closed form: cold safeguarded Newton against warm plain Newton
-        values, series = self._lyapunov_and_series(grid64, "power:2.5", seed)
+        values, series = self._lyapunov_and_series(grid64, "power:2.5", seed, record_path)
         np.testing.assert_allclose(values, series, rtol=1e-15, atol=0.0)
 
 
@@ -219,13 +219,13 @@ class TestInitialData:
 
 class TestSolverConfigValidation:
     def test_step_count_must_be_integral(self, grid64):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="solver.t_final"):
             SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=3e-4, t_final=1.0)
 
     def test_positivity(self, grid64):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="solver.lambda"):
             SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.0, dt=1e-3, t_final=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="solver.dt"):
             SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=-1e-3, t_final=1.0)
         for name in ("lam", "dt", "t_final"):
             for bad in (float("nan"), float("inf")):
@@ -249,6 +249,15 @@ class TestSolverConfigValidation:
                 record=frozenset({"everything"}),
             )
 
+    @pytest.mark.parametrize("flag", ["states", "increments"])
+    def test_history_record_flags_are_rejected(self, grid64, flag):
+        # whole histories are read through simulate_path's observer
+        with pytest.raises(ValueError, match="solver.record .*'functionals'"):
+            SolverConfig(
+                grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0,
+                record=frozenset({flag, "functionals"}),
+            )
+
 
 class TestSimulatePath:
     def test_linear_energy_conserved(self, grid64):
@@ -260,46 +269,54 @@ class TestSimulatePath:
         e = result.series[:, 0]
         assert np.max(np.abs(e - e[0])) <= 1e-12 * e[0]
 
-    def test_zero_initial_data_stays_zero(self, grid64):
+    def test_zero_initial_data_stays_zero(self, grid64, record_path):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
-            driver=None, u0="zero", record=frozenset({"states", "functionals"}),
+            driver=None, u0="zero", record=frozenset({"functionals"}),
         )
-        result = simulate_path(config, 0)
+        result = record_path(config, 0)
         assert result.sup_energy == 0.0
         assert np.all(result.u == 0.0) and np.all(result.v == 0.0)
 
-    def test_deterministic_given_seed_and_path(self, stochastic_config):
-        a = simulate_path(stochastic_config, 4)
-        b = simulate_path(stochastic_config, 4)
+    def test_deterministic_given_seed_and_path(self, stochastic_config, record_path):
+        a = record_path(stochastic_config, 4)
+        b = record_path(stochastic_config, 4)
         assert np.array_equal(a.increments, b.increments)
         np.testing.assert_array_equal(a.u_final, b.u_final)
         np.testing.assert_array_equal(a.series, b.series)
 
-    def test_coupled_lambdas_share_noise(self, stochastic_config):
-        a = simulate_path(replace(stochastic_config, lam=1e-1), 2)
-        b = simulate_path(replace(stochastic_config, lam=1e-3), 2)
+    def test_coupled_lambdas_share_noise(self, stochastic_config, record_path):
+        a = record_path(replace(stochastic_config, lam=1e-1), 2)
+        b = record_path(replace(stochastic_config, lam=1e-3), 2)
         assert np.array_equal(a.increments, b.increments)
         assert not np.allclose(a.u_final, b.u_final)
 
     def test_observer_sees_each_step_before_its_kick(self, stochastic_config):
+        # kicking each observed state with its drift and increment gives the next one
         config = replace(stochastic_config, t_final=0.1)
+        grid, graph, lam = config.grid, config.graph, config.lam
         seen = []
-        result = simulate_path(config, 3, lambda k, u, beta: seen.append((k, u.copy(), beta.copy())))
-        assert [k for k, _, _ in seen] == list(range(config.n_steps))
-        for k, u, beta in seen:
-            np.testing.assert_array_equal(u, result.u[k])
-            np.testing.assert_array_equal(beta, result.beta[k])
+        result = simulate_path(config, 3, lambda k, u, v, beta, dm: seen.append((u, v, beta, dm)))
+        np.testing.assert_array_equal(seen[0][0], result.u_first)
+        np.testing.assert_array_equal(seen[0][1], result.v_first)
+        cache = GroupCache(grid, config.dt)
+        following = [(u, v) for u, v, _, _ in seen[1:]] + [(result.u_final, result.v_final)]
+        for (u, v, beta, dm), (u_next, v_next) in zip(seen, following):
+            u_nodes = grid.to_nodes(u)
+            np.testing.assert_array_equal(beta, grid.to_modes((u_nodes - graph.resolvent(lam, u_nodes)) / lam))
+            kicked = step(cache, WaveState(u, v), graph, lam, config.diffusion, dm)
+            np.testing.assert_array_equal(kicked.u, u_next)
+            np.testing.assert_array_equal(kicked.v, v_next)
         plain = simulate_path(config, 3)
         np.testing.assert_array_equal(plain.u_final, result.u_final)
         assert plain.pairing == result.pairing
 
-    def test_noise_free_path_records_zero_increments(self, grid64):
+    def test_noise_free_path_records_zero_increments(self, grid64, record_path):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
-            driver=None, u0="smooth:8", record=frozenset({"increments"}),
+            driver=None, u0="smooth:8", record=frozenset(),
         )
-        result = simulate_path(config, 0)
+        result = record_path(config, 0)
         assert result.increments.shape == (config.n_steps, 64)
         assert np.all(result.increments == 0.0)
 
@@ -322,10 +339,10 @@ class TestSimulatePath:
         u0, v0 = build_initial_state(grid64, "smooth:8")
         assert result.sup_energy >= energy(grid64, WaveState(u0, v0)) - 1e-14
 
-    def test_pairing_positive_for_monotone_graphs(self, stochastic_config):
+    def test_pairing_positive_for_monotone_graphs(self, stochastic_config, record_path):
         for graph in (SignGraph(), JumpGraph(2.0)):
             config = replace(stochastic_config, graph=graph)
-            result = simulate_path(config, 1)
+            result = record_path(config, 1)
             assert result.pairing >= 0.0
             # pointwise positivity of <yosida(u), u> at every recorded state
             for n in range(0, len(result.times), 100):
@@ -362,6 +379,43 @@ class TestSimulatePath:
         assert 1.7 <= drifts[2e-4] / drifts[1e-4] <= 2.3
 
 
+class TestObserverContract:
+    """What simulate_path hands its per-step observer, its only per-step output."""
+
+    @pytest.mark.parametrize("kind", ["wiener", "poisson", None])
+    def test_called_once_per_step_in_order(self, stochastic_config, kind):
+        driver = None if kind is None else MartingaleDriver(kind, stochastic_config.driver.covariance, rate=50.0)
+        config = replace(stochastic_config, t_final=0.1, driver=driver)
+        calls = []
+        simulate_path(config, 3, lambda k, u, v, beta, dm: calls.append((k, dm is None)))
+        assert calls == [(k, driver is None) for k in range(config.n_steps)]
+
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_every_lambda_sees_the_same_increments(self, stochastic_config, kind):
+        driver = MartingaleDriver(kind, stochastic_config.driver.covariance, rate=50.0)
+        draws = {1e-1: [], 1e-3: []}
+        for lam, seen in draws.items():
+            config = replace(stochastic_config, lam=lam, t_final=0.1, driver=driver)
+            simulate_path(config, 2, lambda k, u, v, beta, dm: seen.append(dm.tobytes()))
+        assert draws[1e-1] == draws[1e-3]
+
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_handed_arrays_are_never_mutated(self, stochastic_config, kind):
+        # observers keep references (duhamel_residual keeps the k = 0 state)
+        driver = MartingaleDriver(kind, stochastic_config.driver.covariance, rate=50.0)
+        config = replace(stochastic_config, t_final=0.1, driver=driver)
+        kept, copies = [], []
+
+        def observe(k, *arrays):
+            kept.append(arrays)
+            copies.append([a.copy() for a in arrays])
+
+        simulate_path(config, 3, observe)
+        for arrays, snapshot in zip(kept, copies):
+            for a, b in zip(arrays, snapshot):
+                np.testing.assert_array_equal(a, b)
+
+
 def poisson_config(dim, sigma):
     grid = SpectralGrid(dim, 16 if dim == 1 else 8)
     cov = NuclearCovariance.from_grid(grid, 1.0, dim + 1.0)
@@ -369,7 +423,7 @@ def poisson_config(dim, sigma):
         grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.2,
         driver=MartingaleDriver("poisson", cov, rate=50.0),
         diffusion=DiffusionMap.from_name(sigma), u0="smooth:3", seed=5,
-        record=frozenset({"increments"}),
+        record=frozenset(),
     )
 
 
@@ -394,9 +448,9 @@ def always_kicked_path(config, increments):
 class TestJumpFreeSteps:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("sigma", ["sin", "clip"])
-    def test_matches_a_loop_that_always_adds_the_noise_product(self, dim, sigma):
+    def test_matches_a_loop_that_always_adds_the_noise_product(self, dim, sigma, record_path):
         config = poisson_config(dim, sigma)
-        result = simulate_path(config, 1)
+        result = record_path(config, 1)
         jumps = sum(bool(np.count_nonzero(dm)) for dm in result.increments)
         assert 0 < jumps < config.n_steps
         u, v, sup_energy = always_kicked_path(config, result.increments)
@@ -404,7 +458,7 @@ class TestJumpFreeSteps:
         np.testing.assert_array_equal(result.v_final, v)
         assert result.sup_energy == sup_energy
 
-    def test_noise_product_runs_once_per_jump_step(self, monkeypatch):
+    def test_noise_product_runs_once_per_jump_step(self, monkeypatch, record_path):
         config = poisson_config(1, "sin")
         calls = []
         apply = DiffusionMap.apply
@@ -414,7 +468,7 @@ class TestJumpFreeSteps:
             return apply(self, grid, u_nodes, dm)
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
-        result = simulate_path(config, 1)
+        result = record_path(config, 1)
         jumps = sum(bool(np.count_nonzero(dm)) for dm in result.increments)
         assert jumps > 0
         assert len(calls) == jumps
@@ -437,18 +491,18 @@ class TestDotReductions:
     """The kernel's BLAS-dot reductions against pairwise .sum() ones."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_path_functionals_match_summed_products(self, dim):
+    def test_path_functionals_match_summed_products(self, dim, record_path):
         if dim == 1:
             grid = SpectralGrid(1, 64)
             config = SolverConfig(
                 grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.2,
                 driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
                 diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=3,
-                record=frozenset({"states"}),
+                record=frozenset(),
             )
         else:
-            config = replace(poisson_config(2, "sin"), record=frozenset({"states"}))
-        result = simulate_path(config, 1)
+            config = poisson_config(2, "sin")
+        result = record_path(config, 1)
         expected = summed_reductions(config, result)
         actual = (result.sup_energy, result.chain_lhs, result.pairing)
         np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
@@ -461,14 +515,14 @@ class TestDotReductions:
         np.testing.assert_allclose(grid.to_modes(grid.to_nodes(x)), x, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_energy_and_norms_are_the_recorded_series(self, grid64, seed):
+    def test_energy_and_norms_are_the_recorded_series(self, grid64, seed, record_path):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.1,
             driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid64, 1.0, 2.0)),
             diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=seed,
-            record=frozenset({"states", "functionals"}),
+            record=frozenset({"functionals"}),
         )
-        result = simulate_path(config, 0)
+        result = record_path(config, 0)
         energies = [energy(grid64, WaveState(u, v)) for u, v in zip(result.u, result.v)]
         assert energies == result.series[:, 0].tolist()
         assert result.sup_energy == max(energies)
@@ -481,27 +535,20 @@ class TestDuhamelResidual:
     def test_linear_flow_is_exact(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(0.0), lam=1.0, dt=1e-3, t_final=0.5,
-            driver=None, u0="smooth:8", record=frozenset({"states", "functionals"}),
+            driver=None, u0="smooth:8", record=frozenset({"functionals"}),
         )
-        assert duhamel_residual(simulate_path(config, 0), config) <= 1e-10
+        assert duhamel_residual(config, 0) <= 1e-10
 
     def test_deterministic_cubic(self):
         grid = SpectralGrid(1, 32)
         config = SolverConfig(
             grid=grid, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0,
-            driver=None, u0="smooth:8", record=frozenset({"states", "functionals"}),
+            driver=None, u0="smooth:8", record=frozenset({"functionals"}),
         )
-        assert duhamel_residual(simulate_path(config, 0), config) <= 1e-9
+        assert duhamel_residual(config, 0) <= 1e-9
 
     def test_full_stochastic_run(self, stochastic_config):
-        result = simulate_path(stochastic_config, 0)
-        assert duhamel_residual(result, stochastic_config) <= 1e-9
-
-    def test_requires_recorded_arrays(self, stochastic_config):
-        config = replace(stochastic_config, record=frozenset({"functionals"}))
-        result = simulate_path(config, 0)
-        with pytest.raises(ValueError, match="add 'states' to solver.record"):
-            duhamel_residual(result, config)
+        assert duhamel_residual(stochastic_config, 0) <= 1e-9
 
     def test_two_dimensional_stochastic_run(self):
         grid = SpectralGrid(2, 8)
@@ -511,10 +558,9 @@ class TestDuhamelResidual:
             driver=MartingaleDriver("wiener", cov),
             diffusion=DiffusionMap.from_name("sin"),
             u0="smooth:3", seed=5,
-            record=frozenset({"states", "increments", "functionals"}),
+            record=frozenset({"functionals"}),
         )
-        result = simulate_path(config, 0)
-        assert duhamel_residual(result, config) <= 1e-9
+        assert duhamel_residual(config, 0) <= 1e-9
         lin = replace(config, graph=LinearGraph(0.0), driver=None)
         e = simulate_path(lin, 0).series[:, 0]
         assert np.max(np.abs(e - e[0])) <= 1e-12 * e[0]
@@ -527,11 +573,10 @@ class TestDuhamelResidual:
             driver=MartingaleDriver("poisson", cov, rate=8.0),
             diffusion=DiffusionMap.from_name("clip"),
             u0="random:6", seed=11,
-            record=frozenset({"states", "increments", "functionals"}),
+            record=frozenset({"functionals"}),
         )
-        result = simulate_path(config, 0)
-        assert duhamel_residual(result, config) <= 1e-9
-        assert result.pairing >= 0.0
+        assert duhamel_residual(config, 0) <= 1e-9
+        assert simulate_path(config, 0).pairing >= 0.0
 
 
 class TestChainRule:
@@ -585,33 +630,30 @@ class TestChainRule:
 
 class TestIntegrationByParts:
     def test_exact_on_stochastic_path(self, stochastic_config):
-        result = simulate_path(stochastic_config, 0)
         grid = stochastic_config.grid
         rng = np.random.default_rng(0)
         probes = [
             (grid.basis_field(1), grid.basis_field(2)),
             (rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)),
         ]
-        for phi, psi in probes:
-            assert ibp_residual(result, phi, psi) <= 1e-12
+        assert ibp_residual(stochastic_config, probes, 0) <= 1e-12
 
     def test_exact_on_deterministic_and_poisson_paths(self, grid64):
         cov = NuclearCovariance.from_grid(grid64, 1.0, 2.0)
         configs = [
             SolverConfig(
                 grid=grid64, graph=SignGraph(), lam=0.05, dt=2e-3, t_final=0.5,
-                driver=None, u0="smooth:4", record=frozenset({"states"}),
+                driver=None, u0="smooth:4", record=frozenset(),
             ),
             SolverConfig(
                 grid=grid64, graph=CubicGraph(), lam=1e-2, dt=2e-3, t_final=0.5,
                 driver=MartingaleDriver("poisson", cov, rate=5.0),
                 diffusion=DiffusionMap.from_name("sin"),
-                u0="smooth:4", seed=3, record=frozenset({"states"}),
+                u0="smooth:4", seed=3, record=frozenset(),
             ),
         ]
         rng = np.random.default_rng(1)
         for config in configs:
-            result = simulate_path(config, 0)
             phi = rng.standard_normal(grid64.shape)
             psi = rng.standard_normal(grid64.shape)
-            assert ibp_residual(result, phi, psi) <= 1e-12
+            assert ibp_residual(config, [(phi, psi)], 0) <= 1e-12

@@ -76,18 +76,16 @@ def whole_history_gaps(config, prev, result):
     return u_gap, l1, hm2, hm3
 
 
-def recorded(config, path_index=0):
-    return simulate_path(replace(config, record=frozenset({"states"})), path_index)
-
-
 class TestStudySpecValidation:
     def test_grid_rules(self, small_stochastic_spec):
         base = small_stochastic_spec.base
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="study.lambda_grid"):
             StudySpec(base=base, lambdas=())
         with pytest.raises(ValueError):
             StudySpec(base=base, lambdas=(1e-3, 1e-2))  # ascending
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="study.lambda_grid"):
+            StudySpec(base=base, lambdas=(1e-1, -1e-2))
+        with pytest.raises(ValueError, match="study.n_paths"):
             StudySpec(base=base, lambdas=(1e-2,), n_paths=0)
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers"):
@@ -140,14 +138,15 @@ class TestLambdaSweep:
     def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind):
         spec = small_stochastic_spec
         driver = MartingaleDriver(kind, spec.base.driver.covariance, rate=50.0)
-        base = replace(spec.base, driver=driver, record=frozenset({"increments"}))
+        base = replace(spec.base, driver=driver)
 
         class Increments:
             def start(self, config, chained):
-                return None
+                self.draws = []
+                return lambda k, u, v, beta, dm: self.draws.append(dm)
 
             def finish(self, config, result):
-                return result.increments, result.u_final
+                return np.array(self.draws), result.u_final
 
         (first, u_first), *rest = _sweep_job(base, spec.lambdas, Increments, 2)
         assert np.count_nonzero(first) > 0
@@ -247,7 +246,7 @@ class TestPairingStudy:
         assert twice == [once[0], once[0], once[1]]
 
     @pytest.mark.parametrize("seed", [42, 7])
-    def test_rows_match_a_per_step_reference(self, seed):
+    def test_rows_match_a_per_step_reference(self, seed, record_path):
         grid = SpectralGrid(1, 16)
         cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
         graph = PowerLawGraph(3.0)
@@ -262,7 +261,7 @@ class TestPairingStudy:
             config = replace(spec.base, lam=lam)
             per_path = []
             for p in range(spec.n_paths):
-                result = recorded(config, p)
+                result = record_path(config, p)
                 sums = {0.0: result.pairing}
                 for eps in (1e-2, 1e-3):
                     filt, acc = grid.smoother(eps), 0.0
@@ -350,7 +349,7 @@ class TestGapObserver:
     """The in-loop gap reducer against the whole-history arithmetic."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_rows_match_whole_history_gaps(self, dim):
+    def test_rows_match_whole_history_gaps(self, dim, record_path):
         if dim == 1:
             grid = SpectralGrid(1, 16)
             cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
@@ -369,7 +368,7 @@ class TestGapObserver:
             prev = None
             for column, lam in zip(columns, spec.lambdas):
                 config = replace(spec.base, lam=lam)
-                result = recorded(config, p)
+                result = record_path(config, p)
                 column.append(whole_history_gaps(config, prev, result))
                 prev = result
         expected = []
@@ -379,7 +378,7 @@ class TestGapObserver:
         assert lambda_convergence_study(spec).rows == expected
 
     @pytest.mark.parametrize("lam_blowup", [1e-9, 2.4e-7])
-    def test_blow_up_restarts_the_reused_history(self, lam_blowup):
+    def test_blow_up_restarts_the_reused_history(self, lam_blowup, record_path):
         grid = SpectralGrid(1, 16)
         cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
         base = SolverConfig(
@@ -394,7 +393,7 @@ class TestGapObserver:
         assert 1 < err.value.step < base.n_steps
         values = _sweep_job(base, (a.lam, b.lam, c.lam, d.lam), _Gaps, 0)
         assert values[:3] == [(), None, ()]
-        assert values[3] == whole_history_gaps(d, recorded(c), recorded(d))
+        assert values[3] == whole_history_gaps(d, record_path(c), record_path(d))
 
     def test_traced_peak_stays_near_one_history(self):
         grid = SpectralGrid(2, 16)
