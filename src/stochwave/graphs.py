@@ -84,7 +84,7 @@ def _resolvent_p3(lam, x):
 
 def _resolvent_p4(lam, x):
     # the one real root of lam*y^3 + y - x = 0, in hyperbolic form
-    c = math.sqrt(3.0 * lam)
+    c = np.sqrt(3.0 * lam)  # lam may be a column of a stack's lambdas
     return (2.0 / c) * np.sinh(np.arcsinh(1.5 * c * x) / 3.0)
 
 
@@ -123,11 +123,13 @@ class MonotoneGraph:
     def _resolvent_impl(self, lam, x):
         raise NotImplementedError
 
-    def resolvent_warm(self, lam, x, y0=None):
+    def resolvent_warm(self, lam, x, y0=None, batch_ndim=0):
         """Resolvent for trusted array input, seeded with a previous solution.
 
         Time steppers call this once per step with the previous step's
         resolvent as y0; graphs with closed-form resolvents ignore the hint.
+        The first ``batch_ndim`` axes of x index a stack of fields, and lam
+        is a float or an array that broadcasts against x.
         """
         return self._resolvent_impl(lam, x)
 
@@ -207,14 +209,16 @@ class PowerLawGraph(MonotoneGraph):
             return self._closed_form(lam, x)
         return _solve_monotone(self._beta, self._beta_prime, lam, x)
 
-    def resolvent_warm(self, lam, x, y0=None):
+    def resolvent_warm(self, lam, x, y0=None, batch_ndim=0):
         """Closed form if there is one, else three plain Newton steps from y0.
 
         The closed form ignores y0 and is called directly, so that a hinted
         call reaches ``_resolvent_impl`` only as a Newton fallback.  A warm
         start within O(dt) of the root makes plain Newton machine-accurate in
         three quadratic steps; if any entry's residual misses, the whole
-        array goes through the safeguarded cold solver.
+        field goes through the safeguarded cold solver.  With ``batch_ndim``
+        leading stack axes that is decided per field, and each field gets
+        the bits it gets alone: the cold solver works entry by entry.
         """
         if self._closed_form is not None:
             return self._closed_form(lam, x)
@@ -225,9 +229,14 @@ class PowerLawGraph(MonotoneGraph):
             y = y - (y + lam * self._beta(y) - x) / (1.0 + lam * self._beta_prime(y))
         f = y + lam * self._beta(y) - x
         # a NaN residual fails the comparison and so also falls back
-        if np.all(np.abs(f) <= 1e-12 * (1.0 + np.abs(x))):
-            return y
-        return self._resolvent_impl(lam, x)
+        close = np.abs(f) <= 1e-12 * (1.0 + np.abs(x))
+        if batch_ndim == 0:
+            return y if np.all(close) else self._resolvent_impl(lam, x)
+        cold = ~close.reshape(*x.shape[:batch_ndim], -1).all(axis=-1)
+        if cold.any():
+            lam_rows = np.broadcast_to(lam, cold.shape + (1,) * (x.ndim - batch_ndim))
+            y[cold] = self._resolvent_impl(lam_rows[cold], x[cold])
+        return y
 
 
 class CubicGraph(PowerLawGraph):

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _SQRT3 = np.sqrt(3.0)
+# numpy's Generator.poisson refuses a larger mean with "lam value too large"
+_POISSON_MEAN_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 
 
 def path_rng(master_seed: int, path_index: int) -> Generator:
@@ -107,20 +109,21 @@ class MartingaleDriver:
         jump_scale = np.sqrt(q / self.rate)
         mean_jumps = self.rate * dt
 
-        def one(rng):
+        def jumps(rng):
+            """One step's summed jumps, or None for a step without any."""
             n_jumps = int(rng.poisson(mean_jumps))
             if n_jumps == 0:
-                return np.zeros(jump_scale.shape)
+                return None
             xi = rng.uniform(-_SQRT3, _SQRT3, size=(n_jumps,) + jump_scale.shape)
             return jump_scale * xi.sum(axis=0)
 
         def draw(rng, n_steps=None):
-            if n_steps is None:
-                return one(rng)
-            block = np.empty((n_steps, *jump_scale.shape))
-            for i in range(n_steps):
-                block[i] = one(rng)
-            return block
+            block = np.zeros((1 if n_steps is None else n_steps, *jump_scale.shape))
+            for i in range(len(block)):
+                step = jumps(rng)
+                if step is not None:
+                    block[i] = step
+            return block[0] if n_steps is None else block
 
         return draw
 
@@ -154,14 +157,18 @@ class DiffusionMap:
         return cls(name=name, func=func)
 
     def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray) -> np.ndarray:
-        """Modes of sigma(u(x)) * dM(x); sigma evaluated at the pre-step state."""
-        if u_nodes.shape != grid.shape or dm_coeffs.shape != grid.shape:
+        """Modes of sigma(u(x)) * dM(x); sigma evaluated at the pre-step state.
+
+        Both arguments may be stacks of fields (leading axes) that broadcast
+        against each other; ``to_nodes`` then runs once per increment.
+        """
+        if u_nodes.shape[-grid.dim :] != grid.shape or dm_coeffs.shape[-grid.dim :] != grid.shape:
             raise ValueError("field shapes do not match the grid")
         if self.name == "one":
             return dm_coeffs
         if self.name == "zero":
-            return np.zeros(grid.shape)
-        return grid.to_modes(self.func(u_nodes) * grid.to_nodes(dm_coeffs))
+            return np.zeros(np.broadcast_shapes(u_nodes.shape, dm_coeffs.shape))
+        return grid._modes(self.func(u_nodes) * grid._nodes(dm_coeffs))
 
     def hs_norm(self, grid: SpectralGrid, u_nodes: np.ndarray, cov: NuclearCovariance) -> float:
         """Hilbert-Schmidt norm of h -> sigma(u)*h against Q^(1/2).
@@ -178,19 +185,24 @@ class DiffusionMap:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _path_increments(driver: MartingaleDriver, dt: float, n_steps: int, n_paths: int, master_seed: int):
-    """Per path, in index order: an iterator over blocks of its first n_steps increments.
+def _increment_blocks(draw, rng, n_steps: int, per_block: int):
+    """An iterator over blocks of the first n_steps increments of one stream.
 
-    A block is an ``(m, *q.shape)`` array of m >= 1 consecutive steps, capped
-    at ``_BLOCK_ENTRIES`` entries; stacked, the blocks are the n_steps single
-    draws in step order.  All paths draw through one sampler, each from its
-    own ``path_rng`` stream.
+    A block is an ``(m, *q.shape)`` array of 1 <= m <= per_block consecutive
+    steps; stacked, the blocks are the n_steps single draws in step order.
+    """
+    return (draw(rng, min(per_block, n_steps - start)) for start in range(0, n_steps, per_block))
+
+
+def _path_increments(driver: MartingaleDriver, dt: float, n_steps: int, n_paths: int, master_seed: int):
+    """Per path, in index order: ``_increment_blocks`` of at most ``_BLOCK_ENTRIES`` entries.
+
+    All paths draw through one sampler, each from its own ``path_rng`` stream.
     """
     draw = driver.increment_sampler(dt)
     per_block = max(1, _BLOCK_ENTRIES // driver.covariance.q.size)
     for p in range(n_paths):
-        rng = path_rng(master_seed, p)
-        yield (draw(rng, min(per_block, n_steps - start)) for start in range(0, n_steps, per_block))
+        yield _increment_blocks(draw, path_rng(master_seed, p), n_steps, per_block)
 
 
 def _add_in_order(total, rows):

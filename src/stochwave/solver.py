@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError
 from .graphs import MonotoneGraph
-from .noise import DiffusionMap, MartingaleDriver, path_rng
+from .noise import _POISSON_MEAN_MAX, DiffusionMap, MartingaleDriver, _increment_blocks, path_rng
 from .spectral import SpectralGrid
 
 __all__ = [
@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 BLOWUP_ENERGY = 1e12
+# Cap on n_steps * N^d, checked when a config is built: a lambda-conv path
+# job holds a (u, beta) history of about twice that many floats (4 GiB here).
+MAX_STEP_ENTRIES = 2**28
+# Most increment entries the kernel draws at once, over all paths of a block
+# (32 KiB of float64): enough steps per draw call to amortize it, few enough
+# that a job's memory stays that of its state and observers.
+_DRAW_ENTRIES = 1 << 12
 
 SERIES_COLUMNS = ("t", "energy", "lyapunov", "l2_u", "h1_u", "l2_v", "pairing_running")
 
@@ -96,8 +103,19 @@ class SolverConfig:
         if self.t_final < self.dt:
             raise ValueError(f"solver.t_final (SolverConfig.t_final) {self.t_final} is below one step of solver.dt")
         ratio = self.t_final / self.dt
+        if ratio * self.grid.size > MAX_STEP_ENTRIES:
+            raise ValueError(
+                f"solver.t_final / solver.dt = {ratio:g} steps times {self.grid.size} modes exceeds "
+                f"the cap of {MAX_STEP_ENTRIES} step entries (n_steps * N^d)"
+            )
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, round(ratio)):
             raise ValueError(f"solver.t_final / solver.dt = {ratio} is not an integer step count")
+        driver = self.driver
+        if driver is not None and driver.kind == "poisson" and driver.rate * self.dt > _POISSON_MEAN_MAX:
+            raise ValueError(
+                f"noise.rate (MartingaleDriver.rate = {driver.rate:g}) times solver.dt is above "
+                f"{_POISSON_MEAN_MAX:.6g} jumps per step, numpy's Poisson limit"
+            )
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"study.seed (SolverConfig.seed) must be a non-negative integer, got {self.seed!r}")
         try:
@@ -166,12 +184,13 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
 def _drift(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u, warm=None):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
-    ``warm`` is the previous step's resolvent, used as a Newton start.
+    u is a field or a stack of fields; lam is a float or broadcasts against
+    u.  ``warm`` is the previous step's resolvent, used as a Newton start.
     """
-    u_nodes = grid.to_nodes(u)
-    res = graph.resolvent_warm(lam, u_nodes, warm)
+    u_nodes = grid._nodes(u)
+    res = graph.resolvent_warm(lam, u_nodes, warm, u.ndim - grid.dim)
     yos = (u_nodes - res) / lam
-    return u_nodes, res, yos, grid.to_modes(yos)
+    return u_nodes, res, yos, grid._modes(yos)
 
 
 def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm):
@@ -179,9 +198,16 @@ def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm):
 
     An all-zero dm (a jump-free compound-Poisson step) adds an exactly-zero
     product, so it is skipped; only the sign of a zero entry of v can differ.
+    In a (P, L) stack dm has one (1, *grid.shape) row per path, and the skip
+    is decided per path.
     """
     w = v - cache.dt * beta_modes
     if dm is not None and np.count_nonzero(dm):
+        if dm.ndim > cache.grid.dim:
+            jumps = dm.reshape(len(dm), -1).any(axis=1)
+            if not jumps.all():
+                w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps])
+                return cache.rotate(u, w)
         w = w + diffusion.apply(cache.grid, u_nodes, dm)
     return cache.rotate(u, w)
 
@@ -205,15 +231,25 @@ def step(
     return WaveState(u_new, v_new)
 
 
-def _energy_terms(mu, u, v):
-    """(|grad u|^2, |v|^2), one BLAS dot each; every quadratic energy is their sum."""
-    return float(np.vdot(mu * u, u)), float(np.vdot(v, v))
+def _row_dots(a, b):
+    """np.vdot of each (path, lambda) field of two (P, L, *grid.shape) stacks, with its bits.
+
+    One batched (1, K) @ (K, 1) matmul makes the BLAS dot call per field
+    that np.vdot makes; np.einsum would not.
+    """
+    lead = a.shape[:2]
+    return np.matmul(a.reshape(*lead, 1, -1), b.reshape(*lead, -1, 1))[..., 0, 0]
+
+
+def _energy_terms(mu, u, v, dot=np.vdot):
+    """(|grad u|^2, |v|^2), one BLAS dot each per field; every quadratic energy is their sum."""
+    return dot(mu * u, u), dot(v, v)
 
 
 def energy(grid: SpectralGrid, state: WaveState) -> float:
     """|grad u|^2 + |v|^2 in L2: the quadratic part of the invariant."""
     grad2, kin2 = _energy_terms(grid.mu, state.u, state.v)
-    return grad2 + kin2
+    return float(grad2 + kin2)
 
 
 def _envelope_mass(weight, graph: MonotoneGraph, lam: float, res, yos) -> float:
@@ -244,12 +280,41 @@ def simulate_path(
     the state after the last step is ``u_final``/``v_final``.  The kernel
     never writes to an array it has handed out, so an observer may keep it.
     """
-    grid, graph, lam = config.grid, config.graph, config.lam
-    dt, n = config.dt, config.n_steps
-    mu = grid.mu
-    weight = grid.weight
-    rng = path_rng(config.seed, path_index)
-    u, v = build_initial_state(grid, config.u0, rng)
+    return _run(config, path_index, config.lam, observe)[0]
+
+
+def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
+    """The stepping loop, over one path or over a block of paths x lambdas.
+
+    Returns (PathResult, blow-up steps).  With one path index and one lambda
+    the state arrays have the grid's shape and a blow-up raises NumericError.
+    With P path indices and L lambdas they have shape (P, L, *grid.shape), the
+    result's fields are indexed [path, lambda], and a (path, lambda) row that
+    trips the guard leaves with its step index in the (P, L) step array (-1
+    for the rows that finished); its state is zeroed, so that the others go
+    on without a warning.  Every row runs the BLAS calls and the operation
+    order of its single path, so it holds that path's bits whatever its
+    batch-mates.  Each path draws once per step from its own stream, in
+    blocks of at most ``_DRAW_ENTRIES`` entries, and its lambdas share the
+    draw.  The functional series (``record`` with 'functionals') is for a
+    single path only.
+    """
+    grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
+    mu, weight, dim = grid.mu, grid.weight, grid.dim
+    single = np.ndim(paths) == 0
+    rngs = [path_rng(config.seed, p) for p in ([paths] if single else paths)]
+    starts = [build_initial_state(grid, config.u0, rng) for rng in rngs]
+    if single:
+        batch, lam, (u, v) = (), lams, starts[0]
+        # numpy's reductions would cost more than the arithmetic on one float
+        dot, higher, every = np.vdot, max, bool
+    else:
+        dot, higher, every = _row_dots, np.maximum, np.all
+        batch = (len(rngs), len(lams))
+        lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * dim)
+        u = np.empty(batch + grid.shape)
+        u[:] = np.array([u0 for u0, _ in starts])[:, None]
+        v = np.zeros(batch + grid.shape)
     cache = GroupCache(grid, dt)
     driver, diffusion = config.driver, config.diffusion
 
@@ -258,21 +323,36 @@ def simulate_path(
     series = np.empty((n + 1, 6)) if rec_series else None
 
     u_first, v_first = u.copy(), v.copy()
-    sup_energy = -np.inf
-    chain_lhs = 0.0
-    pairing = 0.0
+    sup_energy = np.full(batch, -np.inf)
+    chain_lhs = np.zeros(batch)
+    pairing = np.zeros(batch)
+    blown = np.full(batch, -1)
     warm = None
-    draw = driver.increment_sampler(dt) if driver is not None else None
+    increments = None
+    if driver is not None:
+        draw = driver.increment_sampler(dt)
+        per_block = max(1, _DRAW_ENTRIES // (len(rngs) * grid.size))
+        blocks = zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs))
+        # one path's block is (m, *shape); a stack's gets a lambda axis: (m, P, 1, *shape)
+        increments = (dm for parts in blocks for dm in (parts[0] if single else np.stack(parts, 1)[:, :, None]))
 
     for step_idx in range(n + 1):
-        grad2, kin2 = _energy_terms(mu, u, v)
+        grad2, kin2 = _energy_terms(mu, u, v, dot)
         quad = grad2 + kin2
-        if not math.isfinite(quad) or quad > BLOWUP_ENERGY:
-            raise NumericError(
-                f"energy blow-up at step {step_idx} (lambda={lam:g}, energy={quad:.3e})", step=step_idx
-            )
-        if quad > sup_energy:
-            sup_energy = quad
+        ok = quad <= BLOWUP_ENERGY  # False for nan and inf too
+        if not every(ok):
+            if single:
+                raise NumericError(
+                    f"energy blow-up at step {step_idx} (lambda={lam:g}, energy={quad:.3e})", step=step_idx
+                )
+            trip = ~ok
+            blown[trip] = step_idx
+            if np.all(blown >= 0):
+                break
+            u[trip] = v[trip] = quad[trip] = 0.0
+            if warm is not None:
+                warm[trip] = 0.0
+        sup_energy = higher(sup_energy, quad)
         u_nodes, res, yos, beta_modes = _drift(grid, graph, lam, u, warm)
         warm = res
 
@@ -288,15 +368,17 @@ def simulate_path(
         if step_idx == n:
             break
 
-        chain_lhs += dt * float(np.vdot(beta_modes, v))
-        pairing += dt * weight * float(np.vdot(yos, res))
-        dm = draw(rng) if draw is not None else None
+        chain_lhs = chain_lhs + dt * dot(beta_modes, v)
+        pairing = pairing + dt * weight * dot(yos, res)
+        dm = next(increments) if increments is not None else None
         if observe is not None:
             observe(step_idx, u, v, beta_modes, dm)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm)
 
-    return PathResult(
-        path_index=path_index,
+    if single:
+        sup_energy, chain_lhs, pairing = float(sup_energy), float(chain_lhs), float(pairing)
+    result = PathResult(
+        path_index=paths,
         times=times,
         sup_energy=sup_energy,
         chain_lhs=chain_lhs,
@@ -307,6 +389,7 @@ def simulate_path(
         v_final=v,
         series=series,
     )
+    return result, blown
 
 
 def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:

@@ -71,17 +71,32 @@ class SpectralGrid:
         """Evaluate the field at the collocation nodes."""
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_shape(coeffs, "coefficient array")
-        if self.dim == 1:
-            return self._synthesis @ coeffs
-        return self._synthesis @ coeffs @ self._synthesis
+        return self._nodes(coeffs)
 
     def to_modes(self, nodal: np.ndarray) -> np.ndarray:
         """Project nodal values onto the eigenbasis (quadrature inner products)."""
         nodal = np.asarray(nodal, dtype=float)
         self._check_shape(nodal, "nodal array")
-        if self.dim == 1:
-            return self._analysis @ nodal
-        return self._analysis @ nodal @ self._analysis
+        return self._modes(nodal)
+
+    def _nodes(self, coeffs):
+        """``to_nodes`` of a float field or of a stack of them (leading axes), unchecked."""
+        return self._transform(self._synthesis, coeffs)
+
+    def _modes(self, nodal):
+        """``to_modes`` of a float field or of a stack of them (leading axes), unchecked."""
+        return self._transform(self._analysis, nodal)
+
+    def _transform(self, matrix, x):
+        # Each field of a stack gets the BLAS call it gets alone, so the same
+        # bits: a matrix-vector product per field in 1-D (one matrix-matrix
+        # product over the stack would round differently), and two N x N
+        # products per field in 2-D.
+        if self.dim == 2:
+            return matrix @ x @ matrix
+        if x.ndim == 1:
+            return matrix @ x
+        return np.matmul(matrix, x[..., None])[..., 0]
 
     def apply_spectral(self, coeffs: np.ndarray, phi) -> np.ndarray:
         """Multiply mode k by phi(mu_k); realizes any function of -Laplacian."""

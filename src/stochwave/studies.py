@@ -1,8 +1,9 @@
 """Monte Carlo studies over the regularization scale, with reproducible pooling.
 
-Every study maps independent path simulations (one RNG stream per path index)
-over an optional process pool and reduces the per-path values in path order,
-so reports are bit-identical for a fixed seed regardless of worker count.
+Every study maps jobs over fixed blocks of paths (one RNG stream per path
+index) over an optional process pool and reduces the per-path values in path
+order, so reports are bit-identical for a fixed seed regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import NumericError
 from .noise import _add_in_order, _path_increments, ito_isometry_check, path_rng
-from .solver import SERIES_COLUMNS, PathResult, SolverConfig, ibp_residual, simulate_path
+from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _run, ibp_residual, simulate_path
 
 __all__ = [
     "StudySpec",
@@ -129,56 +130,70 @@ def _mean_se(values):
     return mean, se
 
 
-def _sweep_job(base, lambdas, make_reducer, path_index):
-    """Run one path at every lambda of the grid, in grid order, on one noise stream.
+# Paths per energy-study job, all stepped together by one block-kernel call.
+# A constant, so that the jobs do not depend on the worker count; a row's
+# bits do not depend on it either.
+_BLOCK_PATHS = 8
+
+
+def _energy_job(base, lambdas, paths):
+    """sup_t energy of every (path, lambda) of a block, None where the path blew up."""
+    result, blown = _run(base, paths, lambdas)
+    return [
+        [None if b >= 0 else float(s) for s, b in zip(sup_row, blown_row)]
+        for sup_row, blown_row in zip(result.sup_energy, blown)
+    ]
+
+
+def _sweep_job(base, lambdas, paths, make_reducer):
+    """Run each path of a block at every lambda of the grid, in grid order, on its noise stream.
 
     Each lambda's config is ``replace(base, lam=lam)``, so seed, driver, dt
     and initial data are shared and every lambda draws the same increments.
-    ``make_reducer()`` gives this job's reducer.  Per lambda,
+    ``make_reducer()`` gives this job's reducer.  Per path and lambda,
     ``reducer.start(config, chained)`` returns a per-step observer for
-    ``simulate_path`` or None; ``chained`` says whether the previous lambda
-    finished.  ``reducer.finish(config, result)`` returns the value.  A
-    blow-up gives None and breaks the chain.
+    ``simulate_path`` or None; ``chained`` says whether the path's previous
+    lambda finished.  ``reducer.finish(config, result)`` returns the value.
+    A blow-up gives None and breaks the chain.  Returns the values per path.
+    The studies that use it map one path per job: the per-lambda loop gains
+    nothing from a longer block, and short jobs keep the pool busy on a few
+    paths.
     """
     reducer = make_reducer()
-    values, chained = [], False
-    for lam in lambdas:
-        config = replace(base, lam=lam)
-        try:
-            result = simulate_path(config, path_index, reducer.start(config, chained))
-        except NumericError:
-            values.append(None)
-            chained = False
-            continue
-        values.append(reducer.finish(config, result))
-        chained = True
-    return values
+    per_path = []
+    for path_index in paths:
+        values, chained = [], False
+        for lam in lambdas:
+            config = replace(base, lam=lam)
+            try:
+                result = simulate_path(config, path_index, reducer.start(config, chained))
+            except NumericError:
+                values.append(None)
+                chained = False
+                continue
+            values.append(reducer.finish(config, result))
+            chained = True
+        per_path.append(values)
+    return per_path
 
 
-def _sweep(spec: StudySpec, make_reducer):
-    """Map the lambda sweep over every path in one pool; blow-ups are counted, not fatal.
+def _sweep(spec: StudySpec, job, block_paths):
+    """Map ``job(base, lambdas, paths)`` over blocks of paths in one pool; blow-ups are not fatal.
 
-    Returns, per lambda in grid order, the reduced values of the finished
+    A job gets ``block_paths`` consecutive path indices (fewer in the last
+    block) and returns, per path, its values per lambda with None for a
+    blow-up.  Returns, per lambda in grid order, the values of the finished
     paths in path order, and a {lambda: blown-up path count} dict of the
     lambdas that had any.  Studies reduce paths while they step, so nothing
     is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    job = partial(_sweep_job, base, spec.lambdas, make_reducer)
-    per_path = _map_ordered(job, range(spec.n_paths), spec.workers)
+    blocks = [range(i, min(i + block_paths, spec.n_paths)) for i in range(0, spec.n_paths, block_paths)]
+    per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, spec.workers)
+    per_path = [values for block in per_block for values in block]
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
     blowups = {lam: spec.n_paths - len(ok) for lam, ok in zip(spec.lambdas, columns) if len(ok) < spec.n_paths}
     return columns, blowups
-
-
-class _SupEnergy:
-    """sup_t energy of each path, which the solver tracks itself."""
-
-    def start(self, config, chained):
-        return None
-
-    def finish(self, config, result):
-        return result.sup_energy
 
 
 class _SmoothedPairings:
@@ -210,7 +225,7 @@ class _SmoothedPairings:
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    columns, blowups = _sweep(spec, _SupEnergy)
+    columns, blowups = _sweep(spec, _energy_job, _BLOCK_PATHS)
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
@@ -228,7 +243,7 @@ def pairing_study(spec: StudySpec) -> StudyReport:
     eps_values = tuple(spec.eps_grid)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    columns, blowups = _sweep(spec, partial(_SmoothedPairings, eps_values))
+    columns, blowups = _sweep(spec, partial(_sweep_job, make_reducer=partial(_SmoothedPairings, eps_values)), 1)
     rows = [
         (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
         for lam, ok in zip(spec.lambdas, columns)
@@ -305,7 +320,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     """
     if len(spec.lambdas) < 3:
         raise ValueError("lambda convergence needs a grid of at least 3 values")
-    columns, blowups = _sweep(spec, _Gaps)
+    columns, blowups = _sweep(spec, partial(_sweep_job, make_reducer=_Gaps), 1)
     rows = []
     for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
         gaps = [g for g in column if g]

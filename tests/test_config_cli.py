@@ -235,6 +235,9 @@ class TestCli:
             (["--set", "solver.t_final=1e-3"], "solver.t_final"),  # below one dt=2e-3 step
             (["--set", "solver.t_final=0.2501"], "solver.t_final"),  # not a whole step count
             (["--set", "solver.record=functionals,states"], "solver.record"),
+            (["--set", "solver.t_final=1e9"], "solver.t_final"),  # 5e11 steps
+            (["--set", "solver.dt=1e-300"], "solver.dt"),
+            (["--set", "noise.kind=poisson", "--set", "noise.rate=1e300"], "noise.rate"),
         ],
     )
     def test_config_errors_name_their_key(self, config_file, tmp_path, capsys, extra, key):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from math import cos, sin
 
 import numpy as np
@@ -13,6 +14,7 @@ from stochwave import (
     MartingaleDriver,
     NuclearCovariance,
     NumericError,
+    PowerLawGraph,
     SignGraph,
     SolverConfig,
     SpectralGrid,
@@ -27,6 +29,8 @@ from stochwave import (
     simulate_path,
     step,
 )
+from stochwave.noise import _POISSON_MEAN_MAX
+from stochwave.solver import MAX_STEP_ENTRIES, _run
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +236,30 @@ class TestSolverConfigValidation:
                 values = {"lam": 0.1, "dt": 1e-3, "t_final": 1.0, name: bad}
                 with pytest.raises(ValueError, match=f"SolverConfig.{name} "):
                     SolverConfig(grid=grid64, graph=CubicGraph(), **values)
+
+    def test_step_entries_are_capped(self, grid64):
+        steps = MAX_STEP_ENTRIES // grid64.size
+        SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=1.0, t_final=float(steps))
+        for key, values in (("solver.t_final", (1.0, steps + 1.0)), ("solver.dt", (1.0 / steps / 2, 1.0)),
+                            ("solver.dt", (5e-324, 1.0))):
+            dt, t_final = values
+            with pytest.raises(ValueError, match=f"{key}.*cap"):
+                SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=dt, t_final=t_final)
+
+    def test_poisson_mean_stays_within_numpy(self, grid64):
+        cov = NuclearCovariance.from_grid(grid64, 1.0, 2.0)
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_MEAN_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
+        for rate, ok in ((_POISSON_MEAN_MAX / 1e-3, True), (1e300, False)):
+            build = partial(SolverConfig, grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1e-3,
+                            driver=MartingaleDriver("poisson", cov, rate=rate))
+            if ok:
+                build()
+            else:
+                with pytest.raises(ValueError, match="noise.rate"):
+                    build()
 
     def test_negative_seed_is_named(self, grid64):
         with pytest.raises(ValueError, match="SolverConfig.seed"):
@@ -657,3 +685,91 @@ class TestIntegrationByParts:
             phi = rng.standard_normal(grid64.shape)
             psi = rng.standard_normal(grid64.shape)
             assert ibp_residual(config, [(phi, psi)], 0) <= 1e-12
+
+
+def block_config(dim, kind, graph, dt=1e-3, sigma="clip", u0="smooth:4"):
+    grid = SpectralGrid(dim, 16 if dim == 1 else 8)
+    cov = NuclearCovariance.from_grid(grid, 1.0, dim + 1.0)
+    return SolverConfig(
+        grid=grid, graph=parse_graph(graph), lam=1e-2, dt=dt, t_final=100 * dt,
+        driver=MartingaleDriver(kind, cov, rate=50.0), diffusion=DiffusionMap.from_name(sigma),
+        u0=u0, seed=11, record=frozenset(),
+    )
+
+
+class TestBlockKernel:
+    """Every (path, lambda) row of a block equals that path's own simulate_path call, bit for bit.
+
+    The suite turns every RuntimeWarning into an error, so none of these runs raises one.
+    """
+
+    @staticmethod
+    def assert_rows_are_single_paths(config, lambdas):
+        singles = {}
+        for p in range(8):
+            for lam in lambdas:
+                try:
+                    singles[p, lam] = simulate_path(replace(config, lam=lam), p)
+                except NumericError as err:
+                    singles[p, lam] = err.step
+        for paths in ((4,), (1, 2, 3), tuple(range(8))):
+            result, blown = _run(config, paths, lambdas)
+            assert blown.shape == result.sup_energy.shape == (len(paths), len(lambdas))
+            for i, p in enumerate(paths):
+                for j, lam in enumerate(lambdas):
+                    single = singles[p, lam]
+                    if isinstance(single, int):
+                        assert blown[i, j] == single
+                        continue
+                    assert blown[i, j] == -1
+                    for name in ("sup_energy", "chain_lhs", "pairing", "u_final", "v_final"):
+                        row = np.asarray(getattr(result, name)[i, j])
+                        assert row.tobytes() == np.asarray(getattr(single, name)).tobytes(), name
+        return singles
+
+    @pytest.mark.parametrize(
+        "dim, kind, graph, sigma",
+        [(1, "wiener", "cubic", "clip"), (1, "poisson", "sign", "sin"), (2, "poisson", "cubic", "sin"),
+         (2, "wiener", "sign", "one")],
+    )
+    def test_closed_form_rows(self, dim, kind, graph, sigma):
+        self.assert_rows_are_single_paths(block_config(dim, kind, graph, sigma=sigma), (1e-1, 1e-2, 1e-3))
+
+    @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener")])
+    def test_newton_rows_fall_back_one_by_one(self, dim, kind, monkeypatch):
+        cold_rows = []
+        cold = PowerLawGraph._resolvent_impl
+
+        def spy(self, lam, x):
+            cold_rows.append(x.shape[0] if x.ndim > dim else None)
+            return cold(self, lam, x)
+
+        monkeypatch.setattr(PowerLawGraph, "_resolvent_impl", spy)
+        # large lambdas and dt make warm Newton miss on some rows of a step but not all
+        config = block_config(dim, kind, "power:2.5", dt=1e-2, u0="random:4")
+        self.assert_rows_are_single_paths(config, (10.0, 1.0, 0.1))
+        assert any(rows is not None and 0 < rows < 8 * 3 for rows in cold_rows)
+
+    def test_noise_product_runs_once_per_jumping_path_and_step(self, monkeypatch, record_path):
+        config = block_config(1, "poisson", "sign", sigma="sin")
+        jumps = sum(bool(np.count_nonzero(dm)) for p in range(8) for dm in record_path(config, p).increments)
+        assert 0 < jumps < 8 * config.n_steps
+        paths = []
+        apply = DiffusionMap.apply
+
+        def counting_apply(self, grid, u_nodes, dm):
+            paths.append(len(dm))  # one (1, *grid.shape) increment per path
+            return apply(self, grid, u_nodes, dm)
+
+        monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
+        _run(config, tuple(range(8)), (1e-1, 1e-2))
+        assert sum(paths) == jumps
+
+    def test_a_blown_up_row_leaves_and_its_neighbour_goes_on(self, grid64):
+        config = SolverConfig(
+            grid=grid64, graph=LinearGraph(1e12), lam=1e-2, dt=1e-3, t_final=0.1, u0="smooth:8",
+            record=frozenset(),
+        )
+        singles = self.assert_rows_are_single_paths(config, (2.6e-7, 2.4e-7))
+        assert all(singles[p, 2.4e-7] == 13 for p in range(8))
+        assert not any(isinstance(singles[p, 2.6e-7], int) for p in range(8))

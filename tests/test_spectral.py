@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stochwave import NumericError, SpectralGrid
+from stochwave.solver import _row_dots
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,40 @@ class TestTransforms:
             grid64.to_modes(np.zeros(63))
         with pytest.raises(ValueError):
             grid64.to_nodes(np.zeros((64, 64)))
+
+
+class TestStackedArithmetic:
+    """The BLAS facts the block kernel rests on: a stack of fields gets each field's own bits."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    def test_stacked_matvec_is_the_per_field_matvec(self, n, rows):
+        grid = SpectralGrid(1, n)
+        x = np.random.default_rng(rows).standard_normal((rows, n))
+        cases = ((grid._nodes(x), grid.to_nodes, grid._synthesis), (grid._modes(x), grid.to_modes, grid._analysis))
+        for stacked, single, matrix in cases:
+            for row, field in zip(stacked, x):
+                assert row.tobytes() == single(field).tobytes() == (matrix @ field).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    def test_stacked_2d_products_are_the_per_slice_products(self, n, rows):
+        grid = SpectralGrid(2, n)
+        x = np.random.default_rng(rows).standard_normal((rows, n, n))
+        s = grid._synthesis
+        for row, field in zip(grid._nodes(x), x):
+            assert row.tobytes() == (s @ field @ s).tobytes()
+            assert row.tobytes() == grid.to_nodes(field).tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 64)])
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    def test_batched_row_dots_are_vdot(self, dim, n, rows):
+        rng = np.random.default_rng(rows)
+        a, b = rng.standard_normal((2, rows, 1) + (n,) * dim)
+        dots = _row_dots(a, b)
+        assert dots.shape == (rows, 1)
+        for dot, x, y in zip(dots[:, 0], a[:, 0], b[:, 0]):
+            assert dot.tobytes() == np.vdot(x, y).tobytes()
 
 
 class TestSpectralMultipliers:

@@ -112,7 +112,12 @@ class TestLambdaSweep:
         pooled = study(replace(small_stochastic_spec, workers=2))
         assert serial.rows == pooled.rows
 
-    def test_pool_is_capped_at_the_path_count(self, small_stochastic_spec, monkeypatch):
+    def test_energy_blocks_give_the_same_rows_through_a_pool(self, small_stochastic_spec):
+        # 8 paths make one block, which runs without a pool; 3 blocks need one
+        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 3)
+        assert energy_study(replace(spec, workers=2)).rows == energy_study(spec).rows
+
+    def test_pool_is_capped_at_the_block_count(self, small_stochastic_spec, monkeypatch):
         sizes = []
 
         class SerialPool:
@@ -129,7 +134,7 @@ class TestLambdaSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(studies, "ProcessPoolExecutor", SerialPool)
-        spec = replace(small_stochastic_spec, n_paths=3)
+        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)  # 3 blocks
         pooled = energy_study(replace(spec, workers=64))
         assert sizes == [3]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
@@ -148,7 +153,7 @@ class TestLambdaSweep:
             def finish(self, config, result):
                 return np.array(self.draws), result.u_final
 
-        (first, u_first), *rest = _sweep_job(base, spec.lambdas, Increments, 2)
+        [[(first, u_first), *rest]] = _sweep_job(base, spec.lambdas, (2,), Increments)
         assert np.count_nonzero(first) > 0
         for increments, u_final in rest:
             np.testing.assert_array_equal(increments, first)
@@ -312,8 +317,7 @@ class TestLambdaConvergenceStudy:
     def test_equal_lambdas_give_zero_gap(self, small_stochastic_spec):
         # a study grid rejects a repeated lambda, so the coupled sweep is run directly
         base = replace(small_stochastic_spec.base, lam=1e-2)
-        for p in range(2):
-            _, first, _ = _sweep_job(base, (1e-2, 1e-2, 1e-3), _Gaps, p)
+        for _, first, _ in _sweep_job(base, (1e-2, 1e-2, 1e-3), range(2), _Gaps):
             assert first[0] == 0.0 and first[1] == 0.0
 
     def test_blow_up_pairs_are_flagged_and_study_continues(self):
@@ -391,7 +395,7 @@ class TestGapObserver:
         with pytest.raises(NumericError) as err:
             simulate_path(b, 0)
         assert 1 < err.value.step < base.n_steps
-        values = _sweep_job(base, (a.lam, b.lam, c.lam, d.lam), _Gaps, 0)
+        [values] = _sweep_job(base, (a.lam, b.lam, c.lam, d.lam), (0,), _Gaps)
         assert values[:3] == [(), None, ()]
         assert values[3] == whole_history_gaps(d, record_path(c), record_path(d))
 
