@@ -144,8 +144,11 @@ def cli_main(argv) -> int:
         csv_path = os.path.join(args.outdir, f"{report.name}.csv")
         write_csv(report, csv_path)
         _plot_report(report, args.outdir)
-        for lam, count in report.meta.get("blowups", {}).items():
-            print(f"warning: lambda={lam:g}: {count} path(s) hit the blow-up guard", file=sys.stderr)
+        for lam, steps in report.meta.get("blowup_steps", {}).items():
+            print(
+                f"warning: lambda={lam:g}: {len(steps)} path(s) hit the blow-up guard (first at step {min(steps)})",
+                file=sys.stderr,
+            )
         print(f"wrote {csv_path}")
         return 0
     except (ConfigError, OSError, ValueError) as exc:

@@ -33,8 +33,6 @@ __all__ = [
 ]
 
 _SQRT3 = np.sqrt(3.0)
-# numpy's Generator.poisson refuses a larger mean with "lam value too large"
-_POISSON_MEAN_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 
 
 def path_rng(master_seed: int, path_index: int) -> Generator:

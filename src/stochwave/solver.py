@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError
 from .graphs import MonotoneGraph
-from .noise import _POISSON_MEAN_MAX, DiffusionMap, MartingaleDriver, _increment_blocks, path_rng
+from .noise import DiffusionMap, MartingaleDriver, _increment_blocks, path_rng
 from .spectral import SpectralGrid
 
 __all__ = [
@@ -35,8 +35,11 @@ __all__ = [
 ]
 
 BLOWUP_ENERGY = 1e12
-# Cap on n_steps * N^d, checked when a config is built: a lambda-conv path
-# job holds a (u, beta) history of about twice that many floats (4 GiB here).
+# Cap on the field entries one path steps through, n_steps * N^d, and on the
+# jump entries a compound-Poisson path draws, rate * t_final * N^d; checked
+# when a config is built, so that a run too long or too large to finish fails
+# before its first path.  The isometry study draws a path's jumps over t_final
+# in one step, 8 bytes per entry (2 GiB at the cap).
 MAX_STEP_ENTRIES = 2**28
 # Most increment entries the kernel draws at once, over all paths of a block
 # (32 KiB of float64): enough steps per draw call to amortize it, few enough
@@ -111,11 +114,16 @@ class SolverConfig:
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, round(ratio)):
             raise ValueError(f"solver.t_final / solver.dt = {ratio} is not an integer step count")
         driver = self.driver
-        if driver is not None and driver.kind == "poisson" and driver.rate * self.dt > _POISSON_MEAN_MAX:
-            raise ValueError(
-                f"noise.rate (MartingaleDriver.rate = {driver.rate:g}) times solver.dt is above "
-                f"{_POISSON_MEAN_MAX:.6g} jumps per step, numpy's Poisson limit"
-            )
+        if driver is not None and driver.kind == "poisson":
+            # t_final >= dt and N^d >= 1, so the cap also keeps rate * dt, the
+            # mean jump count of one step, far below numpy's Poisson limit
+            jumps = driver.rate * self.t_final
+            if jumps * self.grid.size > MAX_STEP_ENTRIES:
+                raise ValueError(
+                    f"noise.rate (MartingaleDriver.rate = {driver.rate:g}) times solver.t_final is {jumps:g} "
+                    f"expected jumps of {self.grid.size} modes each, above the cap of {MAX_STEP_ENTRIES} "
+                    "jump entries per path"
+                )
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"study.seed (SolverConfig.seed) must be a non-negative integer, got {self.seed!r}")
         try:
@@ -231,14 +239,17 @@ def step(
     return WaveState(u_new, v_new)
 
 
-def _row_dots(a, b):
-    """np.vdot of each (path, lambda) field of two (P, L, *grid.shape) stacks, with its bits.
+def _row_dots(a, b, batch_ndim=2):
+    """np.vdot of each field of two stacks, with its bits, e.g. of (P, L, *grid.shape) stacks.
 
-    One batched (1, K) @ (K, 1) matmul makes the BLAS dot call per field
-    that np.vdot makes; np.einsum would not.
+    The first ``batch_ndim`` axes index the fields; a stack with ones there
+    (a weight field) broadcasts against the other.  One batched
+    (1, K) @ (K, 1) matmul makes the BLAS dot call per field that np.vdot
+    makes; np.einsum would not.
     """
-    lead = a.shape[:2]
-    return np.matmul(a.reshape(*lead, 1, -1), b.reshape(*lead, -1, 1))[..., 0, 0]
+    return np.matmul(
+        a.reshape(*a.shape[:batch_ndim], 1, -1), b.reshape(*b.shape[:batch_ndim], -1, 1)
+    )[..., 0, 0]
 
 
 def _energy_terms(mu, u, v, dot=np.vdot):

@@ -1,9 +1,12 @@
 """Monte Carlo studies over the regularization scale, with reproducible pooling.
 
-Every study maps jobs over fixed blocks of paths (one RNG stream per path
-index) over an optional process pool and reduces the per-path values in path
-order, so reports are bit-identical for a fixed seed regardless of worker
-count.
+Every lambda study maps one job over blocks of consecutive paths (one RNG
+stream per path index) over an optional process pool.  A job steps its
+block at every lambda in one call of the solver's block kernel, reduces
+each (path, lambda) row while it steps, and keeps no history.  A row holds
+the bits of its own single path whatever its block-mates, and the values
+are reduced in path order, so reports are bit-identical for a fixed seed
+regardless of block size and worker count.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericError
 from .noise import _add_in_order, _path_increments, ito_isometry_check, path_rng
-from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _run, ibp_residual, simulate_path
+from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _row_dots, _run, ibp_residual
 
 __all__ = [
     "StudySpec",
@@ -130,108 +132,84 @@ def _mean_se(values):
     return mean, se
 
 
-# Paths per energy-study job, all stepped together by one block-kernel call.
-# A constant, so that the jobs do not depend on the worker count; a row's
-# bits do not depend on it either.
+# Most paths per study job, all stepped together by one block-kernel call.
+# A block gets min(_BLOCK_PATHS, ceil(n_paths / workers)) paths, so that
+# every worker gets a block; a row's bits do not depend on its block-mates.
 _BLOCK_PATHS = 8
 
 
+def _drop_blown(values, blown):
+    """Per path, its values per lambda, with None where the (path, lambda) row blew up."""
+    return [[None if b >= 0 else v for v, b in zip(row, steps)] for row, steps in zip(values, blown.tolist())]
+
+
 def _energy_job(base, lambdas, paths):
-    """sup_t energy of every (path, lambda) of a block, None where the path blew up."""
+    """sup_t energy of every (path, lambda) of a block."""
     result, blown = _run(base, paths, lambdas)
-    return [
-        [None if b >= 0 else float(s) for s, b in zip(sup_row, blown_row)]
-        for sup_row, blown_row in zip(result.sup_energy, blown)
-    ]
+    return _drop_blown(result.sup_energy.tolist(), blown), blown
 
 
-def _sweep_job(base, lambdas, paths, make_reducer):
-    """Run each path of a block at every lambda of the grid, in grid order, on its noise stream.
-
-    Each lambda's config is ``replace(base, lam=lam)``, so seed, driver, dt
-    and initial data are shared and every lambda draws the same increments.
-    ``make_reducer()`` gives this job's reducer.  Per path and lambda,
-    ``reducer.start(config, chained)`` returns a per-step observer for
-    ``simulate_path`` or None; ``chained`` says whether the path's previous
-    lambda finished.  ``reducer.finish(config, result)`` returns the value.
-    A blow-up gives None and breaks the chain.  Returns the values per path.
-    The studies that use it map one path per job: the per-lambda loop gains
-    nothing from a longer block, and short jobs keep the pool busy on a few
-    paths.
-    """
-    reducer = make_reducer()
-    per_path = []
-    for path_index in paths:
-        values, chained = [], False
-        for lam in lambdas:
-            config = replace(base, lam=lam)
-            try:
-                result = simulate_path(config, path_index, reducer.start(config, chained))
-            except NumericError:
-                values.append(None)
-                chained = False
-                continue
-            values.append(reducer.finish(config, result))
-            chained = True
-        per_path.append(values)
-    return per_path
-
-
-def _sweep(spec: StudySpec, job, block_paths):
+def _sweep(spec: StudySpec, job):
     """Map ``job(base, lambdas, paths)`` over blocks of paths in one pool; blow-ups are not fatal.
 
-    A job gets ``block_paths`` consecutive path indices (fewer in the last
-    block) and returns, per path, its values per lambda with None for a
-    blow-up.  Returns, per lambda in grid order, the values of the finished
-    paths in path order, and a {lambda: blown-up path count} dict of the
-    lambdas that had any.  Studies reduce paths while they step, so nothing
-    is recorded.
+    A job gets min(_BLOCK_PATHS, ceil(n_paths / workers)) consecutive path
+    indices (fewer in the last block), steps them at every lambda in one
+    ``_run`` call, and returns, per path, its values per lambda with None
+    for a blow-up, plus the (paths, lambdas) array of blow-up steps.
+    Returns, per lambda in grid order, the values of the finished paths in
+    path order, and the report meta: {lambda: blown-up path count} and
+    {lambda: blow-up steps in path order}, for the lambdas that had any.
+    Studies reduce paths while they step, so nothing is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    blocks = [range(i, min(i + block_paths, spec.n_paths)) for i in range(0, spec.n_paths, block_paths)]
+    size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / spec.workers))
+    blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
     per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, spec.workers)
-    per_path = [values for block in per_block for values in block]
+    per_path = [values for block, _ in per_block for values in block]
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
-    blowups = {lam: spec.n_paths - len(ok) for lam, ok in zip(spec.lambdas, columns) if len(ok) < spec.n_paths}
-    return columns, blowups
-
-
-class _SmoothedPairings:
-    """{eps: int <resolvent(u_eps), beta_eps> dt}, u_eps and beta_eps smoothed mode-wise.
-
-    eps = 0 is the solver's own unsmoothed pairing.
-    """
-
-    def __init__(self, eps_values):
-        self.eps_values = tuple(dict.fromkeys(e for e in eps_values if e > 0.0))
-
-    def start(self, config, chained):
-        grid, graph, lam = config.grid, config.graph, config.lam
-        self.sums = dict.fromkeys(self.eps_values, 0.0)
-        smoothers = {e: grid.smoother(e) for e in self.eps_values}
-        scale = config.dt * grid.weight
-
-        def observe(k, u, v, beta_modes, dm):
-            for e, filt in smoothers.items():
-                res_f = graph.resolvent(lam, grid.to_nodes(filt * u))
-                beta_f = grid.to_nodes(filt * beta_modes)
-                self.sums[e] += scale * float(np.vdot(res_f, beta_f))
-
-        return observe if smoothers else None
-
-    def finish(self, config, result):
-        return {**self.sums, 0.0: result.pairing}
+    blown = np.concatenate([steps for _, steps in per_block]).T
+    steps = {lam: row[row >= 0].tolist() for lam, row in zip(spec.lambdas, blown) if (row >= 0).any()}
+    return columns, {"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps}
 
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    columns, blowups = _sweep(spec, _energy_job, _BLOCK_PATHS)
+    columns, meta = _sweep(spec, _energy_job)
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
         rows=[(lam, *_mean_se(ok), len(ok)) for lam, ok in zip(spec.lambdas, columns)],
-        meta={"blowups": blowups},
+        meta=meta,
     )
+
+
+def _pairing_job(base, lambdas, paths, eps_values):
+    """{eps: int <resolvent(u_eps), beta_eps> dt} of every (path, lambda) of a block.
+
+    u_eps and beta_eps are smoothed mode-wise; eps = 0 is the kernel's own
+    unsmoothed pairing.  eps is one more stack axis, so one cold resolvent
+    call per step serves every eps, lambda and path: the cold solver works
+    entry by entry, so each field keeps the bits it gets alone.
+    """
+    grid = base.grid
+    smoothed = tuple(dict.fromkeys(e for e in eps_values if e > 0.0))
+    sums = np.zeros((len(smoothed), len(paths), len(lambdas)))
+    observe = None
+    if smoothed:
+        filt = np.array([grid.smoother(e) for e in smoothed])[:, None, None]  # (E, 1, 1, *grid.shape)
+        lam = np.reshape(np.array(lambdas, dtype=float), (len(lambdas),) + (1,) * grid.dim)
+        scale = base.dt * grid.weight
+
+        def observe(k, u, v, beta_modes, dm):
+            res = base.graph._resolvent_impl(lam, grid._nodes(filt * u))
+            sums[...] += scale * _row_dots(res, grid._nodes(filt * beta_modes), 3)
+
+    result, blown = _run(base, paths, lambdas, observe)
+    values = [
+        [{**dict(zip(smoothed, by_eps)), 0.0: pairing} for by_eps, pairing in zip(path_sums, path_pairing)]
+        for path_sums, path_pairing in zip(np.moveaxis(sums, 0, -1).tolist(), result.pairing.tolist())
+    ]
+    return _drop_blown(values, blown), blown
 
 
 def pairing_study(spec: StudySpec) -> StudyReport:
@@ -243,7 +221,7 @@ def pairing_study(spec: StudySpec) -> StudyReport:
     eps_values = tuple(spec.eps_grid)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    columns, blowups = _sweep(spec, partial(_sweep_job, make_reducer=partial(_SmoothedPairings, eps_values)), 1)
+    columns, meta = _sweep(spec, partial(_pairing_job, eps_values=eps_values))
     rows = [
         (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
         for lam, ok in zip(spec.lambdas, columns)
@@ -253,63 +231,48 @@ def pairing_study(spec: StudySpec) -> StudyReport:
         name="pairing",
         columns=("lambda", "eps", "estimate", "std_error", "n_paths"),
         rows=rows,
-        meta={"blowups": blowups},
+        meta=meta,
     )
 
 
-class _Gaps:
-    """(u, beta L1, beta H^-2, beta H^-3) gaps to the previous lambda; () without one.
+def _gaps_job(base, lambdas, paths):
+    """(u, beta L1, beta H^-2, beta H^-3) gaps of every (path, lambda) of a block to its previous lambda.
 
-    One (u, beta) history serves the whole lambda chain of a path job: at
-    step k the observer reads the previous lambda's row k, adds that step's
-    gap terms, then overwrites the row with this lambda's values.  A broken
-    chain (first lambda, or after a blow-up) only overwrites.  Each per-step
-    squared norm is one BLAS dot (``np.vdot``), like the solver's inner
-    products; the norms are kept in (n+1,)/(n,) arrays and reduced over the
-    steps with one np.max/np.sum.
+    () for the first lambda, and where the previous lambda's row blew up.
+    The gaps at a step are differences of adjacent lambda rows, so no state
+    outlives its step.  Each per-step squared norm is one BLAS dot per field,
+    like the solver's inner products; the norms are kept in contiguous
+    (paths, lambdas - 1, steps) arrays and reduced over the last axis, and
+    the L1 term is summed in step order.
     """
+    grid, n, dt = base.grid, base.n_steps, base.dt
+    axes = tuple(range(-grid.dim, 0))
+    w2, w3 = ((1.0 + grid.mu) ** -2.0)[None, None], ((1.0 + grid.mu) ** -3.0)[None, None]
+    pairs = (len(paths), len(lambdas) - 1)
+    # zeros, not empty: a block whose rows all blew up stops before the last step
+    u_norm, hm2, hm3 = np.zeros(pairs + (n + 1,)), np.zeros(pairs + (n,)), np.zeros(pairs + (n,))
+    l1 = np.zeros(pairs)
 
-    def __init__(self):
-        self.u = self.beta = None
+    def u_gap(k, u):
+        du = u[:, 1:] - u[:, :-1]
+        u_norm[..., k] = np.sqrt(_row_dots(du, du))
 
-    def start(self, config, chained):
-        grid, n = config.grid, config.n_steps
-        if self.u is None:
-            self.u = np.empty((n + 1, *grid.shape))
-            self.beta = np.empty((n, *grid.shape))
-        self.chained = chained
-        if chained:
-            self.u_norm, self.hm2, self.hm3, self.l1 = np.empty(n + 1), np.empty(n), np.empty(n), 0.0
-            w2, w3 = (1.0 + grid.mu) ** -2.0, (1.0 + grid.mu) ** -3.0
+    def observe(k, u, v, beta_modes, dm):
+        u_gap(k, u)
+        dbeta = beta_modes[:, 1:] - beta_modes[:, :-1]
+        l1[...] += grid.weight * np.abs(grid._nodes(dbeta)).sum(axis=axes)
+        dbeta2 = dbeta**2
+        hm2[..., k] = np.sqrt(_row_dots(w2, dbeta2))
+        hm3[..., k] = np.sqrt(_row_dots(w3, dbeta2))
 
-        def observe(k, u, v, beta_modes, dm):
-            if chained:
-                du = u - self.u[k]
-                self.u_norm[k] = math.sqrt(np.vdot(du, du))
-                dbeta = beta_modes - self.beta[k]
-                self.l1 += grid.weight * float(np.abs(grid.to_nodes(dbeta)).sum())
-                dbeta2 = dbeta**2
-                self.hm2[k] = math.sqrt(np.vdot(w2, dbeta2))
-                self.hm3[k] = math.sqrt(np.vdot(w3, dbeta2))
-            self.u[k] = u
-            self.beta[k] = beta_modes
-
-        return observe
-
-    def finish(self, config, result):
-        n, dt = config.n_steps, config.dt
-        gaps = ()
-        if self.chained:
-            du = result.u_final - self.u[n]
-            self.u_norm[n] = math.sqrt(np.vdot(du, du))
-            gaps = (
-                float(np.max(self.u_norm)),
-                self.l1 * dt,
-                dt * float(np.sum(self.hm2)),
-                dt * float(np.sum(self.hm3)),
-            )
-        self.u[n] = result.u_final
-        return gaps
+    result, blown = _run(base, paths, lambdas, observe)
+    u_gap(n, result.u_final)
+    gaps = np.stack((u_norm.max(axis=-1), l1 * dt, dt * hm2.sum(axis=-1), dt * hm3.sum(axis=-1)), axis=-1)
+    values = [
+        [()] + [tuple(gap) if prev_ok else () for gap, prev_ok in zip(path_gaps, path_ok)]
+        for path_gaps, path_ok in zip(gaps.tolist(), (blown < 0).tolist())
+    ]
+    return _drop_blown(values, blown), blown
 
 
 def lambda_convergence_study(spec: StudySpec) -> StudyReport:
@@ -320,7 +283,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     """
     if len(spec.lambdas) < 3:
         raise ValueError("lambda convergence needs a grid of at least 3 values")
-    columns, blowups = _sweep(spec, partial(_sweep_job, make_reducer=_Gaps), 1)
+    columns, meta = _sweep(spec, _gaps_job)
     rows = []
     for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
         gaps = [g for g in column if g]
@@ -340,7 +303,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
             "n_paths",
         ),
         rows=rows,
-        meta={"blowups": blowups},
+        meta=meta,
     )
 
 

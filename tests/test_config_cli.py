@@ -238,6 +238,7 @@ class TestCli:
             (["--set", "solver.t_final=1e9"], "solver.t_final"),  # 5e11 steps
             (["--set", "solver.dt=1e-300"], "solver.dt"),
             (["--set", "noise.kind=poisson", "--set", "noise.rate=1e300"], "noise.rate"),
+            (["--set", "noise.kind=poisson", "--set", "noise.rate=1e15"], "noise.rate"),  # 2e12 jumps per step
         ],
     )
     def test_config_errors_name_their_key(self, config_file, tmp_path, capsys, extra, key):
@@ -309,3 +310,14 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "lambda=1e-09" in err and "step 1 " in err
+
+    def test_blow_up_warning_names_the_first_step(self, config_file, tmp_path, capsys):
+        # the path above stops at step 1; in a study the lambda is flagged and the others go on
+        code = cli_main(
+            ["lambda-conv", "--config", config_file, "--set", "graph.kind=linear:1e9", "--set", "noise.kind=none",
+             "--lambda-grid", "1e-1,5e-2,1e-9", "--n-paths", "3", "--outdir", str(tmp_path)]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: lambda=1e-09: 3 path(s) hit the blow-up guard (first at step 1)\n" in err
+        assert (tmp_path / "lambda-conv.csv").exists()

@@ -29,8 +29,8 @@ from stochwave import (
     simulate_path,
     step,
 )
-from stochwave.noise import _POISSON_MEAN_MAX
 from stochwave.solver import MAX_STEP_ENTRIES, _run
+from stochwave.studies import _pairing_job
 
 
 @pytest.fixture(scope="module")
@@ -248,12 +248,17 @@ class TestSolverConfigValidation:
 
     def test_poisson_mean_stays_within_numpy(self, grid64):
         cov = NuclearCovariance.from_grid(grid64, 1.0, 2.0)
+        # numpy's Generator.poisson refuses a larger mean with "lam value too large"
+        limit = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
         rng = np.random.default_rng(0)
-        rng.poisson(_POISSON_MEAN_MAX)
+        rng.poisson(limit)
         with pytest.raises(ValueError, match="lam value too large"):
-            rng.poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
-        for rate, ok in ((_POISSON_MEAN_MAX / 1e-3, True), (1e300, False)):
-            build = partial(SolverConfig, grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1e-3,
+            rng.poisson(np.nextafter(limit, np.inf))
+        # the jump-entry cap bounds rate * t_final * N^d, and so rate * dt, far below that limit
+        assert MAX_STEP_ENTRIES < limit
+        at_cap = MAX_STEP_ENTRIES / grid64.size / 0.5  # exact in binary
+        for rate, ok in ((at_cap, True), (2.0 * at_cap, False), (limit / 0.5, False), (1e300, False)):
+            build = partial(SolverConfig, grid=grid64, graph=CubicGraph(), lam=0.1, dt=0.5, t_final=0.5,
                             driver=MartingaleDriver("poisson", cov, rate=rate))
             if ok:
                 build()
@@ -764,6 +769,38 @@ class TestBlockKernel:
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         _run(config, tuple(range(8)), (1e-1, 1e-2))
         assert sum(paths) == jumps
+
+    @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (2, "poisson")])
+    def test_smoothed_pairings_of_a_newton_block_are_single_path_pairings(self, dim, kind, monkeypatch):
+        config = block_config(dim, kind, "power:2.5", dt=1e-2, u0="random:4")
+        grid, graph, lambdas, eps_values = config.grid, config.graph, (10.0, 1.0, 0.1), (1e-2, 1e-3, 0.0)
+        singles = {}
+        for p in range(8):
+            for lam in lambdas:
+                sums = dict.fromkeys(eps_values[:2], 0.0)
+
+                def observe(k, u, v, beta, dm):
+                    for eps in sums:
+                        filt = grid.smoother(eps)
+                        res = graph.resolvent(lam, grid.to_nodes(filt * u))
+                        sums[eps] += config.dt * grid.weight * float(np.vdot(res, grid.to_nodes(filt * beta)))
+
+                result = simulate_path(replace(config, lam=lam), p, observe)
+                singles[p, lam] = {**sums, 0.0: result.pairing}
+        stacks = []
+        cold = PowerLawGraph._resolvent_impl
+
+        def spy(self, lam, x):
+            stacks.append(x.shape[: x.ndim - dim])
+            return cold(self, lam, x)
+
+        monkeypatch.setattr(PowerLawGraph, "_resolvent_impl", spy)
+        for paths in ((4,), (1, 2, 3), tuple(range(8))):
+            values, blown = _pairing_job(config, lambdas, paths, eps_values)
+            assert (blown < 0).all()
+            assert repr(values) == repr([[singles[p, lam] for lam in lambdas] for p in paths])
+        # one cold call per step serves the whole (eps, path, lambda) stack
+        assert (2, 8, 3) in stacks
 
     def test_a_blown_up_row_leaves_and_its_neighbour_goes_on(self, grid64):
         config = SolverConfig(

@@ -97,6 +97,44 @@ class TestStackedArithmetic:
         for dot, x, y in zip(dots[:, 0], a[:, 0], b[:, 0]):
             assert dot.tobytes() == np.vdot(x, y).tobytes()
 
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 32)])
+    @pytest.mark.parametrize("lead", [(1, 1), (2, 3), (3, 2, 4)])
+    def test_row_dots_with_a_broadcast_weight_are_vdot(self, dim, n, lead):
+        rng = np.random.default_rng(len(lead))
+        weight = rng.standard_normal((n,) * dim)
+        x = rng.standard_normal(lead + (n,) * dim)
+        stacked = weight[(None,) * len(lead)]
+        assert stacked.shape[: len(lead)] == (1,) * len(lead)
+        dots = _row_dots(stacked, x, len(lead))
+        assert dots.shape == lead
+        for dot, field in zip(dots.reshape(-1), x.reshape(-1, *weight.shape)):
+            assert dot.tobytes() == np.vdot(weight, field).tobytes()
+        for dot, field in zip(_row_dots(x, x, len(lead)).reshape(-1), x.reshape(-1, *weight.shape)):
+            assert dot.tobytes() == np.vdot(field, field).tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 32), (2, 64)])
+    @pytest.mark.parametrize("rows", [(1, 1), (2, 3), (4, 1)])
+    def test_stacked_abs_sums_over_the_grid_axes_are_the_per_field_sums(self, dim, n, rows):
+        grid = SpectralGrid(dim, n)
+        x = np.random.default_rng(n).standard_normal(rows + grid.shape)
+        sums = np.abs(grid._nodes(x)).sum(axis=tuple(range(-dim, 0)))
+        assert sums.shape == rows
+        for total, field in zip(sums.reshape(-1), x.reshape(-1, *grid.shape)):
+            assert total.tobytes() == np.abs(grid.to_nodes(field)).sum().tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 7, 125, 1000, 9000])
+    @pytest.mark.parametrize("rows", [(1, 1), (2, 3), (4, 1)])
+    def test_last_axis_max_and_sum_are_the_1d_calls(self, steps, rows):
+        # per-step norms are written column by column into a contiguous array
+        norms = np.zeros(rows + (steps,))
+        values = np.random.default_rng(steps).standard_normal(rows + (steps,)) ** 2
+        for k in range(steps):
+            norms[..., k] = values[..., k]
+        assert norms.flags.c_contiguous
+        for reduced, reduce_1d in ((norms.max(axis=-1), np.max), (norms.sum(axis=-1), np.sum)):
+            for total, row in zip(reduced.reshape(-1), norms.reshape(-1, steps)):
+                assert total.tobytes() == reduce_1d(row.copy()).tobytes()
+
 
 class TestSpectralMultipliers:
     def test_eigenvalue_multiplication(self, grid64):

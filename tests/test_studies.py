@@ -28,7 +28,8 @@ from stochwave import (
     write_field_csv,
 )
 from stochwave import noise, studies
-from stochwave.studies import _Gaps, _mean_se, _sweep_job
+from stochwave.solver import _run
+from stochwave.studies import _gaps_job, _mean_se
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,7 @@ class TestLambdaSweep:
         assert serial.rows == pooled.rows
 
     def test_energy_blocks_give_the_same_rows_through_a_pool(self, small_stochastic_spec):
-        # 8 paths make one block, which runs without a pool; 3 blocks need one
+        # 3 blocks of at most 8 paths, stepped one after another or on 2 workers
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 3)
         assert energy_study(replace(spec, workers=2)).rows == energy_study(spec).rows
 
@@ -134,29 +135,26 @@ class TestLambdaSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(studies, "ProcessPoolExecutor", SerialPool)
-        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)  # 3 blocks
+        # 17 paths on 64 workers make 17 one-path blocks: min(_BLOCK_PATHS, ceil(17 / 64)) paths each
+        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert sizes == [3]
+        assert sizes == [17]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
-    def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind):
+    def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind, record_path):
         spec = small_stochastic_spec
         driver = MartingaleDriver(kind, spec.base.driver.covariance, rate=50.0)
         base = replace(spec.base, driver=driver)
-
-        class Increments:
-            def start(self, config, chained):
-                self.draws = []
-                return lambda k, u, v, beta, dm: self.draws.append(dm)
-
-            def finish(self, config, result):
-                return np.array(self.draws), result.u_final
-
-        [[(first, u_first), *rest]] = _sweep_job(base, spec.lambdas, (2,), Increments)
+        draws = []
+        result, _ = _run(base, (2,), spec.lambdas, lambda k, u, v, beta, dm: draws.append(dm))
+        # a (1, L) block sees one increment row, shared by all its lambda rows
+        assert {dm.shape for dm in draws} == {(1, 1, *base.grid.shape)}
+        first, [[u_first, *rest]] = np.array(draws)[:, 0, 0], result.u_final
         assert np.count_nonzero(first) > 0
-        for increments, u_final in rest:
-            np.testing.assert_array_equal(increments, first)
+        for lam in spec.lambdas:
+            np.testing.assert_array_equal(record_path(replace(base, lam=lam), 2).increments, first)
+        for u_final in rest:
             assert not np.array_equal(u_final, u_first)
 
 
@@ -315,9 +313,10 @@ class TestLambdaConvergenceStudy:
             assert gap_ratio == pytest.approx(coefs[j] / coefs[j + 1], rel=0.15)
 
     def test_equal_lambdas_give_zero_gap(self, small_stochastic_spec):
-        # a study grid rejects a repeated lambda, so the coupled sweep is run directly
+        # a study grid rejects a repeated lambda, so the block job is run directly
         base = replace(small_stochastic_spec.base, lam=1e-2)
-        for _, first, _ in _sweep_job(base, (1e-2, 1e-2, 1e-3), range(2), _Gaps):
+        values, _ = _gaps_job(base, (1e-2, 1e-2, 1e-3), range(2))
+        for _, first, _ in values:
             assert first[0] == 0.0 and first[1] == 0.0
 
     def test_blow_up_pairs_are_flagged_and_study_continues(self):
@@ -331,6 +330,12 @@ class TestLambdaConvergenceStudy:
             warnings.simplefilter("error")
             report = lambda_convergence_study(spec)
         assert report.meta["blowups"] == {1e-9: 3}
+        steps = []
+        for p in range(3):
+            with pytest.raises(NumericError) as err:
+                simulate_path(replace(base, lam=1e-9), p)
+            steps.append(err.value.step)
+        assert report.meta["blowup_steps"] == {1e-9: steps}
         good, bad = report.rows
         assert all(np.isfinite(good[2:8])) and good[8] == 3
         assert all(np.isnan(bad[2:8])) and bad[8] == 0
@@ -391,15 +396,16 @@ class TestGapObserver:
             u0="smooth:4", seed=3, record=frozenset(),
         )
         a, b, c, d = (replace(base, lam=lam) for lam in (1e-1, lam_blowup, 5e-2, 2.5e-2))
-        # b overwrites only the first rows of the history before it blows up
+        # b blows up part way, so the (a, b) and (b, c) pairs do not count but (c, d) does
         with pytest.raises(NumericError) as err:
             simulate_path(b, 0)
         assert 1 < err.value.step < base.n_steps
-        [values] = _sweep_job(base, (a.lam, b.lam, c.lam, d.lam), (0,), _Gaps)
+        [values], blown = _gaps_job(base, (a.lam, b.lam, c.lam, d.lam), (0,))
+        assert blown.tolist() == [[-1, err.value.step, -1, -1]]
         assert values[:3] == [(), None, ()]
         assert values[3] == whole_history_gaps(d, record_path(c), record_path(d))
 
-    def test_traced_peak_stays_near_one_history(self):
+    def test_traced_peak_stays_below_half_a_history(self):
         grid = SpectralGrid(2, 16)
         cov = NuclearCovariance.from_grid(grid, 1.0, 3.0)
         base = SolverConfig(
@@ -409,7 +415,7 @@ class TestGapObserver:
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-2, 1e-3), n_paths=1)
         n, entries = base.n_steps, grid.mu.size
-        history_bytes = ((n + 1) + n) * entries * 8  # one (u, beta) history
+        history_bytes = ((n + 1) + n) * entries * 8  # one path's (u, beta) history, which no job keeps
         np.random.default_rng  # numpy imports numpy.random on first use; keep that out of the trace
         tracemalloc.start()
         try:
@@ -417,7 +423,7 @@ class TestGapObserver:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * history_bytes
+        assert peak < 0.5 * history_bytes
 
 
 class TestIsometryStudy:
