@@ -307,5 +307,5 @@ def parse_graph(spec: str) -> MonotoneGraph:
         if head == "jump":
             return JumpGraph(float(arg))
     except ValueError as exc:
-        raise ValueError(f"bad graph spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown graph kind {spec!r}")
+        raise ValueError(f"graph.kind: bad graph spec {spec!r}: {exc}") from None
+    raise ValueError(f"graph.kind: unknown graph kind {spec!r}")

@@ -55,9 +55,9 @@ class NuclearCovariance:
     @classmethod
     def from_grid(cls, grid: SpectralGrid, q0: float, r: float) -> "NuclearCovariance":
         if not 0.0 <= q0 < math.inf:
-            raise ValueError(f"q0 must be finite and >= 0, got {q0}")
+            raise ValueError(f"noise.q0: q0 must be finite and >= 0, got {q0}")
         if not grid.dim < r < math.inf:
-            raise ValueError(f"decay exponent r must be finite and exceed dim={grid.dim}, got {r}")
+            raise ValueError(f"noise.r: decay exponent r must be finite and exceed dim={grid.dim}, got {r}")
         # |k| = sqrt(mu_k), so q = q0 * mu^(-r/2)
         q = q0 * grid.mu ** (-r / 2.0)
         return cls(q0=float(q0), r=float(r), q=q)
@@ -77,11 +77,11 @@ class MartingaleDriver:
 
     def __post_init__(self):
         if self.kind not in ("wiener", "poisson"):
-            raise ValueError(f"unknown driver kind {self.kind!r}")
+            raise ValueError(f"noise.kind: unknown driver kind {self.kind!r}")
         if not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite, got {self.rate}")
+            raise ValueError(f"noise.rate: rate must be finite, got {self.rate}")
         if self.kind == "poisson" and self.rate <= 0.0:
-            raise ValueError(f"poisson driver needs rate > 0, got {self.rate}")
+            raise ValueError(f"noise.rate: poisson driver needs rate > 0, got {self.rate}")
 
     def increment_sampler(self, dt: float):
         """Precompiled sampler ``draw(rng, n_steps=None)`` of increments of M
@@ -151,7 +151,7 @@ class DiffusionMap:
         try:
             func = DIFFUSION_MAPS[name]
         except KeyError:
-            raise ValueError(f"unknown diffusion map {name!r}") from None
+            raise ValueError(f"noise.sigma: unknown diffusion map {name!r}") from None
         return cls(name=name, func=func)
 
     def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericError
 from .graphs import MonotoneGraph
 from .noise import DiffusionMap, MartingaleDriver, _increment_blocks, path_rng
-from .spectral import SpectralGrid
+from .spectral import MAX_STEP_ENTRIES, SpectralGrid
 
 __all__ = [
     "WaveState",
@@ -35,12 +35,6 @@ __all__ = [
 ]
 
 BLOWUP_ENERGY = 1e12
-# Cap on the field entries one path steps through, n_steps * N^d, and on the
-# jump entries a compound-Poisson path draws, rate * t_final * N^d; checked
-# when a config is built, so that a run too long or too large to finish fails
-# before its first path.  The isometry study draws a path's jumps over t_final
-# in one step, 8 bytes per entry (2 GiB at the cap).
-MAX_STEP_ENTRIES = 2**28
 # Most increment entries the kernel draws at once, over all paths of a block
 # (32 KiB of float64): enough steps per draw call to amortize it, few enough
 # that a job's memory stays that of its state and observers.
@@ -58,25 +52,39 @@ class WaveState:
 
 
 class GroupCache:
-    """Mode-wise entries of the wave group over a fixed step dt.
+    """Mode-wise entries of the wave group over a fixed step dt, and mu.
 
     cos_t = cos(dt*sqrt(mu)), sinc = sin(dt*sqrt(mu))/sqrt(mu),
     msin = -sqrt(mu)*sin(dt*sqrt(mu)); cos_t^2 + mu*sinc^2 = 1 per mode.
+    The tables have the grid's shape, or with ``shape`` (a stepping
+    kernel's (P, L, *grid.shape) stack) that shape, every field a copy of
+    the grid's: a product of same-shape arrays costs numpy about half a
+    broadcast one, and the values, so the bits, are the same.
     """
 
-    def __init__(self, grid: SpectralGrid, dt: float):
+    def __init__(self, grid: SpectralGrid, dt: float, shape=None):
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.grid = grid
         self.dt = float(dt)
         om = np.sqrt(grid.mu)
         s = np.sin(dt * om)
-        self.cos_t = np.cos(dt * om)
-        self.sinc = s / om
-        self.msin = -om * s
+        tables = (grid.mu, np.cos(dt * om), s / om, -om * s)
+        if shape is not None:
+            tables = (np.broadcast_to(t, shape).copy() for t in tables)
+        self.mu, self.cos_t, self.sinc, self.msin = tables
 
-    def rotate(self, u, v):
-        return self.cos_t * u + self.sinc * v, self.msin * u + self.cos_t * v
+    def rotate(self, u, v, tmp=None):
+        """(cos_t*u + sinc*v, msin*u + cos_t*v) as new arrays.
+
+        ``tmp``, a scratch array of their shape, takes the products of v in
+        place of new temporaries; u and v are not written.
+        """
+        u_new = self.cos_t * u
+        u_new += np.multiply(self.sinc, v, out=tmp)
+        v_new = self.msin * u
+        v_new += np.multiply(self.cos_t, v, out=tmp)
+        return u_new, v_new
 
 
 @dataclass
@@ -141,7 +149,11 @@ class SolverConfig:
 
 @dataclass
 class PathResult:
-    """One simulated trajectory plus the functionals accumulated along it."""
+    """One simulated trajectory plus the functionals accumulated along it.
+
+    ``chain_lhs`` and ``pairing`` are None where the kernel was not asked for
+    them (see ``_run``).
+    """
 
     path_index: int
     times: np.ndarray
@@ -189,35 +201,39 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
-def _drift(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u, warm=None):
+def _drift(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u, warm=None, lam_table=None, out=None):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
     u is a field or a stack of fields; lam is a float or broadcasts against
     u.  ``warm`` is the previous step's resolvent, used as a Newton start.
+    ``lam_table``, lam at u's shape, makes the Yosida division a same-shape
+    one; ``out``, an array of u's shape, receives the Yosida values.
     """
     u_nodes = grid._nodes(u)
     res = graph.resolvent_warm(lam, u_nodes, warm, u.ndim - grid.dim)
-    yos = (u_nodes - res) / lam
+    yos = np.divide(np.subtract(u_nodes, res, out=out), lam if lam_table is None else lam_table, out=out)
     return u_nodes, res, yos, grid._modes(yos)
 
 
-def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm):
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w=None, tmp=None):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
-    An all-zero dm (a jump-free compound-Poisson step) adds an exactly-zero
-    product, so it is skipped; only the sign of a zero entry of v can differ.
-    In a (P, L) stack dm has one (1, *grid.shape) row per path, and the skip
-    is decided per path.
+    ``jumps`` says which fields dm moves: False when it is all zero (a
+    jump-free compound-Poisson step), whose exactly-zero product is skipped,
+    so that only the sign of a zero entry of v can differ; True for all of
+    them; in a (P, L) stack, where dm has one (1, *grid.shape) row per path,
+    a (P,) mask of the paths that jump.  ``w`` and ``tmp``, scratch arrays of
+    u's shape, take the kicked velocity and the rotation's products in place
+    of new temporaries; u, v, beta_modes and dm are never written.  Returns
+    new arrays.
     """
-    w = v - cache.dt * beta_modes
-    if dm is not None and np.count_nonzero(dm):
-        if dm.ndim > cache.grid.dim:
-            jumps = dm.reshape(len(dm), -1).any(axis=1)
-            if not jumps.all():
-                w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps])
-                return cache.rotate(u, w)
-        w = w + diffusion.apply(cache.grid, u_nodes, dm)
-    return cache.rotate(u, w)
+    w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
+    w += v
+    if jumps is True:
+        w += diffusion.apply(cache.grid, u_nodes, dm)
+    elif jumps is not False:
+        w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps])
+    return cache.rotate(u, w, tmp)
 
 
 def step(
@@ -232,7 +248,8 @@ def step(
     if dm is not None and diffusion is None:
         raise ValueError("noise increment given without a diffusion map")
     u_nodes, _, _, beta_modes = _drift(cache.grid, graph, lam, state.u)
-    u_new, v_new = _kick_rotate(cache, state.u, state.v, u_nodes, beta_modes, diffusion, dm)
+    jumps = dm is not None and bool(np.count_nonzero(dm))
+    u_new, v_new = _kick_rotate(cache, state.u, state.v, u_nodes, beta_modes, diffusion, dm, jumps)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         # a single step cannot know its index within a path
         raise NumericError("non-finite state after step", step=None)
@@ -252,9 +269,12 @@ def _row_dots(a, b, batch_ndim=2):
     )[..., 0, 0]
 
 
-def _energy_terms(mu, u, v, dot=np.vdot):
-    """(|grad u|^2, |v|^2), one BLAS dot each per field; every quadratic energy is their sum."""
-    return dot(mu * u, u), dot(v, v)
+def _energy_terms(mu, u, v, dot=np.vdot, out=None):
+    """(|grad u|^2, |v|^2), one BLAS dot each per field; every quadratic energy is their sum.
+
+    ``out``, an array of u's shape, takes the product mu * u.
+    """
+    return dot(np.multiply(mu, u, out=out), u), dot(v, v)
 
 
 def energy(grid: SpectralGrid, state: WaveState) -> float:
@@ -294,7 +314,33 @@ def simulate_path(
     return _run(config, path_index, config.lam, observe)[0]
 
 
-def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
+# The per-path sums the kernel can accumulate; ``_run`` computes those asked for.
+_SUMS = frozenset({"chain_lhs", "pairing"})
+
+
+def _increments(draw, rngs, n: int, size: int, single: bool):
+    """Per step, (dm, jumps): the paths' increments and which of them jump.
+
+    Each path draws from its own stream, in blocks of at most
+    ``_DRAW_ENTRIES`` entries over all paths.  One path's dm has the grid's
+    shape; a stack's is a (P, 1, *grid.shape) view of the drawn block, one
+    row per path, which its lambdas share.  ``jumps`` (see ``_kick_rotate``)
+    is decided once per drawn block, not per step: False for every step of a
+    block with no nonzero entry, else from a per-(step, path) any.
+    """
+    per_block = max(1, _DRAW_ENTRIES // (len(rngs) * size))
+    for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
+        # one path's block is (m, *shape); a stack's gets a lambda axis: (m, P, 1, *shape)
+        block = parts[0] if single else np.stack(parts, 1)[:, :, None]
+        if not block.any():
+            yield from ((dm, False) for dm in block)
+            continue
+        rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
+        every, some = rows.all(axis=1).tolist(), rows.any(axis=1).tolist()
+        yield from zip(block, [all_ or (any_ and rows[k]) for k, (all_, any_) in enumerate(zip(every, some))])
+
+
+def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, sums=_SUMS):
     """The stepping loop, over one path or over a block of paths x lambdas.
 
     Returns (PathResult, blow-up steps).  With one path index and one lambda
@@ -305,50 +351,61 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     for the rows that finished); its state is zeroed, so that the others go
     on without a warning.  Every row runs the BLAS calls and the operation
     order of its single path, so it holds that path's bits whatever its
-    batch-mates.  Each path draws once per step from its own stream, in
-    blocks of at most ``_DRAW_ENTRIES`` entries, and its lambdas share the
-    draw.  The functional series (``record`` with 'functionals') is for a
-    single path only.
+    batch-mates.  Each path draws once per step from its own stream (see
+    ``_increments``), and its lambdas share the draw.  The functional series
+    (``record`` with 'functionals') is for a single path only.
+
+    Work that is the same at every step is done once per call: the group
+    tables, mu and the lambda divisor at the state's shape, the scratch
+    arrays, and the jump-free test per drawn block.  Of the ``_SUMS``, only
+    those named in ``sums`` are accumulated; the others are None in the
+    result.  ``sup_energy`` is always there: the blow-up guard needs the
+    energy anyway.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
-    mu, weight, dim = grid.mu, grid.weight, grid.dim
+    weight, dim = grid.weight, grid.dim
     single = np.ndim(paths) == 0
     rngs = [path_rng(config.seed, p) for p in ([paths] if single else paths)]
     starts = [build_initial_state(grid, config.u0, rng) for rng in rngs]
     if single:
         batch, lam, (u, v) = (), lams, starts[0]
+        lam_table = None
         # numpy's reductions would cost more than the arithmetic on one float
-        dot, higher, every = np.vdot, max, bool
+        dot, every = np.vdot, bool
     else:
-        dot, higher, every = _row_dots, np.maximum, np.all
+        dot, every = _row_dots, np.ndarray.all
         batch = (len(rngs), len(lams))
         lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * dim)
+        lam_table = np.broadcast_to(lam, batch + grid.shape).copy()
         u = np.empty(batch + grid.shape)
         u[:] = np.array([u0 for u0, _ in starts])[:, None]
         v = np.zeros(batch + grid.shape)
-    cache = GroupCache(grid, dt)
+    cache = GroupCache(grid, dt, u.shape)
+    mu = cache.mu
+    # Scratch, never handed out: mu * u, then a product of the kick, go to tmp;
+    # the Yosida values, then the kicked velocity, to w.  Each is used up
+    # before the next is written.
+    w, tmp = np.empty(u.shape), np.empty(u.shape)
     driver, diffusion = config.driver, config.diffusion
 
     rec_series = "functionals" in config.record
     times = dt * np.arange(n + 1)
     series = np.empty((n + 1, 6)) if rec_series else None
+    chain = "chain_lhs" in sums
+    pair = "pairing" in sums or rec_series
 
     u_first, v_first = u.copy(), v.copy()
     sup_energy = np.full(batch, -np.inf)
-    chain_lhs = np.zeros(batch)
-    pairing = np.zeros(batch)
+    chain_lhs = np.zeros(batch) if chain else None
+    pairing = np.zeros(batch) if pair else None
     blown = np.full(batch, -1)
     warm = None
     increments = None
     if driver is not None:
-        draw = driver.increment_sampler(dt)
-        per_block = max(1, _DRAW_ENTRIES // (len(rngs) * grid.size))
-        blocks = zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs))
-        # one path's block is (m, *shape); a stack's gets a lambda axis: (m, P, 1, *shape)
-        increments = (dm for parts in blocks for dm in (parts[0] if single else np.stack(parts, 1)[:, :, None]))
+        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, single)
 
     for step_idx in range(n + 1):
-        grad2, kin2 = _energy_terms(mu, u, v, dot)
+        grad2, kin2 = _energy_terms(mu, u, v, dot, tmp)
         quad = grad2 + kin2
         ok = quad <= BLOWUP_ENERGY  # False for nan and inf too
         if not every(ok):
@@ -358,13 +415,16 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
                 )
             trip = ~ok
             blown[trip] = step_idx
-            if np.all(blown >= 0):
+            if (blown >= 0).all():
                 break
             u[trip] = v[trip] = quad[trip] = 0.0
             if warm is not None:
                 warm[trip] = 0.0
-        sup_energy = higher(sup_energy, quad)
-        u_nodes, res, yos, beta_modes = _drift(grid, graph, lam, u, warm)
+        if single:
+            sup_energy = max(sup_energy, quad)
+        else:
+            np.maximum(sup_energy, quad, out=sup_energy)
+        u_nodes, res, yos, beta_modes = _drift(grid, graph, lam, u, warm, lam_table, w)
         warm = res
 
         if rec_series:
@@ -379,15 +439,17 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
         if step_idx == n:
             break
 
-        chain_lhs = chain_lhs + dt * dot(beta_modes, v)
-        pairing = pairing + dt * weight * dot(yos, res)
-        dm = next(increments) if increments is not None else None
+        if chain:
+            chain_lhs = chain_lhs + dt * dot(beta_modes, v)
+        if pair:
+            pairing = pairing + dt * weight * dot(yos, res)
+        dm, jumps = next(increments) if increments is not None else (None, False)
         if observe is not None:
             observe(step_idx, u, v, beta_modes, dm)
-        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm)
+        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w, tmp)
 
     if single:
-        sup_energy, chain_lhs, pairing = float(sup_energy), float(chain_lhs), float(pairing)
+        sup_energy, chain_lhs, pairing = (None if x is None else float(x) for x in (sup_energy, chain_lhs, pairing))
     result = PathResult(
         path_index=paths,
         times=times,

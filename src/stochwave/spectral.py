@@ -14,15 +14,28 @@ from .errors import NumericError
 
 __all__ = ["SpectralGrid"]
 
+# Cap on the field entries one path steps through, n_steps * N^d, and on the
+# jump entries a compound-Poisson path draws, rate * t_final * N^d; checked
+# when a config is built, so that a run too long or too large to finish fails
+# before its first path.  The isometry study draws a path's jumps over t_final
+# in one step, 8 bytes per entry (2 GiB at the cap).  A grid's N x N sine
+# matrix and its N^d-entry fields are held to the same cap.
+MAX_STEP_ENTRIES = 2**28
+
 
 class SpectralGrid:
     """Collocation grid and mode table for the Dirichlet Laplacian on (0, pi)^d."""
 
     def __init__(self, dim: int, n_modes: int):
         if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+            raise ValueError(f"domain.dim: dim must be 1 or 2, got {dim}")
         if n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+            raise ValueError(f"domain.n_modes: n_modes must be >= 1, got {n_modes}")
+        if n_modes**2 > MAX_STEP_ENTRIES:  # at dim <= 2 this also caps the N^d entries of a field
+            raise ValueError(
+                f"domain.n_modes: n_modes = {n_modes} needs a {n_modes} x {n_modes} sine matrix, "
+                f"above the cap of {MAX_STEP_ENTRIES} entries"
+            )
         self.dim = int(dim)
         self.n_modes = int(n_modes)
         self.shape = (n_modes,) * dim

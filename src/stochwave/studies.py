@@ -145,7 +145,7 @@ def _drop_blown(values, blown):
 
 def _energy_job(base, lambdas, paths):
     """sup_t energy of every (path, lambda) of a block."""
-    result, blown = _run(base, paths, lambdas)
+    result, blown = _run(base, paths, lambdas, sums=())
     return _drop_blown(result.sup_energy.tolist(), blown), blown
 
 
@@ -204,7 +204,7 @@ def _pairing_job(base, lambdas, paths, eps_values):
             res = base.graph._resolvent_impl(lam, grid._nodes(filt * u))
             sums[...] += scale * _row_dots(res, grid._nodes(filt * beta_modes), 3)
 
-    result, blown = _run(base, paths, lambdas, observe)
+    result, blown = _run(base, paths, lambdas, observe, sums={"pairing"})
     values = [
         [{**dict(zip(smoothed, by_eps)), 0.0: pairing} for by_eps, pairing in zip(path_sums, path_pairing)]
         for path_sums, path_pairing in zip(np.moveaxis(sums, 0, -1).tolist(), result.pairing.tolist())
@@ -265,7 +265,7 @@ def _gaps_job(base, lambdas, paths):
         hm2[..., k] = np.sqrt(_row_dots(w2, dbeta2))
         hm3[..., k] = np.sqrt(_row_dots(w3, dbeta2))
 
-    result, blown = _run(base, paths, lambdas, observe)
+    result, blown = _run(base, paths, lambdas, observe, sums=())
     u_gap(n, result.u_final)
     gaps = np.stack((u_norm.max(axis=-1), l1 * dt, dt * hm2.sum(axis=-1), dt * hm3.sum(axis=-1)), axis=-1)
     values = [
@@ -309,7 +309,11 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
 
 def isometry_study(spec: StudySpec) -> StudyReport:
     """Second-moment identity, discrete quadratic variation, and the telescoping
-    integration-by-parts defect, all for the configured driver."""
+    integration-by-parts defect, all for the configured driver.
+
+    Runs serially and ignores ``study.workers``: the driver loops and the one
+    integration-by-parts path use no pool.
+    """
     base = spec.base
     if base.driver is None:
         raise ValueError("isometry study needs a noise driver in the base config")

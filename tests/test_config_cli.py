@@ -239,6 +239,17 @@ class TestCli:
             (["--set", "solver.dt=1e-300"], "solver.dt"),
             (["--set", "noise.kind=poisson", "--set", "noise.rate=1e300"], "noise.rate"),
             (["--set", "noise.kind=poisson", "--set", "noise.rate=1e15"], "noise.rate"),  # 2e12 jumps per step
+            # rejected before the grid allocates anything (a 728 TiB sine matrix)
+            (["--set", "domain.n_modes=10000000"], "domain.n_modes"),
+            (["--set", "domain.dim=2", "--set", "domain.n_modes=16385"], "domain.n_modes"),
+            (["--set", "domain.n_modes=0"], "domain.n_modes"),
+            (["--set", "domain.dim=3"], "domain.dim"),
+            (["--set", "noise.r=0.5"], "noise.r:"),  # the colon tells it from noise.rate
+            (["--set", "noise.q0=-1"], "noise.q0"),
+            (["--set", "noise.sigma=foo"], "noise.sigma"),
+            (["--set", "noise.kind=levy"], "noise.kind"),
+            (["--set", "graph.kind=power:0.5"], "graph.kind"),
+            (["--set", "graph.kind=bogus"], "graph.kind"),
         ],
     )
     def test_config_errors_name_their_key(self, config_file, tmp_path, capsys, extra, key):

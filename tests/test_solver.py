@@ -29,7 +29,8 @@ from stochwave import (
     simulate_path,
     step,
 )
-from stochwave.solver import MAX_STEP_ENTRIES, _run
+from stochwave.noise import path_rng
+from stochwave.solver import MAX_STEP_ENTRIES, _increments, _run
 from stochwave.studies import _pairing_job
 
 
@@ -448,6 +449,26 @@ class TestObserverContract:
             for a, b in zip(arrays, snapshot):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_handed_block_arrays_are_never_mutated(self, dim, kind):
+        # the block kernel kicks and rotates through scratch arrays it reuses every step
+        config = block_config(dim, kind, "cubic", sigma="clip")
+        kept, copies = [], []
+
+        def observe(k, *arrays):
+            kept.append(arrays)
+            copies.append([a.copy() for a in arrays])
+
+        result, blown = _run(config, (0, 1, 2), (1e-1, 1e-2), observe)
+        assert (blown < 0).all() and len(kept) == config.n_steps
+        for arrays, snapshot in zip(kept, copies):
+            assert arrays[0].shape == (3, 2) + config.grid.shape
+            for a, b in zip(arrays, snapshot):
+                assert a.tobytes() == b.tobytes()
+        for final in (result.u_final, result.v_final):
+            assert not any(np.shares_memory(final, a) for arrays in kept for a in arrays)
+
 
 def poisson_config(dim, sigma):
     grid = SpectralGrid(dim, 16 if dim == 1 else 8)
@@ -735,10 +756,38 @@ class TestBlockKernel:
     @pytest.mark.parametrize(
         "dim, kind, graph, sigma",
         [(1, "wiener", "cubic", "clip"), (1, "poisson", "sign", "sin"), (2, "poisson", "cubic", "sin"),
-         (2, "wiener", "sign", "one")],
+         (2, "wiener", "sign", "one"), (1, "wiener", "cubic", "zero"), (2, "poisson", "sign", "zero")],
     )
     def test_closed_form_rows(self, dim, kind, graph, sigma):
         self.assert_rows_are_single_paths(block_config(dim, kind, graph, sigma=sigma), (1e-1, 1e-2, 1e-3))
+
+    @staticmethod
+    def jump_flags(config, paths):
+        draw = config.driver.increment_sampler(config.dt)
+        rngs = [path_rng(config.seed, p) for p in paths]
+        return [jumps for _, jumps in _increments(draw, rngs, config.n_steps, config.grid.size, False)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_closed_form_rows_of_a_driver_without_noise(self, dim):
+        # q0 = 0: every increment is +-0.0, so every step of every path skips the noise product
+        config = block_config(dim, "wiener", "cubic", sigma="one")
+        grid = config.grid
+        config = replace(config, driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 0.0, dim + 1.0)))
+        assert all(jumps is False for jumps in self.jump_flags(config, range(8)))
+        singles = self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
+        for (p, lam), single in singles.items():
+            plain = simulate_path(replace(config, lam=lam, driver=None), p)
+            assert single.u_final.tobytes() == plain.u_final.tobytes()
+            assert single.v_final.tobytes() == plain.v_final.tobytes()
+
+    @pytest.mark.parametrize("dim, sigma", [(1, "clip"), (2, "one")])
+    def test_closed_form_rows_where_some_paths_jump(self, dim, sigma):
+        config = block_config(dim, "poisson", "cubic", sigma=sigma)
+        flags = self.jump_flags(config, range(8))
+        masks = [jumps for jumps in flags if jumps is not True and jumps is not False]
+        assert masks and all(0 < mask.sum() < 8 for mask in masks)
+        assert any(jumps is False for jumps in flags)
+        self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener")])
     def test_newton_rows_fall_back_one_by_one(self, dim, kind, monkeypatch):
