@@ -8,6 +8,7 @@ evaluation methods accept scalars or numpy arrays and are pure functions.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -69,26 +70,59 @@ def _solve_monotone(beta, beta_prime, lam, x):
     return y
 
 
-def _soft_threshold(lam, x):
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+def _soft_threshold(lam):
+    def solve(x):
+        # np.sign(-0.0) is +0.0, so a zero result takes the sign of x only
+        # inside the threshold (np.copysign would differ there)
+        t = np.abs(x)
+        t -= lam
+        return np.sign(x) * np.maximum(t, 0.0)
+
+    return solve
 
 
-def _resolvent_p2(lam, x):
-    return x / (1.0 + lam)
+def _resolvent_p2(lam):
+    k = 1.0 + lam
+    return lambda x: x / k
 
 
-def _resolvent_p3(lam, x):
-    # y = sign(x)*s with lam*s^2 + s = |x|, the root written without cancellation
-    return 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * lam * np.abs(x)))
+def _resolvent_p3(lam):
+    # y = sign(x)*s with lam*s^2 + s = |x|, the root written without
+    # cancellation: 2x / (1 + sqrt(1 + 4 lam |x|))
+    k = 4.0 * lam
+
+    def solve(x):
+        t = np.abs(x)
+        t *= k
+        t += 1.0
+        t = np.sqrt(t)
+        t += 1.0
+        return 2.0 * x / t
+
+    return solve
 
 
-def _resolvent_p4(lam, x):
-    # the one real root of lam*y^3 + y - x = 0, in hyperbolic form
-    c = np.sqrt(3.0 * lam)  # lam may be a column of a stack's lambdas
-    return (2.0 / c) * np.sinh(np.arcsinh(1.5 * c * x) / 3.0)
+def _resolvent_p4(lam):
+    # the one real root of lam*y^3 + y - x = 0, in hyperbolic form:
+    # (2/c) sinh(arcsinh(1.5 c x) / 3) with c = sqrt(3 lam)
+    c = np.sqrt(3.0 * lam)
+    a, b = 1.5 * c, 2.0 / c
+
+    def solve(x):
+        y = np.arcsinh(a * x)
+        y /= 3.0
+        y = np.sinh(y)
+        y *= b
+        return y
+
+    return solve
 
 
-# exact resolvents of the power law |y|^(p-1) sign(y), keyed by p
+# exact resolvents of the power law |y|^(p-1) sign(y), keyed by p: form(lam)
+# does the work that depends on lam alone and returns solve(x), so that a time
+# stepper does that work once per run.  lam is a float, or an array that
+# broadcasts against x without growing it.  Every operation is the textbook
+# formula's, in its order, so the bits are the same.
 _CLOSED_FORMS = {1.0: _soft_threshold, 2.0: _resolvent_p2, 3.0: _resolvent_p3, 4.0: _resolvent_p4}
 
 
@@ -132,6 +166,14 @@ class MonotoneGraph:
         is a float or an array that broadcasts against x.
         """
         return self._resolvent_impl(lam, x)
+
+    def _resolvent_at(self, lam, batch_ndim=0):
+        """``resolve(x, y0)``: ``resolvent_warm(lam, x, y0, batch_ndim)`` at a fixed lam.
+
+        A time stepper builds it once per run; a graph whose resolvent has
+        work that depends on lam alone does that work here, once.
+        """
+        return partial(self.resolvent_warm, lam, batch_ndim=batch_ndim)
 
     def yosida(self, lam, x):
         """(x - resolvent(lam, x)) / lam: Lipschitz single-valued surrogate."""
@@ -206,8 +248,14 @@ class PowerLawGraph(MonotoneGraph):
 
     def _resolvent_impl(self, lam, x):
         if self._closed_form is not None:
-            return self._closed_form(lam, x)
+            return self._closed_form(lam)(x)
         return _solve_monotone(self._beta, self._beta_prime, lam, x)
+
+    def _resolvent_at(self, lam, batch_ndim=0):
+        if self._closed_form is None:
+            return super()._resolvent_at(lam, batch_ndim)
+        solve = self._closed_form(lam)
+        return lambda x, y0: solve(x)
 
     def resolvent_warm(self, lam, x, y0=None, batch_ndim=0):
         """Closed form if there is one, else three plain Newton steps from y0.
@@ -221,7 +269,7 @@ class PowerLawGraph(MonotoneGraph):
         the bits it gets alone: the cold solver works entry by entry.
         """
         if self._closed_form is not None:
-            return self._closed_form(lam, x)
+            return self._closed_form(lam)(x)
         if y0 is None:
             return self._resolvent_impl(lam, x)
         y = y0
@@ -234,8 +282,8 @@ class PowerLawGraph(MonotoneGraph):
             return y if np.all(close) else self._resolvent_impl(lam, x)
         cold = ~close.reshape(*x.shape[:batch_ndim], -1).all(axis=-1)
         if cold.any():
-            lam_rows = np.broadcast_to(lam, cold.shape + (1,) * (x.ndim - batch_ndim))
-            y[cold] = self._resolvent_impl(lam_rows[cold], x[cold])
+            # lam may be a column of a stack's lambdas or a table at x's shape
+            y[cold] = self._resolvent_impl(np.broadcast_to(lam, x.shape)[cold], x[cold])
         return y
 
 

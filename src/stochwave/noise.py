@@ -127,10 +127,11 @@ class MartingaleDriver:
 
 
 def _clip_unit(x):
-    return np.asarray(x).clip(-1.0, 1.0)
+    # two ufunc calls: ndarray.clip goes through a Python wrapper of its own
+    return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
-# named module-level callables only: maps must survive pickling into worker pools
+# named module-level callables only, so that a map, and a config holding one, pickles
 DIFFUSION_MAPS = {
     "one": np.ones_like,
     "clip": _clip_unit,
@@ -154,11 +155,18 @@ class DiffusionMap:
             raise ValueError(f"noise.sigma: unknown diffusion map {name!r}") from None
         return cls(name=name, func=func)
 
-    def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray) -> np.ndarray:
+    @property
+    def multiplies(self) -> bool:
+        """Whether ``apply`` multiplies at the nodes, and so reads the nodal increment."""
+        return self.name not in ("one", "zero")
+
+    def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray, dm_nodes=None) -> np.ndarray:
         """Modes of sigma(u(x)) * dM(x); sigma evaluated at the pre-step state.
 
         Both arguments may be stacks of fields (leading axes) that broadcast
         against each other; ``to_nodes`` then runs once per increment.
+        ``dm_nodes``, if given, is ``grid._nodes(dm_coeffs)``, transformed
+        by the caller (a stepper transforms a whole drawn block at once).
         """
         if u_nodes.shape[-grid.dim :] != grid.shape or dm_coeffs.shape[-grid.dim :] != grid.shape:
             raise ValueError("field shapes do not match the grid")
@@ -166,7 +174,7 @@ class DiffusionMap:
             return dm_coeffs
         if self.name == "zero":
             return np.zeros(np.broadcast_shapes(u_nodes.shape, dm_coeffs.shape))
-        return grid._modes(self.func(u_nodes) * grid._nodes(dm_coeffs))
+        return grid._modes(self.func(u_nodes) * (grid._nodes(dm_coeffs) if dm_nodes is None else dm_nodes))
 
     def hs_norm(self, grid: SpectralGrid, u_nodes: np.ndarray, cov: NuclearCovariance) -> float:
         """Hilbert-Schmidt norm of h -> sigma(u)*h against Q^(1/2).

@@ -201,38 +201,40 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
-def _drift(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u, warm=None, lam_table=None, out=None):
+def _drift(grid: SpectralGrid, resolve, lam, u, warm=None, out=None):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
-    u is a field or a stack of fields; lam is a float or broadcasts against
-    u.  ``warm`` is the previous step's resolvent, used as a Newton start.
-    ``lam_table``, lam at u's shape, makes the Yosida division a same-shape
-    one; ``out``, an array of u's shape, receives the Yosida values.
+    u is a field or a stack of fields; ``resolve(x, y0)`` is the graph's
+    resolvent at lam (``MonotoneGraph._resolvent_at``), lam a float or an
+    array that broadcasts against u.  ``warm`` is the previous step's
+    resolvent, used as a Newton start.  ``out``, an array of u's shape,
+    receives the Yosida values.
     """
     u_nodes = grid._nodes(u)
-    res = graph.resolvent_warm(lam, u_nodes, warm, u.ndim - grid.dim)
-    yos = np.divide(np.subtract(u_nodes, res, out=out), lam if lam_table is None else lam_table, out=out)
+    res = resolve(u_nodes, warm)
+    yos = np.divide(np.subtract(u_nodes, res, out=out), lam, out=out)
     return u_nodes, res, yos, grid._modes(yos)
 
 
-def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w=None, tmp=None):
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes=None, w=None, tmp=None):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
     ``jumps`` says which fields dm moves: False when it is all zero (a
     jump-free compound-Poisson step), whose exactly-zero product is skipped,
     so that only the sign of a zero entry of v can differ; True for all of
     them; in a (P, L) stack, where dm has one (1, *grid.shape) row per path,
-    a (P,) mask of the paths that jump.  ``w`` and ``tmp``, scratch arrays of
-    u's shape, take the kicked velocity and the rotation's products in place
-    of new temporaries; u, v, beta_modes and dm are never written.  Returns
-    new arrays.
+    a (P,) mask of the paths that jump.  ``dm_nodes``, if given, is the nodal
+    increment of the fields that jump (see ``DiffusionMap.apply``).  ``w``
+    and ``tmp``, scratch arrays of u's shape, take the kicked velocity and
+    the rotation's products in place of new temporaries; u, v, beta_modes
+    and dm are never written.  Returns new arrays.
     """
     w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
     w += v
     if jumps is True:
-        w += diffusion.apply(cache.grid, u_nodes, dm)
+        w += diffusion.apply(cache.grid, u_nodes, dm, dm_nodes)
     elif jumps is not False:
-        w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps])
+        w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps], dm_nodes)
     return cache.rotate(u, w, tmp)
 
 
@@ -247,7 +249,7 @@ def step(
     """Advance one step: kick with drift/noise at the left endpoint, then rotate."""
     if dm is not None and diffusion is None:
         raise ValueError("noise increment given without a diffusion map")
-    u_nodes, _, _, beta_modes = _drift(cache.grid, graph, lam, state.u)
+    u_nodes, _, _, beta_modes = _drift(cache.grid, graph._resolvent_at(lam), lam, state.u)
     jumps = dm is not None and bool(np.count_nonzero(dm))
     u_new, v_new = _kick_rotate(cache, state.u, state.v, u_nodes, beta_modes, diffusion, dm, jumps)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
@@ -318,26 +320,37 @@ def simulate_path(
 _SUMS = frozenset({"chain_lhs", "pairing"})
 
 
-def _increments(draw, rngs, n: int, size: int, single: bool):
-    """Per step, (dm, jumps): the paths' increments and which of them jump.
+def _increments(draw, rngs, n: int, size: int, single: bool, nodes=None):
+    """Per step, (dm, jumps, dm_nodes): the paths' increments, which of them jump, and their nodal values.
 
     Each path draws from its own stream, in blocks of at most
     ``_DRAW_ENTRIES`` entries over all paths.  One path's dm has the grid's
     shape; a stack's is a (P, 1, *grid.shape) view of the drawn block, one
     row per path, which its lambdas share.  ``jumps`` (see ``_kick_rotate``)
     is decided once per drawn block, not per step: False for every step of a
-    block with no nonzero entry, else from a per-(step, path) any.
+    block with no nonzero entry, else from a per-(step, path) any.  With
+    ``nodes`` (the grid's ``_nodes``), the block's jumping (step, path) rows
+    are transformed in one call, and dm_nodes is the step's share of them,
+    shaped like dm[jumps] (like dm where every path jumps); else it is None.
+    The transform is one matrix-vector product per row either way, so the
+    bits are those of a per-step transform.
     """
     per_block = max(1, _DRAW_ENTRIES // (len(rngs) * size))
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
         # one path's block is (m, *shape); a stack's gets a lambda axis: (m, P, 1, *shape)
         block = parts[0] if single else np.stack(parts, 1)[:, :, None]
         if not block.any():
-            yield from ((dm, False) for dm in block)
+            yield from ((dm, False, None) for dm in block)
             continue
         rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
         every, some = rows.all(axis=1).tolist(), rows.any(axis=1).tolist()
-        yield from zip(block, [all_ or (any_ and rows[k]) for k, (all_, any_) in enumerate(zip(every, some))])
+        jumps = [all_ or (any_ and rows[k]) for k, (all_, any_) in enumerate(zip(every, some))]
+        nodal = [None] * len(block)
+        if nodes is not None:
+            ends = np.cumsum(rows.sum(axis=1)).tolist()
+            at = nodes(block[rows[:, 0] if single else rows])
+            nodal = [(at[a] if single else at[a:b]) if b > a else None for a, b in zip([0] + ends, ends)]
+        yield from zip(block, jumps, nodal)
 
 
 def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, sums=_SUMS):
@@ -356,8 +369,9 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     (``record`` with 'functionals') is for a single path only.
 
     Work that is the same at every step is done once per call: the group
-    tables, mu and the lambda divisor at the state's shape, the scratch
-    arrays, and the jump-free test per drawn block.  Of the ``_SUMS``, only
+    tables, mu and the lambda table at the state's shape, the resolvent's
+    lambda constants, the scratch arrays; the jump-free test and the nodal
+    transform of the increments once per drawn block.  Of the ``_SUMS``, only
     those named in ``sums`` are accumulated; the others are None in the
     result.  ``sup_energy`` is always there: the blow-up guard needs the
     energy anyway.
@@ -369,14 +383,13 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     starts = [build_initial_state(grid, config.u0, rng) for rng in rngs]
     if single:
         batch, lam, (u, v) = (), lams, starts[0]
-        lam_table = None
         # numpy's reductions would cost more than the arithmetic on one float
         dot, every = np.vdot, bool
     else:
         dot, every = _row_dots, np.ndarray.all
         batch = (len(rngs), len(lams))
         lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * dim)
-        lam_table = np.broadcast_to(lam, batch + grid.shape).copy()
+        lam = np.broadcast_to(lam, batch + grid.shape).copy()
         u = np.empty(batch + grid.shape)
         u[:] = np.array([u0 for u0, _ in starts])[:, None]
         v = np.zeros(batch + grid.shape)
@@ -386,6 +399,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     # the Yosida values, then the kicked velocity, to w.  Each is used up
     # before the next is written.
     w, tmp = np.empty(u.shape), np.empty(u.shape)
+    resolve = graph._resolvent_at(lam, len(batch))
     driver, diffusion = config.driver, config.diffusion
 
     rec_series = "functionals" in config.record
@@ -402,7 +416,8 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     warm = None
     increments = None
     if driver is not None:
-        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, single)
+        nodes = grid._nodes if diffusion.multiplies else None
+        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, single, nodes)
 
     for step_idx in range(n + 1):
         grad2, kin2 = _energy_terms(mu, u, v, dot, tmp)
@@ -424,7 +439,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             sup_energy = max(sup_energy, quad)
         else:
             np.maximum(sup_energy, quad, out=sup_energy)
-        u_nodes, res, yos, beta_modes = _drift(grid, graph, lam, u, warm, lam_table, w)
+        u_nodes, res, yos, beta_modes = _drift(grid, resolve, lam, u, warm, w)
         warm = res
 
         if rec_series:
@@ -443,10 +458,10 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             chain_lhs = chain_lhs + dt * dot(beta_modes, v)
         if pair:
             pairing = pairing + dt * weight * dot(yos, res)
-        dm, jumps = next(increments) if increments is not None else (None, False)
+        dm, jumps, dm_nodes = next(increments) if increments is not None else (None, False, None)
         if observe is not None:
             observe(step_idx, u, v, beta_modes, dm)
-        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w, tmp)
+        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
 
     if single:
         sup_energy, chain_lhs, pairing = (None if x is None else float(x) for x in (sup_energy, chain_lhs, pairing))

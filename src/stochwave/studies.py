@@ -1,7 +1,7 @@
-"""Monte Carlo studies over the regularization scale, with reproducible pooling.
+"""Monte Carlo studies over the regularization scale, with reproducible worker processes.
 
 Every lambda study maps one job over blocks of consecutive paths (one RNG
-stream per path index) over an optional process pool.  A job steps its
+stream per path index), on forked worker processes if asked.  A job steps its
 block at every lambda in one call of the solver's block kernel, reduces
 each (path, lambda) row while it steps, and keeps no history.  A row holds
 the bits of its own single path whatever its block-mates, and the values
@@ -12,7 +12,9 @@ regardless of block size and worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -112,15 +114,107 @@ def write_field_csv(grid, coeffs, path) -> None:
             f.write(",".join(str(int(k)) for k in indices) + f",{float(value)!r}\n")
 
 
-def _map_ordered(fn, items, workers):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # a fork-started pool launches all its workers at the first submit
-    workers = min(workers, len(items))
-    chunk = max(1, math.ceil(len(items) / (4 * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+class _Child:
+    """A forked worker process that steps a share of the blocks and pickles the results to a pipe."""
+
+    def __init__(self, fn, share):
+        self.share = share
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            os.close(read)
+            _serve(fn, share, write)
+        os.close(write)
+        self.fd = read
+
+    def join(self):
+        """The share's results in block order; re-raises the child's error.
+
+        A child that exits without a result raises ChildProcessError naming
+        its blocks' path indices and its exit status or signal.
+        """
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            payload = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not payload:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            paths = f"{self.share[0].start}..{self.share[-1].stop - 1}"
+            raise ChildProcessError(f"the worker process for paths {paths} {how} without a result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self):
+        """Kill and reap the child, unless it was joined."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _serve(fn, share, fd):
+    """In a forked child: pickle (True, results) or (False, error) to fd, then exit at once.
+
+    The child never returns into its parent's stack; a failed write leaves
+    the pipe empty, which the parent reports with the exit status.
+    """
+    status = 1
+    try:
+        try:
+            reply = (True, [fn(block) for block in share])
+        except BaseException as exc:  # handed over, and re-raised in the parent
+            reply = (False, exc)
+        try:
+            payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            error = reply[1]
+            payload = pickle.dumps((False, RuntimeError(f"{type(error).__name__}: {error}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_ordered(fn, blocks, workers):
+    """[fn(block) for block in blocks] on up to ``workers`` processes, this one included.
+
+    Never more processes than blocks or than ``os.cpu_count()``.  The blocks
+    (ranges of path indices) are cut into one run of consecutive blocks per
+    process; this process steps the first run while a forked child steps
+    each other one, and the results come back in block order.  If anything
+    fails, every child is killed and reaped.  Without ``os.fork`` the map is
+    serial.
+    """
+    blocks = list(blocks)
+    procs = min(workers, len(blocks), os.cpu_count() or 1)
+    if procs <= 1 or not hasattr(os, "fork"):
+        return [fn(block) for block in blocks]
+    cuts = [len(blocks) * k // procs for k in range(procs + 1)]
+    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_Child(fn, share))
+        results = [fn(block) for block in shares[0]]
+        for child in children:
+            results += child.join()
+        return results
+    finally:
+        for child in children:
+            child.kill()
 
 
 def _mean_se(values):
@@ -134,7 +228,8 @@ def _mean_se(values):
 
 # Most paths per study job, all stepped together by one block-kernel call.
 # A block gets min(_BLOCK_PATHS, ceil(n_paths / workers)) paths, so that
-# every worker gets a block; a row's bits do not depend on its block-mates.
+# every worker process gets a block; a row's bits do not depend on its
+# block-mates.
 _BLOCK_PATHS = 8
 
 
@@ -150,7 +245,7 @@ def _energy_job(base, lambdas, paths):
 
 
 def _sweep(spec: StudySpec, job):
-    """Map ``job(base, lambdas, paths)`` over blocks of paths in one pool; blow-ups are not fatal.
+    """Map ``job(base, lambdas, paths)`` over blocks of paths on the worker processes; blow-ups are not fatal.
 
     A job gets min(_BLOCK_PATHS, ceil(n_paths / workers)) consecutive path
     indices (fewer in the last block), steps them at every lambda in one
@@ -312,7 +407,7 @@ def isometry_study(spec: StudySpec) -> StudyReport:
     integration-by-parts defect, all for the configured driver.
 
     Runs serially and ignores ``study.workers``: the driver loops and the one
-    integration-by-parts path use no pool.
+    integration-by-parts path fork no worker process.
     """
     base = spec.base
     if base.driver is None:

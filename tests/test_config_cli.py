@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -332,3 +335,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "warning: lambda=1e-09: 3 path(s) hit the blow-up guard (first at step 1)\n" in err
         assert (tmp_path / "lambda-conv.csv").exists()
+
+    def test_importing_the_cli_loads_no_process_pool_machinery(self):
+        # the study map forks its workers itself; a process pool would cost every CLI run its import
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys, stochwave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

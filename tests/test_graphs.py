@@ -138,6 +138,45 @@ class TestClosedFormResolvents:
             assert np.all(y[x == 0.0] == 0.0)
             assert np.array_equal(graph.resolvent_warm(lam, x, np.full_like(x, 1e6)), y)
 
+    @staticmethod
+    def textbook(p, lam, x):
+        """The closed forms as plain expressions, the lambda work done at every call."""
+        if p == 1.0:
+            return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+        if p == 2.0:
+            return x / (1.0 + lam)
+        if p == 3.0:
+            return 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * lam * np.abs(x)))
+        c = np.sqrt(3.0 * lam)
+        return (2.0 / c) * np.sinh(np.arcsinh(1.5 * c * x) / 3.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+    def test_lambda_constants_taken_out_keep_the_textbook_bytes(self, p):
+        """Per call and per stepper, at a float lam, a lambda column or a full table; bytes, so signed zeros count.
+
+        np.sign(-0.0) is +0.0, so the soft threshold of -0.0 is +0.0, while an
+        entry of x inside the threshold keeps its sign: np.copysign would
+        differ on the first.  The zero rows are the nodal values of u0 = zero.
+        """
+        graph = PowerLawGraph(p)
+        x = self._points()
+        x[1::50] = -0.0
+        x[2::50] = -1e-300
+        x[3::50] = -1e-5
+        # (rows, lambdas, points): a random row, and zero rows of both signs
+        x = np.stack([x, np.zeros_like(x), -np.zeros_like(x)])[:, None].repeat(len(self.LAMS), axis=1)
+        column = self.LAMS[:, None]
+        expected = self.textbook(p, column, x).tobytes()
+        assert (x == 0.0).any() and np.signbit(x[x == 0.0]).any()
+        for lam in (column, np.broadcast_to(column, x.shape).copy()):
+            assert graph._resolvent_at(lam, 2)(x, x).tobytes() == expected
+            assert graph.resolvent_warm(lam, x, x, 2).tobytes() == expected
+            assert graph._resolvent_impl(lam, x).tobytes() == expected
+        for j, lam in enumerate(self.LAMS):
+            row = x[0, j]
+            assert graph.resolvent(lam, row).tobytes() == self.textbook(p, lam, row).tobytes()
+            assert graph._resolvent_at(lam)(row, None).tobytes() == self.textbook(p, lam, row).tobytes()
+
     def test_named_graphs_are_the_same_power_laws(self):
         x = self._points()
         for lam in self.LAMS:

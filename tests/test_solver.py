@@ -517,9 +517,9 @@ class TestJumpFreeSteps:
         calls = []
         apply = DiffusionMap.apply
 
-        def counting_apply(self, grid, u_nodes, dm):
+        def counting_apply(self, grid, u_nodes, dm, dm_nodes=None):
             calls.append(1)
-            return apply(self, grid, u_nodes, dm)
+            return apply(self, grid, u_nodes, dm, dm_nodes)
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         result = record_path(config, 1)
@@ -756,16 +756,24 @@ class TestBlockKernel:
     @pytest.mark.parametrize(
         "dim, kind, graph, sigma",
         [(1, "wiener", "cubic", "clip"), (1, "poisson", "sign", "sin"), (2, "poisson", "cubic", "sin"),
-         (2, "wiener", "sign", "one"), (1, "wiener", "cubic", "zero"), (2, "poisson", "sign", "zero")],
+         (2, "wiener", "sign", "one"), (1, "wiener", "cubic", "zero"), (2, "poisson", "sign", "zero"),
+         (1, "wiener", "power:3", "sin"), (2, "wiener", "cubic", "clip"), (2, "wiener", "power:3", "sin"),
+         (1, "wiener", "power:2", "clip")],
     )
     def test_closed_form_rows(self, dim, kind, graph, sigma):
+        # Wiener rows with clip or sin transform every drawn block's increments in one call
         self.assert_rows_are_single_paths(block_config(dim, kind, graph, sigma=sigma), (1e-1, 1e-2, 1e-3))
+
+    @pytest.mark.parametrize("dim, sigma", [(1, "clip"), (2, "sin")])
+    def test_closed_form_rows_from_zero_data(self, dim, sigma):
+        # u0 = zero: the first steps' nodal values are zeros, whose signs the soft threshold keeps
+        self.assert_rows_are_single_paths(block_config(dim, "wiener", "sign", sigma=sigma, u0="zero"), (1e-1, 1e-3))
 
     @staticmethod
     def jump_flags(config, paths):
         draw = config.driver.increment_sampler(config.dt)
         rngs = [path_rng(config.seed, p) for p in paths]
-        return [jumps for _, jumps in _increments(draw, rngs, config.n_steps, config.grid.size, False)]
+        return [jumps for _, jumps, _ in _increments(draw, rngs, config.n_steps, config.grid.size, False)]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_closed_form_rows_of_a_driver_without_noise(self, dim):
@@ -811,9 +819,9 @@ class TestBlockKernel:
         paths = []
         apply = DiffusionMap.apply
 
-        def counting_apply(self, grid, u_nodes, dm):
+        def counting_apply(self, grid, u_nodes, dm, dm_nodes=None):
             paths.append(len(dm))  # one (1, *grid.shape) increment per path
-            return apply(self, grid, u_nodes, dm)
+            return apply(self, grid, u_nodes, dm, dm_nodes)
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         _run(config, tuple(range(8)), (1e-1, 1e-2))

@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -77,6 +80,99 @@ def whole_history_gaps(config, prev, result):
     return u_gap, l1, hm2, hm3
 
 
+def serial_children(monkeypatch, cpus):
+    """Make the fork map step its children's shares in this process, on ``cpus`` CPUs; returns the shares."""
+    shares = []
+
+    class SerialChild:
+        def __init__(self, fn, share):
+            shares.append(share)
+            self.results = [fn(block) for block in share]
+
+        def join(self):
+            return self.results
+
+        def kill(self):
+            pass
+
+    monkeypatch.setattr(studies, "_Child", SerialChild)
+    monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
+    return shares
+
+
+class TestForkMap:
+    """The fork map on at most 2 processes: one child, whose failures reach the caller whole."""
+
+    BLOCKS = (range(0, 2), range(2, 4))  # this process steps the first block, one child the second
+
+    def test_a_child_steps_its_share_and_results_come_back_in_order(self):
+        results = studies._map_ordered(lambda block: (list(block), os.getpid()), self.BLOCKS, 2)
+        assert [paths for paths, _ in results] == [[0, 1], [2, 3]]
+        assert results[0][1] == os.getpid() != results[1][1]
+
+    def test_a_childs_error_is_raised_with_its_type_message_and_step(self):
+        def fn(block):
+            if block.start:
+                raise NumericError(f"energy blow-up at step 7 of {block}", step=7)
+            return 0
+
+        with pytest.raises(NumericError, match=r"step 7 of range\(2, 4\)") as info:
+            studies._map_ordered(fn, self.BLOCKS, 2)
+        assert info.value.step == 7
+
+    def test_numeric_error_keeps_its_step_through_pickle(self):
+        import pickle
+
+        for step in (None, 0, 12):
+            err = pickle.loads(pickle.dumps(NumericError("energy blow-up", step=step)))
+            assert type(err) is NumericError and err.args == ("energy blow-up",) and err.step == step
+
+    @pytest.mark.parametrize(
+        "leave, how",
+        [
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+        ],
+        ids=["exit", "signal"],
+    )
+    def test_a_child_that_leaves_no_result_is_named(self, leave, how):
+        def fn(block):
+            if block.start:
+                leave()
+            return 0
+
+        with pytest.raises(ChildProcessError, match=f"paths 2..3 {how} without a result"):
+            studies._map_ordered(fn, self.BLOCKS, 2)
+
+    def test_a_failing_share_of_this_process_kills_and_reaps_the_child(self, monkeypatch):
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def fn(block):
+            if block.start:
+                time.sleep(60)
+            raise ValueError("this process's share failed")
+
+        monkeypatch.setattr(studies.os, "fork", recording_fork)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="share failed"):
+            studies._map_ordered(fn, self.BLOCKS, 2)
+        assert time.monotonic() - start < 30
+        [pid] = pids
+        with pytest.raises(ChildProcessError):  # reaped: no such child any more
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_without_fork_the_map_is_serial(self, monkeypatch):
+        monkeypatch.delattr(studies.os, "fork")
+        assert studies._map_ordered(lambda block: os.getpid(), self.BLOCKS, 2) == [os.getpid()] * 2
+
+
 class TestStudySpecValidation:
     def test_grid_rules(self, small_stochastic_spec):
         base = small_stochastic_spec.base
@@ -119,27 +215,26 @@ class TestLambdaSweep:
         assert energy_study(replace(spec, workers=2)).rows == energy_study(spec).rows
 
     def test_pool_is_capped_at_the_block_count(self, small_stochastic_spec, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(studies, "ProcessPoolExecutor", SerialPool)
-        # 17 paths on 64 workers make 17 one-path blocks: min(_BLOCK_PATHS, ceil(17 / 64)) paths each
+        shares = serial_children(monkeypatch, cpus=128)
+        # 17 paths on 64 workers make 17 one-path blocks: min(_BLOCK_PATHS, ceil(17 / 64)) paths each;
+        # this process steps the first, and 16 children one each
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert sizes == [17]
+        assert shares == [[range(p, p + 1)] for p in range(1, 17)]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
+
+    def test_processes_are_capped_at_the_cpu_count(self, small_stochastic_spec, monkeypatch):
+        shares = serial_children(monkeypatch, cpus=4)
+        # the blocks keep the size the worker count gives them, so the rows keep their bytes
+        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
+        pooled = energy_study(replace(spec, workers=64))
+        assert shares == [[range(p, p + 1) for p in range(a, b)] for a, b in ((4, 8), (8, 12), (12, 17))]
+        assert pooled.rows == energy_study(replace(spec, workers=1)).rows
+        shares.clear()
+        # 100 000 workers on 100 000 one-path blocks start 3 children, not 99 999
+        blocks = [range(p, p + 1) for p in range(100_000)]
+        assert studies._map_ordered(lambda block: block.start, blocks, 100_000) == list(range(100_000))
+        assert [len(share) for share in shares] == [25_000] * 3
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind, record_path):
@@ -178,7 +273,7 @@ class TestEnergyStudy:
         assert energy_study(spec).rows == energy_study(spec).rows
 
     def test_every_diffusion_map_survives_the_worker_pool(self, small_stochastic_spec):
-        # maps hold callables; a pool run requires them to pickle
+        # maps hold callables; forked workers inherit them, and a config holding one still pickles
         import pickle
 
         for name in ("one", "clip", "sin", "zero"):
