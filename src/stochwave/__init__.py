@@ -27,7 +27,6 @@ from .solver import (
     GroupCache,
     PathResult,
     SolverConfig,
-    WaveState,
     build_initial_state,
     chain_rule_check,
     duhamel_residual,
@@ -35,7 +34,6 @@ from .solver import (
     ibp_residual,
     lyapunov,
     simulate_path,
-    step,
 )
 from .spectral import SpectralGrid
 from .studies import (
@@ -68,11 +66,9 @@ __all__ = [
     "DiffusionMap",
     "path_rng",
     "ito_isometry_check",
-    "WaveState",
     "GroupCache",
     "SolverConfig",
     "PathResult",
-    "step",
     "simulate_path",
     "duhamel_residual",
     "chain_rule_check",

@@ -8,7 +8,6 @@ evaluation methods accept scalars or numpy arrays and are pure functions.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -148,8 +147,8 @@ class MonotoneGraph:
 
     def resolvent(self, lam, x):
         """(I + lam*beta)^{-1} x: the unique y with x in y + lam*beta(y)."""
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda must be finite and positive, got {lam}")
         a, scalar = _as_float_array(x)
         y = self._resolvent_impl(float(lam), a)
         return float(y) if scalar else y
@@ -157,23 +156,17 @@ class MonotoneGraph:
     def _resolvent_impl(self, lam, x):
         raise NotImplementedError
 
-    def resolvent_warm(self, lam, x, y0=None, batch_ndim=0):
-        """Resolvent for trusted array input, seeded with a previous solution.
-
-        Time steppers call this once per step with the previous step's
-        resolvent as y0; graphs with closed-form resolvents ignore the hint.
-        The first ``batch_ndim`` axes of x index a stack of fields, and lam
-        is a float or an array that broadcasts against x.
-        """
-        return self._resolvent_impl(lam, x)
-
     def _resolvent_at(self, lam, batch_ndim=0):
-        """``resolve(x, y0)``: ``resolvent_warm(lam, x, y0, batch_ndim)`` at a fixed lam.
+        """``resolve(x, y0)``: the resolvent at a fixed lam of trusted array input.
 
-        A time stepper builds it once per run; a graph whose resolvent has
-        work that depends on lam alone does that work here, once.
+        A time stepper builds it once per run and calls it once per step,
+        with the previous step's resolvent as the hint y0 (None at the first
+        step); a graph whose resolvent has work that depends on lam alone
+        does that work here, once.  The first ``batch_ndim`` axes of x index
+        a stack of fields, and lam is a float or an array that broadcasts
+        against x.  This default ignores the hint.
         """
-        return partial(self.resolvent_warm, lam, batch_ndim=batch_ndim)
+        return lambda x, y0: self._resolvent_impl(lam, x)
 
     def yosida(self, lam, x):
         """(x - resolvent(lam, x)) / lam: Lipschitz single-valued surrogate."""
@@ -216,9 +209,9 @@ class PowerLawGraph(MonotoneGraph):
     """beta(x) = |x|^(p-1) * sign(x) with p >= 1; p = 1 is the sign graph.
 
     For p in {1, 2, 3, 4} the resolvent equation is piecewise linear, linear,
-    quadratic or cubic in |y|, and both ``resolvent`` and ``resolvent_warm``
+    quadratic or cubic in |y|, and both ``resolvent`` and ``_resolvent_at``
     evaluate its exact root.  Any other p has no closed form: cold solves run
-    the safeguarded Newton of ``_solve_monotone`` and warm solves run plain
+    the safeguarded Newton of ``_solve_monotone`` and hinted solves run plain
     Newton from the hint.
     """
 
@@ -252,39 +245,38 @@ class PowerLawGraph(MonotoneGraph):
         return _solve_monotone(self._beta, self._beta_prime, lam, x)
 
     def _resolvent_at(self, lam, batch_ndim=0):
-        if self._closed_form is None:
-            return super()._resolvent_at(lam, batch_ndim)
-        solve = self._closed_form(lam)
-        return lambda x, y0: solve(x)
+        """The closed form if there is one, else three plain Newton steps from the hint.
 
-    def resolvent_warm(self, lam, x, y0=None, batch_ndim=0):
-        """Closed form if there is one, else three plain Newton steps from y0.
-
-        The closed form ignores y0 and is called directly, so that a hinted
-        call reaches ``_resolvent_impl`` only as a Newton fallback.  A warm
-        start within O(dt) of the root makes plain Newton machine-accurate in
-        three quadratic steps; if any entry's residual misses, the whole
-        field goes through the safeguarded cold solver.  With ``batch_ndim``
-        leading stack axes that is decided per field, and each field gets
-        the bits it gets alone: the cold solver works entry by entry.
+        The closed form ignores the hint.  Without a hint, Newton's place is
+        taken by the cold solver.  A warm start within O(dt) of the root
+        makes plain Newton machine-accurate in three quadratic steps; if any
+        entry's residual misses, the whole field goes through the
+        safeguarded cold solver.  With ``batch_ndim`` leading stack axes
+        that is decided per field, and each field gets the bits it gets
+        alone: the cold solver works entry by entry.
         """
         if self._closed_form is not None:
-            return self._closed_form(lam)(x)
-        if y0 is None:
-            return self._resolvent_impl(lam, x)
-        y = y0
-        for _ in range(3):
-            y = y - (y + lam * self._beta(y) - x) / (1.0 + lam * self._beta_prime(y))
-        f = y + lam * self._beta(y) - x
-        # a NaN residual fails the comparison and so also falls back
-        close = np.abs(f) <= 1e-12 * (1.0 + np.abs(x))
-        if batch_ndim == 0:
-            return y if np.all(close) else self._resolvent_impl(lam, x)
-        cold = ~close.reshape(*x.shape[:batch_ndim], -1).all(axis=-1)
-        if cold.any():
-            # lam may be a column of a stack's lambdas or a table at x's shape
-            y[cold] = self._resolvent_impl(np.broadcast_to(lam, x.shape)[cold], x[cold])
-        return y
+            solve = self._closed_form(lam)
+            return lambda x, y0: solve(x)
+
+        def resolve(x, y0):
+            if y0 is None:
+                return self._resolvent_impl(lam, x)
+            y = y0
+            for _ in range(3):
+                y = y - (y + lam * self._beta(y) - x) / (1.0 + lam * self._beta_prime(y))
+            f = y + lam * self._beta(y) - x
+            # a NaN residual fails the comparison and so also falls back
+            close = np.abs(f) <= 1e-12 * (1.0 + np.abs(x))
+            if batch_ndim == 0:
+                return y if np.all(close) else self._resolvent_impl(lam, x)
+            cold = ~close.reshape(*x.shape[:batch_ndim], -1).all(axis=-1)
+            if cold.any():
+                # lam may be a column of a stack's lambdas or a table at x's shape
+                y[cold] = self._resolvent_impl(np.broadcast_to(lam, x.shape)[cold], x[cold])
+            return y
+
+        return resolve
 
 
 class CubicGraph(PowerLawGraph):

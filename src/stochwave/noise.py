@@ -91,8 +91,8 @@ class MartingaleDriver:
         ``(n_steps, *q.shape)`` block of consecutive increments, equal bit for
         bit to ``n_steps`` single draws in a row from the same rng.
         """
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         q = self.covariance.q
         if self.kind == "wiener":
             scale = np.sqrt(q * dt)

@@ -15,7 +15,6 @@ from .graphs import CubicGraph, JumpGraph, LinearGraph, PowerLawGraph, SignGraph
 from .noise import DiffusionMap, MartingaleDriver, NuclearCovariance, ito_isometry_check, path_rng
 from .solver import (
     SolverConfig,
-    WaveState,
     chain_rule_check,
     duhamel_residual,
     energy,
@@ -116,10 +115,8 @@ def run_selftest(out=print) -> int:
     def linear_energy_ok():
         cfg = replace(config, graph=LinearGraph(0.0), driver=None, record=frozenset())
         result = simulate_path(cfg, 0)
-        state0 = WaveState(result.u_first, result.v_first)
-        state1 = WaveState(result.u_final, result.v_final)
-        e0 = energy(grid, state0)
-        return abs(energy(grid, state1) - e0) <= 1e-12 * e0
+        e0 = energy(grid, result.u_first, result.v_first)
+        return abs(energy(grid, result.u_final, result.v_final) - e0) <= 1e-12 * e0
 
     def increment_stats_ok():
         rng = path_rng(11, 0)

@@ -20,11 +20,9 @@ from .noise import DiffusionMap, MartingaleDriver, _increment_blocks, path_rng
 from .spectral import MAX_STEP_ENTRIES, SpectralGrid
 
 __all__ = [
-    "WaveState",
     "GroupCache",
     "SolverConfig",
     "PathResult",
-    "step",
     "simulate_path",
     "duhamel_residual",
     "chain_rule_check",
@@ -43,14 +41,6 @@ _DRAW_ENTRIES = 1 << 12
 SERIES_COLUMNS = ("t", "energy", "lyapunov", "l2_u", "h1_u", "l2_v", "pairing_running")
 
 
-@dataclass
-class WaveState:
-    """Displacement/velocity pair as mode coefficient arrays on one grid."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-
 class GroupCache:
     """Mode-wise entries of the wave group over a fixed step dt, and mu.
 
@@ -63,8 +53,8 @@ class GroupCache:
     """
 
     def __init__(self, grid: SpectralGrid, dt: float, shape=None):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         self.grid = grid
         self.dt = float(dt)
         om = np.sqrt(grid.mu)
@@ -201,14 +191,14 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
-def _drift(grid: SpectralGrid, resolve, lam, u, warm=None, out=None):
+def _drift(grid: SpectralGrid, resolve, lam, u, warm, out):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
     u is a field or a stack of fields; ``resolve(x, y0)`` is the graph's
     resolvent at lam (``MonotoneGraph._resolvent_at``), lam a float or an
     array that broadcasts against u.  ``warm`` is the previous step's
-    resolvent, used as a Newton start.  ``out``, an array of u's shape,
-    receives the Yosida values.
+    resolvent, used as a Newton start, or None.  ``out``, an array of u's
+    shape or None, receives the Yosida values.
     """
     u_nodes = grid._nodes(u)
     res = resolve(u_nodes, warm)
@@ -216,18 +206,18 @@ def _drift(grid: SpectralGrid, resolve, lam, u, warm=None, out=None):
     return u_nodes, res, yos, grid._modes(yos)
 
 
-def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes=None, w=None, tmp=None):
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
     ``jumps`` says which fields dm moves: False when it is all zero (a
     jump-free compound-Poisson step), whose exactly-zero product is skipped,
     so that only the sign of a zero entry of v can differ; True for all of
     them; in a (P, L) stack, where dm has one (1, *grid.shape) row per path,
-    a (P,) mask of the paths that jump.  ``dm_nodes``, if given, is the nodal
-    increment of the fields that jump (see ``DiffusionMap.apply``).  ``w``
-    and ``tmp``, scratch arrays of u's shape, take the kicked velocity and
-    the rotation's products in place of new temporaries; u, v, beta_modes
-    and dm are never written.  Returns new arrays.
+    a (P,) mask of the paths that jump.  ``dm_nodes``, if not None, is the
+    nodal increment of the fields that jump (see ``DiffusionMap.apply``).
+    ``w`` and ``tmp``, scratch arrays of u's shape or None, take the kicked
+    velocity and the rotation's products in place of new temporaries; u, v,
+    beta_modes and dm are never written.  Returns new arrays.
     """
     w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
     w += v
@@ -236,26 +226,6 @@ def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, ju
     elif jumps is not False:
         w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps], dm_nodes)
     return cache.rotate(u, w, tmp)
-
-
-def step(
-    cache: GroupCache,
-    state: WaveState,
-    graph: MonotoneGraph,
-    lam: float,
-    diffusion: Optional[DiffusionMap] = None,
-    dm: Optional[np.ndarray] = None,
-) -> WaveState:
-    """Advance one step: kick with drift/noise at the left endpoint, then rotate."""
-    if dm is not None and diffusion is None:
-        raise ValueError("noise increment given without a diffusion map")
-    u_nodes, _, _, beta_modes = _drift(cache.grid, graph._resolvent_at(lam), lam, state.u)
-    jumps = dm is not None and bool(np.count_nonzero(dm))
-    u_new, v_new = _kick_rotate(cache, state.u, state.v, u_nodes, beta_modes, diffusion, dm, jumps)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        # a single step cannot know its index within a path
-        raise NumericError("non-finite state after step", step=None)
-    return WaveState(u_new, v_new)
 
 
 def _row_dots(a, b, batch_ndim=2):
@@ -279,9 +249,9 @@ def _energy_terms(mu, u, v, dot=np.vdot, out=None):
     return dot(np.multiply(mu, u, out=out), u), dot(v, v)
 
 
-def energy(grid: SpectralGrid, state: WaveState) -> float:
-    """|grad u|^2 + |v|^2 in L2: the quadratic part of the invariant."""
-    grad2, kin2 = _energy_terms(grid.mu, state.u, state.v)
+def energy(grid: SpectralGrid, u, v) -> float:
+    """|grad u|^2 + |v|^2 in L2 of the mode coefficients u, v: the quadratic part of the invariant."""
+    grad2, kin2 = _energy_terms(grid.mu, u, v)
     return float(grad2 + kin2)
 
 
@@ -297,9 +267,9 @@ def _cold_envelope_mass(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u)
     return _envelope_mass(grid.weight, graph, lam, res, (u_nodes - res) / lam)
 
 
-def lyapunov(grid: SpectralGrid, state: WaveState, graph: MonotoneGraph, lam: float) -> float:
+def lyapunov(grid: SpectralGrid, u, v, graph: MonotoneGraph, lam: float) -> float:
     """energy + 2 * integral of the Moreau envelope of u; deterministic invariant."""
-    return energy(grid, state) + 2.0 * _cold_envelope_mass(grid, graph, lam, state.u)
+    return energy(grid, u, v) + 2.0 * _cold_envelope_mass(grid, graph, lam, u)
 
 
 def simulate_path(

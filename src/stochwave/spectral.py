@@ -8,6 +8,8 @@ up to the quadrature weight, so round trips are exact to round-off.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -122,8 +124,8 @@ class SpectralGrid:
 
     def smoother(self, eps: float) -> np.ndarray:
         """Multiplier table of (I - eps*Laplacian)^{-1}: 1/(1 + eps*mu)."""
-        if eps < 0.0:
-            raise ValueError(f"smoothing parameter must be >= 0, got {eps}")
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"smoothing parameter must be finite and >= 0, got {eps}")
         return 1.0 / (1.0 + eps * self.mu)
 
     def nemytskii(self, coeffs: np.ndarray, f) -> np.ndarray:

@@ -282,9 +282,11 @@ def _pairing_job(base, lambdas, paths, eps_values):
     """{eps: int <resolvent(u_eps), beta_eps> dt} of every (path, lambda) of a block.
 
     u_eps and beta_eps are smoothed mode-wise; eps = 0 is the kernel's own
-    unsmoothed pairing.  eps is one more stack axis, so one cold resolvent
-    call per step serves every eps, lambda and path: the cold solver works
-    entry by entry, so each field keeps the bits it gets alone.
+    unsmoothed pairing.  eps is one more stack axis, so one resolvent call
+    per step serves every eps, lambda and path.  The resolver is built once
+    per block and called without a hint, so it is the closed form or the
+    cold solver: both work entry by entry, so each field keeps the bits it
+    gets alone.
     """
     grid = base.grid
     smoothed = tuple(dict.fromkeys(e for e in eps_values if e > 0.0))
@@ -294,9 +296,10 @@ def _pairing_job(base, lambdas, paths, eps_values):
         filt = np.array([grid.smoother(e) for e in smoothed])[:, None, None]  # (E, 1, 1, *grid.shape)
         lam = np.reshape(np.array(lambdas, dtype=float), (len(lambdas),) + (1,) * grid.dim)
         scale = base.dt * grid.weight
+        resolve = base.graph._resolvent_at(lam, 3)
 
         def observe(k, u, v, beta_modes, dm):
-            res = base.graph._resolvent_impl(lam, grid._nodes(filt * u))
+            res = resolve(grid._nodes(filt * u), None)
             sums[...] += scale * _row_dots(res, grid._nodes(filt * beta_modes), 3)
 
     result, blown = _run(base, paths, lambdas, observe, sums={"pairing"})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochwave import simulate_path
+from stochwave.solver import _drift, _kick_rotate
 
 
 def _record_path(config, path_index=0):
@@ -29,3 +30,15 @@ def _record_path(config, path_index=0):
 @pytest.fixture(scope="session")
 def record_path():
     return _record_path
+
+
+def _kernel_step(cache, u, v, graph, lam, diffusion, dm):
+    """(u, v) after one step of the kernel's own pieces, without a hint; dm None or all zero skips the noise."""
+    u_nodes, _, _, beta_modes = _drift(cache.grid, graph._resolvent_at(lam), lam, u, None, None)
+    jumps = dm is not None and bool(np.count_nonzero(dm))
+    return _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, None, None, None)
+
+
+@pytest.fixture(scope="session")
+def kernel_step():
+    return _kernel_step

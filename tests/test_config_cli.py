@@ -1,4 +1,6 @@
 import os
+import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +12,7 @@ from stochwave import ConfigError, CubicGraph, SignGraph
 from stochwave import cli
 from stochwave.cli import cli_main
 from stochwave.config import (
+    _SCHEMA,
     DEFAULTS,
     apply_overrides,
     build_solver_config,
@@ -347,3 +350,34 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+class TestConfigFuzz:
+    """Every key at the edges of its type: it builds, or its error names it, also through the CLI."""
+
+    EDGES = ("0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", str(2**63))
+
+    def test_every_key_builds_or_names_itself(self, tmp_path, capsys):
+        rng = random.Random(20)
+        cases = []
+        for key in _SCHEMA:
+            malformed = "".join(rng.choice("0123456789.,:+-eEnaix_") for _ in range(rng.randint(1, 8)))
+            cases += [(key, raw) for raw in (*self.EDGES, malformed)]
+        rng.shuffle(cases)
+        failing, unnamed = [], []
+        for key, raw in cases:
+            try:
+                build_study_spec(apply_overrides(DEFAULTS, [f"{key}={raw}"]))
+            except (ConfigError, ValueError) as exc:
+                failing.append((key, raw))
+                # a word boundary, so that noise.rate does not stand for noise.r
+                if not re.search(re.escape(key) + r"\b", str(exc)):
+                    unnamed.append((key, raw, str(exc)))
+        assert unnamed == []
+        assert failing
+        for key, raw in failing:
+            code = cli_main(["energy", "--outdir", str(tmp_path), "--set", f"{key}={raw}"])
+            err = capsys.readouterr().err
+            assert code == 2, (key, raw)
+            assert re.search(re.escape(key) + r"\b", err), (key, raw, err)
+        assert not (tmp_path / "energy.csv").exists()

@@ -102,11 +102,12 @@ class TestResolventExamples:
         x[::17] = 0.0  # exact zeros, where the p = 1.5 slope is infinite
         for graph in (CubicGraph(), PowerLawGraph(3.0), PowerLawGraph(1.5), PowerLawGraph(2.5)):
             cold = graph.resolvent(0.05, x)
-            warm = graph.resolvent_warm(0.05, x, cold + rng.uniform(-1e-3, 1e-3, 200))
+            resolve = graph._resolvent_at(0.05)
+            warm = resolve(x, cold + rng.uniform(-1e-3, 1e-3, 200))
             np.testing.assert_allclose(warm, cold, atol=1e-12)
             # garbage and all-zero warm starts fall back to the safeguarded solve
             for y0 in (np.full_like(x, 1e6), np.zeros_like(x)):
-                bad = graph.resolvent_warm(0.05, x, y0)
+                bad = resolve(x, y0)
                 np.testing.assert_allclose(bad, cold, atol=1e-12)
 
 
@@ -136,7 +137,7 @@ class TestClosedFormResolvents:
             assert np.all(np.abs(y + lam * graph._beta(y) - x) <= tol)
             assert np.array_equal(graph.resolvent(lam, -x), -y)
             assert np.all(y[x == 0.0] == 0.0)
-            assert np.array_equal(graph.resolvent_warm(lam, x, np.full_like(x, 1e6)), y)
+            assert np.array_equal(graph._resolvent_at(lam)(x, np.full_like(x, 1e6)), y)
 
     @staticmethod
     def textbook(p, lam, x):
@@ -170,7 +171,6 @@ class TestClosedFormResolvents:
         assert (x == 0.0).any() and np.signbit(x[x == 0.0]).any()
         for lam in (column, np.broadcast_to(column, x.shape).copy()):
             assert graph._resolvent_at(lam, 2)(x, x).tobytes() == expected
-            assert graph.resolvent_warm(lam, x, x, 2).tobytes() == expected
             assert graph._resolvent_impl(lam, x).tobytes() == expected
         for j, lam in enumerate(self.LAMS):
             row = x[0, j]
@@ -205,7 +205,7 @@ class TestClosedFormResolvents:
             for lam in self.LAMS:
                 for method in ("resolvent", "yosida", "moreau"):
                     assert same(getattr(named, method)(lam, x), getattr(power, method)(lam, x))
-                assert same(named.resolvent_warm(lam, x, hint), power.resolvent_warm(lam, x, hint))
+                assert same(named._resolvent_at(lam)(x, hint), power._resolvent_at(lam)(x, hint))
 
 
 class TestYosidaExamples:

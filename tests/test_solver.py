@@ -18,7 +18,6 @@ from stochwave import (
     SignGraph,
     SolverConfig,
     SpectralGrid,
-    WaveState,
     build_initial_state,
     chain_rule_check,
     duhamel_residual,
@@ -27,7 +26,6 @@ from stochwave import (
     lyapunov,
     parse_graph,
     simulate_path,
-    step,
 )
 from stochwave.noise import path_rng
 from stochwave.solver import MAX_STEP_ENTRIES, _increments, _run
@@ -77,93 +75,102 @@ class TestGroupCache:
             GroupCache(grid64, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["GroupCache", "increment_sampler", "resolvent", "yosida", "moreau", "smoother"])
+def test_non_finite_arguments_are_rejected(grid64, entry, value):
+    wiener = MartingaleDriver("wiener", NuclearCovariance.from_grid(grid64, 1.0, 2.0))
+    calls = {
+        "GroupCache": lambda: GroupCache(grid64, value),
+        "increment_sampler": lambda: wiener.increment_sampler(value),
+        "resolvent": lambda: CubicGraph().resolvent(value, 1.0),
+        "yosida": lambda: CubicGraph().yosida(value, 1.0),
+        "moreau": lambda: CubicGraph().moreau(value, 1.0),
+        "smoother": lambda: grid64.smoother(value),
+    }
+    with pytest.raises(ValueError, match="finite"):
+        calls[entry]()
+
+
+def mode_one_path(grid, graph, dt, n_steps):
+    """(u_final, v_final) of a noise-free path from u0 = smooth:1, which is mode 1 in 1-D, at lam = 1."""
+    config = SolverConfig(
+        grid=grid, graph=graph, lam=1.0, dt=dt, t_final=n_steps * dt, driver=None, u0="smooth:1",
+        record=frozenset(),
+    )
+    result = simulate_path(config, 0)
+    return result.u_final, result.v_final
+
+
 class TestStep:
+    def test_smooth_one_is_mode_one(self, grid64):
+        u, v = build_initial_state(grid64, "smooth:1")
+        np.testing.assert_array_equal(u, grid64.basis_field(1))
+        np.testing.assert_array_equal(v, grid64.zero_field())
+
     def test_quarter_period_rotation(self, grid64):
         # no drift, no noise, mode 1: (1, 0) -> (0, -1) after dt = pi/2
-        cache = GroupCache(grid64, np.pi / 2.0)
-        state = WaveState(grid64.basis_field(1), grid64.zero_field())
-        out = step(cache, state, LinearGraph(0.0), 1.0)
-        assert out.u[0] == pytest.approx(0.0, abs=1e-12)
-        assert out.v[0] == pytest.approx(-1.0, abs=1e-12)
+        u, v = mode_one_path(grid64, LinearGraph(0.0), np.pi / 2.0, 1)
+        assert u[0] == pytest.approx(0.0, abs=1e-12)
+        assert v[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_full_period_returns(self, grid64):
-        cache = GroupCache(grid64, 2.0 * np.pi / 64.0)
-        state = WaveState(grid64.basis_field(1), grid64.zero_field())
-        for _ in range(64):
-            state = step(cache, state, LinearGraph(0.0), 1.0)
-        assert state.u[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(state.v)) < 1e-12
+        u, v = mode_one_path(grid64, LinearGraph(0.0), 2.0 * np.pi / 64.0, 64)
+        assert u[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(v)) < 1e-12
 
     def test_linear_drift_one_step_frozen_oracle(self, grid64):
         # frozen from an independent scalar script: Linear(1), lam=1 gives
         # yosida(u) = u/2; one step from (1, 0) with dt=0.1 on mode 1
-        cache = GroupCache(grid64, 0.1)
-        state = WaveState(grid64.basis_field(1), grid64.zero_field())
-        out = step(cache, state, LinearGraph(1.0), 1.0)
-        assert out.u[0] == pytest.approx(0.9900124944456844, abs=1e-12)
-        assert out.v[0] == pytest.approx(-0.14958362491072946, abs=1e-12)
+        u, v = mode_one_path(grid64, LinearGraph(1.0), 0.1, 1)
+        assert u[0] == pytest.approx(0.9900124944456844, abs=1e-12)
+        assert v[0] == pytest.approx(-0.14958362491072946, abs=1e-12)
         assert scalar_two_stage(1.0, 0.0, 0.1, 1.0, 0.5) == pytest.approx(
             (0.9900124944456844, -0.14958362491072946), abs=1e-15
         )
-        assert np.max(np.abs(out.u[1:])) < 1e-15  # transform round-off only
-
-    def test_noise_needs_diffusion_map(self, grid64):
-        cache = GroupCache(grid64, 0.1)
-        state = WaveState(grid64.basis_field(1), grid64.zero_field())
-        with pytest.raises(ValueError):
-            step(cache, state, LinearGraph(0.0), 1.0, dm=grid64.zero_field())
-
-    def test_non_finite_state_has_no_step_index(self, grid64):
-        cache = GroupCache(grid64, 0.1)
-        u = grid64.basis_field(1)
-        u[0] = np.inf
-        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
-            step(cache, WaveState(u, grid64.zero_field()), LinearGraph(0.0), 1.0)
-        assert err.value.step is None
+        assert np.max(np.abs(u[1:])) < 1e-15  # transform round-off only
 
     @pytest.mark.parametrize("sigma", ["sin", "clip", "one"])
-    def test_zero_increment_equals_no_increment(self, stochastic_config, sigma):
+    def test_zero_increment_equals_no_increment(self, stochastic_config, sigma, kernel_step):
         grid = stochastic_config.grid
         cache = GroupCache(grid, 1e-3)
-        state = WaveState(*build_initial_state(grid, "smooth:8"))
+        u, v = build_initial_state(grid, "smooth:8")
         diffusion = DiffusionMap.from_name(sigma)
-        skipped = step(cache, state, CubicGraph(), 1e-2, diffusion, grid.zero_field())
-        plain = step(cache, state, CubicGraph(), 1e-2)
-        np.testing.assert_array_equal(skipped.u, plain.u)
-        np.testing.assert_array_equal(skipped.v, plain.v)
+        skipped = kernel_step(cache, u, v, CubicGraph(), 1e-2, diffusion, grid.zero_field())
+        plain = kernel_step(cache, u, v, CubicGraph(), 1e-2, None, None)
+        np.testing.assert_array_equal(skipped[0], plain[0])
+        np.testing.assert_array_equal(skipped[1], plain[1])
 
     @pytest.mark.parametrize("graph", [JumpGraph(2.0), SignGraph(), LinearGraph(1.0)])
-    def test_step_replays_simulate_path(self, stochastic_config, graph, record_path):
-        # both entry points share one kernel: feeding step() the recorded
+    def test_step_replays_simulate_path(self, stochastic_config, graph, record_path, kernel_step):
+        # both share the kernel's step pieces: feeding them the recorded
         # increments must reproduce the path bit for bit
         config = replace(stochastic_config, graph=graph, t_final=0.2, record=frozenset())
         result = record_path(config, 3)
         grid = config.grid
         cache = GroupCache(grid, config.dt)
-        state = WaveState(*build_initial_state(grid, config.u0))
+        u, v = build_initial_state(grid, config.u0)
         for dm in result.increments:
-            state = step(cache, state, graph, config.lam, config.diffusion, dm)
-        np.testing.assert_array_equal(state.u, result.u_final)
-        np.testing.assert_array_equal(state.v, result.v_final)
+            u, v = kernel_step(cache, u, v, graph, config.lam, config.diffusion, dm)
+        np.testing.assert_array_equal(u, result.u_final)
+        np.testing.assert_array_equal(v, result.v_final)
 
 
 class TestEnergyFunctionals:
     def test_single_mode_energy(self, grid64):
-        state = WaveState(grid64.basis_field(1), grid64.zero_field())
-        assert energy(grid64, state) == pytest.approx(1.0)
+        assert energy(grid64, grid64.basis_field(1), grid64.zero_field()) == pytest.approx(1.0)
 
     def test_zero_state(self, grid64):
-        state = WaveState(grid64.zero_field(), grid64.zero_field())
-        assert energy(grid64, state) == 0.0
-        assert lyapunov(grid64, state, CubicGraph(), 0.1) == 0.0
+        zero = grid64.zero_field()
+        assert energy(grid64, zero, zero) == 0.0
+        assert lyapunov(grid64, zero, zero, CubicGraph(), 0.1) == 0.0
 
     def test_lyapunov_adds_twice_envelope_mass(self, grid64):
-        state = WaveState(grid64.basis_field(1), grid64.zero_field())
+        u, v = grid64.basis_field(1), grid64.zero_field()
         graph = LinearGraph(1.0)
         lam = 0.5
-        u_nodes = grid64.to_nodes(state.u)
+        u_nodes = grid64.to_nodes(u)
         expected = 1.0 + 2.0 * grid64.weight * np.sum(graph.moreau(lam, u_nodes))
-        assert lyapunov(grid64, state, graph, lam) == pytest.approx(expected, rel=1e-12)
+        assert lyapunov(grid64, u, v, graph, lam) == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
     def _lyapunov_and_series(grid, spec, seed, record_path):
@@ -174,7 +181,7 @@ class TestEnergyFunctionals:
             record=frozenset({"functionals"}),
         )
         r = record_path(config, 0)
-        values = [lyapunov(grid, WaveState(u, v), config.graph, config.lam) for u, v in zip(r.u, r.v)]
+        values = [lyapunov(grid, u, v, config.graph, config.lam) for u, v in zip(r.u, r.v)]
         return np.array(values), r.series[:, 1]
 
     @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "jump:2", "linear:1"])
@@ -325,7 +332,7 @@ class TestSimulatePath:
         assert np.array_equal(a.increments, b.increments)
         assert not np.allclose(a.u_final, b.u_final)
 
-    def test_observer_sees_each_step_before_its_kick(self, stochastic_config):
+    def test_observer_sees_each_step_before_its_kick(self, stochastic_config, kernel_step):
         # kicking each observed state with its drift and increment gives the next one
         config = replace(stochastic_config, t_final=0.1)
         grid, graph, lam = config.grid, config.graph, config.lam
@@ -338,9 +345,9 @@ class TestSimulatePath:
         for (u, v, beta, dm), (u_next, v_next) in zip(seen, following):
             u_nodes = grid.to_nodes(u)
             np.testing.assert_array_equal(beta, grid.to_modes((u_nodes - graph.resolvent(lam, u_nodes)) / lam))
-            kicked = step(cache, WaveState(u, v), graph, lam, config.diffusion, dm)
-            np.testing.assert_array_equal(kicked.u, u_next)
-            np.testing.assert_array_equal(kicked.v, v_next)
+            kicked = kernel_step(cache, u, v, graph, lam, config.diffusion, dm)
+            np.testing.assert_array_equal(kicked[0], u_next)
+            np.testing.assert_array_equal(kicked[1], v_next)
         plain = simulate_path(config, 3)
         np.testing.assert_array_equal(plain.u_final, result.u_final)
         assert plain.pairing == result.pairing
@@ -371,7 +378,7 @@ class TestSimulatePath:
         )
         result = simulate_path(config, 0)
         u0, v0 = build_initial_state(grid64, "smooth:8")
-        assert result.sup_energy >= energy(grid64, WaveState(u0, v0)) - 1e-14
+        assert result.sup_energy >= energy(grid64, u0, v0) - 1e-14
 
     def test_pairing_positive_for_monotone_graphs(self, stochastic_config, record_path):
         for graph in (SignGraph(), JumpGraph(2.0)):
@@ -486,13 +493,13 @@ def always_kicked_path(config, increments):
     grid, graph, lam, dt = config.grid, config.graph, config.lam, config.dt
     cache = GroupCache(grid, dt)
     u, v = build_initial_state(grid, config.u0)
-    sup_energy, warm = -np.inf, None
+    resolve, sup_energy, warm = graph._resolvent_at(lam), -np.inf, None
     for dm in (*increments, None):
         sup_energy = max(sup_energy, float(np.vdot(grid.mu * u, u) + np.vdot(v, v)))
         if dm is None:
             break
         u_nodes = grid.to_nodes(u)
-        warm = graph.resolvent_warm(lam, u_nodes, warm)
+        warm = resolve(u_nodes, warm)
         beta_modes = grid.to_modes((u_nodes - warm) / lam)
         w = v - dt * beta_modes + config.diffusion.apply(grid, u_nodes, dm)
         u, v = cache.rotate(u, w)
@@ -577,7 +584,7 @@ class TestDotReductions:
             record=frozenset({"functionals"}),
         )
         result = record_path(config, 0)
-        energies = [energy(grid64, WaveState(u, v)) for u, v in zip(result.u, result.v)]
+        energies = [energy(grid64, u, v) for u, v in zip(result.u, result.v)]
         assert energies == result.series[:, 0].tolist()
         assert result.sup_energy == max(energies)
         assert [grid64.norm(u) for u in result.u] == result.series[:, 2].tolist()
