@@ -82,6 +82,7 @@ def _convert(key, raw):
 def parse_config_text(text: str) -> dict:
     """Parse config text into a flat dict over defaults; unknown keys error."""
     values = dict(DEFAULTS)
+    set_on = {}  # key -> the line that set it
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -103,6 +104,9 @@ def parse_config_text(text: str) -> dict:
             full = f"{section}.{key}"
             if full not in _SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown config key '{full}'")
+            if full in set_on:
+                raise ConfigError(f"line {lineno}: config key '{full}' is set again (first on line {set_on[full]})")
+            set_on[full] = lineno
             values[full] = _convert(full, raw)
     return values
 
@@ -128,12 +132,12 @@ def apply_overrides(values: dict, overrides) -> dict:
 
 
 def _parse_float_grid(key, raw):
-    try:
-        grid = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
+    if not str(raw).strip():
+        raise ConfigError(f"config key '{key}' is empty")
+    try:  # an empty entry, as in '1e-1,,1e-2', is no float
+        grid = tuple(float(tok) for tok in str(raw).split(","))
     except ValueError:
         raise ConfigError(f"config key '{key}' expects comma-separated floats, got {raw!r}") from None
-    if not grid:
-        raise ConfigError(f"config key '{key}' is empty")
     if not all(map(math.isfinite, grid)):
         raise ConfigError(f"config key '{key}' expects finite floats, got {raw!r}")
     return grid
@@ -150,7 +154,8 @@ def build_solver_config(values: dict) -> SolverConfig:
             cov = NuclearCovariance.from_grid(grid, values["noise.q0"], values["noise.r"])
             driver = MartingaleDriver(kind=kind, covariance=cov, rate=values["noise.rate"])
         diffusion = DiffusionMap.from_name(values["noise.sigma"])
-        record = frozenset(tok.strip() for tok in values["solver.record"].split(",") if tok.strip())
+        raw = values["solver.record"]  # empty records nothing; an empty entry is no name
+        record = frozenset(tok.strip() for tok in raw.split(",")) if raw.strip() else frozenset()
         return SolverConfig(
             grid=grid,
             graph=graph,

@@ -333,15 +333,15 @@ class JumpGraph(MonotoneGraph):
 
 def parse_graph(spec: str) -> MonotoneGraph:
     """Build a graph from a config token: cubic | linear:c | power:p | sign | jump:a."""
-    head, _, arg = spec.strip().partition(":")
+    head, sep, arg = spec.strip().partition(":")
     head = head.lower()
-    if head == "cubic":
+    if head == "cubic" and not sep:
         return CubicGraph()
-    if head == "sign":
+    if head == "sign" and not sep:
         return SignGraph()
     try:
         if head == "linear":
-            return LinearGraph(float(arg) if arg else 1.0)
+            return LinearGraph(float(arg) if sep else 1.0)
         if head == "power":
             return PowerLawGraph(float(arg))
         if head == "jump":

@@ -159,12 +159,12 @@ class PathResult:
 
 def _parse_initial_spec(grid: SpectralGrid, spec: str):
     """(kind, band) of an initial data spec token; band is None for zero."""
-    head, _, arg = spec.strip().partition(":")
-    if head == "zero":
+    head, sep, arg = spec.strip().partition(":")
+    if head == "zero" and not sep:
         return head, None
     if head not in ("smooth", "random"):
         raise ValueError(f"unknown initial data spec {spec!r}")
-    k_max = int(arg) if arg else 8
+    k_max = int(arg) if sep else 8
     if not 1 <= k_max <= grid.n_modes:
         raise ValueError(f"initial data band {k_max} outside 1..{grid.n_modes}")
     return head, k_max
@@ -302,8 +302,8 @@ def _increments(draw, rngs, n: int, size: int, single: bool, nodes=None):
     ``nodes`` (the grid's ``_nodes``), the block's jumping (step, path) rows
     are transformed in one call, and dm_nodes is the step's share of them,
     shaped like dm[jumps] (like dm where every path jumps); else it is None.
-    The transform is one matrix-vector product per row either way, so the
-    bits are those of a per-step transform.
+    Each row of the transform has the bits of a per-step transform (see
+    ``SpectralGrid._transform``).
     """
     per_block = max(1, _DRAW_ENTRIES // (len(rngs) * size))
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
@@ -332,10 +332,12 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     result's fields are indexed [path, lambda], and a (path, lambda) row that
     trips the guard leaves with its step index in the (P, L) step array (-1
     for the rows that finished); its state is zeroed, so that the others go
-    on without a warning.  Every row runs the BLAS calls and the operation
-    order of its single path, so it holds that path's bits whatever its
-    batch-mates.  Each path draws once per step from its own stream (see
-    ``_increments``), and its lambdas share the draw.  The functional series
+    on without a warning.  Every row runs the operation order of its single
+    path, and its transforms and dots give each field the bits it gets
+    alone (see ``SpectralGrid._transform`` and ``_row_dots``), so it holds
+    that path's bits whatever its batch-mates.  Each path draws once per
+    step from its own stream (see ``_increments``), and its lambdas share
+    the draw.  The functional series
     (``record`` with 'functionals') is for a single path only.
 
     Work that is the same at every step is done once per call: the group

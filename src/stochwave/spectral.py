@@ -53,6 +53,7 @@ class SpectralGrid:
         sine = np.sin(np.outer(k, k) * np.pi / (n_modes + 1.0))
         self._synthesis = np.sqrt(2.0 / np.pi) * sine
         self._analysis = self.h * self._synthesis
+        self._pad = np.zeros((2, n_modes))  # a lone 1-D field's row 0, never handed out
 
         if dim == 1:
             self.mu = k**2
@@ -103,15 +104,22 @@ class SpectralGrid:
         return self._transform(self._analysis, nodal)
 
     def _transform(self, matrix, x):
-        # Each field of a stack gets the BLAS call it gets alone, so the same
-        # bits: a matrix-vector product per field in 1-D (one matrix-matrix
-        # product over the stack would round differently), and two N x N
-        # products per field in 2-D.
+        # Each field of a stack gets the bits it gets alone.  In 2-D that is
+        # two N x N products per field.  In 1-D the whole stack is one gemm,
+        # np.dot(rows, matrix) with the symmetric matrix untransposed (the
+        # gemm call of rows @ matrix, at less overhead): each row of it has
+        # the same bits at any row count, while rows @ matrix.T does not
+        # above about 1 200 entries (OpenBLAS 0.3.31).  A lone field is
+        # padded to 2 rows, since numpy hands a 1-row product to gemv.
         if self.dim == 2:
             return matrix @ x @ matrix
         if x.ndim == 1:
-            return matrix @ x
-        return np.matmul(matrix, x[..., None])[..., 0]
+            self._pad[0] = x
+            return np.dot(self._pad, matrix)[0]
+        rows = x.reshape(-1, self.n_modes)
+        if len(rows) == 1:
+            return self._transform(matrix, rows[0]).reshape(x.shape)
+        return np.dot(rows, matrix).reshape(x.shape)
 
     def apply_spectral(self, coeffs: np.ndarray, phi) -> np.ndarray:
         """Multiply mode k by phi(mu_k); realizes any function of -Laplacian."""

@@ -227,9 +227,9 @@ def _mean_se(values):
 
 
 # Most paths per study job, all stepped together by one block-kernel call.
-# A block gets min(_BLOCK_PATHS, ceil(n_paths / workers)) paths, so that
-# every worker process gets a block; a row's bits do not depend on its
-# block-mates.
+# A block gets min(_BLOCK_PATHS, ceil(n_paths / processes)) paths, so that
+# every process the fork map starts, min(workers, os.cpu_count()), gets a
+# block; a row's bits do not depend on its block-mates.
 _BLOCK_PATHS = 8
 
 
@@ -247,7 +247,7 @@ def _energy_job(base, lambdas, paths):
 def _sweep(spec: StudySpec, job):
     """Map ``job(base, lambdas, paths)`` over blocks of paths on the worker processes; blow-ups are not fatal.
 
-    A job gets min(_BLOCK_PATHS, ceil(n_paths / workers)) consecutive path
+    A job gets min(_BLOCK_PATHS, ceil(n_paths / processes)) consecutive path
     indices (fewer in the last block), steps them at every lambda in one
     ``_run`` call, and returns, per path, its values per lambda with None
     for a blow-up, plus the (paths, lambdas) array of blow-up steps.
@@ -257,9 +257,10 @@ def _sweep(spec: StudySpec, job):
     Studies reduce paths while they step, so nothing is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / spec.workers))
+    procs = min(spec.workers, os.cpu_count() or 1)
+    size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
     blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
-    per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, spec.workers)
+    per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, procs)
     per_path = [values for block, _ in per_block for values in block]
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
     blown = np.concatenate([steps for _, steps in per_block]).T

@@ -112,7 +112,7 @@ class TestBuilders:
         bad["noise.r"] = 0.5  # trace diverges
         with pytest.raises(ConfigError):
             build_solver_config(bad)
-        for u0 in ("bogus", "smooth:abc", "smooth:100", "random:0"):
+        for u0 in ("bogus", "smooth:abc", "smooth:100", "random:0", "smooth:", "random:", "zero:", "zero:3"):
             bad = parse_config_text(BASE_TEXT)
             bad["solver.u0"] = u0
             with pytest.raises(ConfigError, match="solver.u0"):
@@ -126,7 +126,14 @@ class TestBuilders:
         values["study.lambda_grid"] = "abc"
         with pytest.raises(ConfigError):
             build_study_spec(values)
-        for key, raw in (("study.lambda_grid", "1e-1,nan"), ("study.eps_grid", "inf,0")):
+        for key, raw in (
+            ("study.lambda_grid", "1e-1,nan"),
+            ("study.eps_grid", "inf,0"),
+            ("study.lambda_grid", "1e-1,,1e-2"),
+            ("study.lambda_grid", ",1e-1"),
+            ("study.eps_grid", "1e-2, ,0"),
+            ("study.eps_grid", ""),
+        ):
             values = parse_config_text(BASE_TEXT)
             values[key] = raw
             with pytest.raises(ConfigError, match=key):
@@ -356,6 +363,18 @@ class TestConfigFuzz:
     """Every key at the edges of its type: it builds, or its error names it, also through the CLI."""
 
     EDGES = ("0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", str(2**63))
+    # values that once built: an empty list entry, and a token with an empty argument
+    ESCAPES = (
+        ("study.lambda_grid", "1e-1,,1e-2"),
+        ("study.eps_grid", "1e-2,"),
+        ("solver.record", "functionals,,"),
+        ("solver.u0", "smooth:"),
+        ("solver.u0", "random:"),
+        ("solver.u0", "zero:"),
+        ("graph.kind", "power:"),
+        ("graph.kind", "linear:"),
+        ("graph.kind", "cubic:"),
+    )
 
     def test_every_key_builds_or_names_itself(self, tmp_path, capsys):
         rng = random.Random(20)
@@ -364,20 +383,44 @@ class TestConfigFuzz:
             malformed = "".join(rng.choice("0123456789.,:+-eEnaix_") for _ in range(rng.randint(1, 8)))
             cases += [(key, raw) for raw in (*self.EDGES, malformed)]
         rng.shuffle(cases)
+        cases += self.ESCAPES
         failing, unnamed = [], []
         for key, raw in cases:
-            try:
-                build_study_spec(apply_overrides(DEFAULTS, [f"{key}={raw}"]))
-            except (ConfigError, ValueError) as exc:
+            section, name = key.split(".")
+            errors = []
+            # the same value as a --set override and as a line of a config file
+            for parse in (
+                lambda: apply_overrides(DEFAULTS, [f"{key}={raw}"]),
+                lambda: parse_config_text(f"[{section}] {name}={raw}"),
+            ):
+                try:
+                    build_study_spec(parse())
+                except (ConfigError, ValueError) as exc:
+                    errors.append(str(exc))
+            assert len(errors) in (0, 2), (key, raw, errors)
+            if errors:
                 failing.append((key, raw))
-                # a word boundary, so that noise.rate does not stand for noise.r
-                if not re.search(re.escape(key) + r"\b", str(exc)):
-                    unnamed.append((key, raw, str(exc)))
+            # a word boundary, so that noise.rate does not stand for noise.r
+            unnamed += [(key, raw, err) for err in errors if not re.search(re.escape(key) + r"\b", err)]
         assert unnamed == []
-        assert failing
+        assert set(self.ESCAPES) <= set(failing)
         for key, raw in failing:
             code = cli_main(["energy", "--outdir", str(tmp_path), "--set", f"{key}={raw}"])
             err = capsys.readouterr().err
             assert code == 2, (key, raw)
             assert re.search(re.escape(key) + r"\b", err), (key, raw, err)
+        assert not (tmp_path / "energy.csv").exists()
+
+    def test_a_repeated_key_is_named(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        for key in _SCHEMA:
+            section, name = key.split(".")
+            token = f"{name}={DEFAULTS[key]}"
+            # twice on one line, and once more under a second [section] token
+            for text in (f"[{section}] {token} {token}", f"[{section}] {token}\n[{section}] {token}"):
+                with pytest.raises(ConfigError, match=re.escape(key) + r"\b"):
+                    parse_config_text(text)
+                config.write_text(text)
+                assert cli_main(["energy", "--config", str(config), "--outdir", str(tmp_path)]) == 2
+                assert re.search(re.escape(key) + r"\b", capsys.readouterr().err), key
         assert not (tmp_path / "energy.csv").exists()

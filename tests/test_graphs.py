@@ -328,6 +328,10 @@ class TestParseGraph:
             "power:inf",
             "linear:nan",
             "jump:nan",
+            "power:",
+            "linear:",
+            "cubic:",
+            "sign:1",
         ):
             with pytest.raises(ValueError):
                 parse_graph(bad)

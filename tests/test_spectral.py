@@ -68,14 +68,39 @@ class TestStackedArithmetic:
     """The BLAS facts the block kernel rests on: a stack of fields gets each field's own bits."""
 
     @pytest.mark.parametrize("n", [8, 64])
-    @pytest.mark.parametrize("rows", [1, 3, 32])
-    def test_stacked_matvec_is_the_per_field_matvec(self, n, rows):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 19, 32, 64, 1000])
+    @pytest.mark.parametrize("offset", [0, 1, 5])
+    def test_stacked_gemm_rows_are_the_per_field_transform(self, n, rows, offset):
+        # each row of rows @ matrix has the bits of a lone field padded to 2 rows;
+        # rows @ matrix.T would not from 19 rows at N = 64
         grid = SpectralGrid(1, n)
-        x = np.random.default_rng(rows).standard_normal((rows, n))
+        x = np.random.default_rng(rows).standard_normal((offset + rows, n))[offset:]
+        pad = np.zeros((2, n))
         cases = ((grid._nodes(x), grid.to_nodes, grid._synthesis), (grid._modes(x), grid.to_modes, grid._analysis))
         for stacked, single, matrix in cases:
+            assert stacked.shape == x.shape
             for row, field in zip(stacked, x):
-                assert row.tobytes() == single(field).tobytes() == (matrix @ field).tobytes()
+                pad[0] = field
+                assert row.tobytes() == single(field).tobytes() == (pad @ matrix)[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 255])
+    def test_sine_matrices_are_bitwise_symmetric(self, n):
+        # so rows @ matrix is the transform matrix @ field of every row
+        grid = SpectralGrid(1, n)
+        for matrix in (grid._synthesis, grid._analysis):
+            assert matrix.tobytes() == matrix.T.copy().tobytes()
+
+    def test_a_lone_field_gets_a_new_array_that_later_calls_leave_alone(self):
+        grid = SpectralGrid(1, 8)
+        f, g = np.random.default_rng(9).standard_normal((2, 8))
+        first = grid.to_nodes(f)
+        kept = first.copy()
+        for later in (grid.to_nodes(g), grid.to_modes(g), grid._nodes(g[None, None])):
+            assert not np.shares_memory(first, later)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, grid._pad)
+        one_row = grid._nodes(f[None, None])
+        assert one_row.shape == (1, 1, 8) and one_row[0, 0].tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("rows", [1, 3, 32])

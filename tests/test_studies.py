@@ -225,16 +225,24 @@ class TestLambdaSweep:
 
     def test_processes_are_capped_at_the_cpu_count(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=4)
-        # the blocks keep the size the worker count gives them, so the rows keep their bytes
+        # 17 paths on 64 workers but 4 CPUs make blocks of min(_BLOCK_PATHS, ceil(17 / 4)) paths, one per process
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert shares == [[range(p, p + 1) for p in range(a, b)] for a, b in ((4, 8), (8, 12), (12, 17))]
+        assert shares == [[range(5, 10)], [range(10, 15)], [range(15, 17)]]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
         shares.clear()
         # 100 000 workers on 100 000 one-path blocks start 3 children, not 99 999
         blocks = [range(p, p + 1) for p in range(100_000)]
         assert studies._map_ordered(lambda block: block.start, blocks, 100_000) == list(range(100_000))
         assert [len(share) for share in shares] == [25_000] * 3
+
+    def test_workers_above_the_cpu_count_do_not_shrink_blocks(self, small_stochastic_spec, monkeypatch):
+        shares = serial_children(monkeypatch, cpus=2)
+        # 8 workers on 2 CPUs: blocks of _BLOCK_PATHS paths, as with 2 workers, not 17 / 8 -> 3
+        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
+        pooled = energy_study(replace(spec, workers=8))
+        assert shares == [[range(8, 16), range(16, 17)]]
+        assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind, record_path):
