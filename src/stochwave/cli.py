@@ -56,19 +56,16 @@ def _build_parser():
 
 
 def _gather_values(args):
-    values = load_config(args.config)
-    values = apply_overrides(values, args.overrides)
     direct = {
         "study.seed": args.seed,
         "study.workers": args.workers,
         "study.n_paths": args.n_paths,
-        "study.lambda_grid": getattr(args, "lambda_grid", None),
-        "study.eps_grid": getattr(args, "eps_grid", None),
+        "study.lambda_grid": args.lambda_grid,
+        "study.eps_grid": args.eps_grid,
     }
-    for key, value in direct.items():
-        if value is not None:
-            values[key] = value
-    return values
+    # a direct flag is one more --set, so a key given by both is rejected
+    flags = [f"{key}={value}" for key, value in direct.items() if value is not None]
+    return apply_overrides(load_config(args.config), (args.overrides or []) + flags)
 
 
 def _plot_report(report, outdir):

@@ -119,14 +119,18 @@ def load_config(path=None) -> dict:
 
 
 def apply_overrides(values: dict, overrides) -> dict:
-    """Apply CLI 'section.key=value' overrides on top of parsed values."""
+    """Apply CLI 'section.key=value' overrides on top of parsed values; each key at most once."""
     out = dict(values)
+    given = set()
     for item in overrides or ():
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key '{key}'")
+        if key in given:
+            raise ConfigError(f"config key '{key}' is given twice on the command line")
+        given.add(key)
         out[key] = _convert(key, raw)
     return out
 

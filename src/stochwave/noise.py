@@ -176,15 +176,6 @@ class DiffusionMap:
             return np.zeros(np.broadcast_shapes(u_nodes.shape, dm_coeffs.shape))
         return grid._modes(self.func(u_nodes) * (grid._nodes(dm_coeffs) if dm_nodes is None else dm_nodes))
 
-    def hs_norm(self, grid: SpectralGrid, u_nodes: np.ndarray, cov: NuclearCovariance) -> float:
-        """Hilbert-Schmidt norm of h -> sigma(u)*h against Q^(1/2).
-
-        (sum_k q_k |sigma(u) e_k|_{L2}^2)^(1/2), all L2 products by quadrature.
-        """
-        s2 = np.asarray(self.func(u_nodes), dtype=float) ** 2
-        g = grid.mode_square_sum(cov.q)
-        return float(np.sqrt(grid.weight * np.sum(s2 * g)))
-
 
 # Most entries one block draw holds (512 KiB of float64); a longer path is
 # drawn in several blocks from the same stream, which gives the same numbers.

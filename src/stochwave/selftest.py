@@ -1,8 +1,10 @@
-"""Built-in invariant battery behind the `selftest` CLI subcommand.
+"""The invariants behind the `selftest` CLI subcommand and the acceptance suite.
 
-A compact, deterministic sweep over the module invariants: convex-analysis
-properties of the graphs, spectral identities, driver statistics, and the
-solver's structural identities.  Prints one line per check.
+Each invariant has one function, here or beside the code it checks
+(``duhamel_residual``, ``ibp_residual``, ``ito_isometry_check``), that
+returns the number its criterion bounds; the caller applies the bound.
+``run_selftest`` calls each at a small size and prints one line per check;
+the acceptance tests call the same functions at their own sizes.
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ import numpy as np
 from .graphs import CubicGraph, JumpGraph, LinearGraph, PowerLawGraph, SignGraph
 from .noise import DiffusionMap, MartingaleDriver, NuclearCovariance, ito_isometry_check, path_rng
 from .solver import (
+    GroupCache,
     SolverConfig,
     chain_rule_check,
     duhamel_residual,
-    energy,
     ibp_residual,
     simulate_path,
 )
 from .spectral import SpectralGrid
 
-SELFTEST_GRAPHS = (
+__all__ = ["run_selftest", "GRAPHS", "convex_analysis_holds", "free_wave_energy_drift", "chain_rule_order"]
+
+GRAPHS = (
     LinearGraph(1.0),
     PowerLawGraph(3.0),
     CubicGraph(),
@@ -33,27 +37,44 @@ SELFTEST_GRAPHS = (
 )
 
 
-def _graph_invariants(graph, n=10_000, seed=7):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-10.0, 10.0, n)
-    y = rng.uniform(-10.0, 10.0, n)
-    lam = 10.0 ** rng.uniform(-3, 1, n)
-    jx, jy = np.empty(n), np.empty(n)
-    bx, by = np.empty(n), np.empty(n)
-    for i in range(n):  # scalar API on purpose; vectorized paths are tested elsewhere
-        jx[i] = graph.resolvent(lam[i], x[i])
-        jy[i] = graph.resolvent(lam[i], y[i])
-        bx[i] = graph.yosida(lam[i], x[i])
-        by[i] = graph.yosida(lam[i], y[i])
-    checks = []
-    checks.append(np.all(np.abs(jx - jy) <= np.abs(x - y) + 1e-12))
-    checks.append(np.all(np.abs(bx - by) <= (2.0 / lam) * np.abs(x - y) + 1e-12))
-    checks.append(np.all(np.where(x <= y, bx <= by + 1e-10, by <= bx + 1e-10)))
+def convex_analysis_holds(graph, lam, x, y) -> bool:
+    """Whether the resolvent, Yosida map and Moreau envelope at lam pass on the pairs (x, y).
+
+    The resolvent is a contraction, the Yosida map is 2/lam-Lipschitz,
+    monotone and in the graph's section at the resolvent, and the envelope
+    lies between 0 and the potential.
+    """
+    jx = graph.resolvent(lam, x)
+    jy = graph.resolvent(lam, y)
+    bx = (x - jx) / lam
+    by = (y - jy) / lam
+    swap = x > y
     lo, hi = graph.section(jx)
-    checks.append(np.all((bx >= lo - 1e-10) & (bx <= hi + 1e-10)))
-    m = np.array([graph.moreau(lam[i], x[i]) for i in range(n)])
-    checks.append(np.all(m >= -1e-14) and np.all(m <= graph.potential(x) + 1e-10))
-    return all(bool(c) for c in checks)
+    m = graph.moreau(lam, x)
+    return bool(
+        np.all(np.abs(jx - jy) <= np.abs(x - y) + 1e-12)
+        and np.all(np.abs(bx - by) <= (2.0 / lam) * np.abs(x - y) + 1e-12)
+        and np.all(np.where(swap, by, bx) <= np.where(swap, bx, by) + 1e-10)
+        and np.all((bx >= lo - 1e-10) & (bx <= hi + 1e-10))
+        and np.all(m >= -1e-14)
+        and np.all(m <= graph.potential(x) + 1e-10)
+    )
+
+
+def free_wave_energy_drift(config) -> float:
+    """max_k |E_k - E_0| / E_0 along the noise-free path of config with beta = 0."""
+    config = replace(config, graph=LinearGraph(0.0), driver=None, record=frozenset({"functionals"}))
+    e = simulate_path(config, 0).series[:, 0]
+    return float(np.max(np.abs(e - e[0])) / e[0])
+
+
+def chain_rule_order(config, dts) -> float:
+    """Fitted order in dt of the envelope chain-rule gap of config's noise-free path."""
+    gaps = []
+    for dt in dts:
+        cfg = replace(config, dt=dt, driver=None, record=frozenset())
+        gaps.append(chain_rule_check(simulate_path(cfg, 0), cfg)["gap"])
+    return float(np.polyfit(np.log(dts), np.log(gaps), 1)[0])
 
 
 def _run(checks, out):
@@ -89,34 +110,25 @@ def run_selftest(out=print) -> int:
     )
 
     def graphs_ok():
-        return all(_graph_invariants(g, n=4000) for g in SELFTEST_GRAPHS)
+        rng = np.random.default_rng(7)
+        for graph in GRAPHS:
+            for _ in range(4):
+                lam = float(10.0 ** rng.uniform(-3, 1))
+                if not convex_analysis_holds(graph, lam, rng.uniform(-10, 10, 1000), rng.uniform(-10, 10, 1000)):
+                    return False
+        return True
 
     def parseval_ok():
         rng = np.random.default_rng(0)
         f = rng.standard_normal(grid.shape)
         modes = grid.to_modes(f)
         round_trip = np.max(np.abs(grid.to_nodes(modes) - f)) < 1e-12
-        parseval = abs(grid.norm(modes) - grid.quad_l2(f)) < 1e-12
+        parseval = abs(grid.norm(modes) - np.sqrt(grid.weight * np.sum(f**2))) < 1e-12
         return round_trip and parseval
 
-    def diagonal_composition_ok():
-        rng = np.random.default_rng(1)
-        c = rng.standard_normal(grid.shape)
-        a = grid.apply_spectral(grid.apply_spectral(c, np.sqrt), np.log1p)
-        b = grid.apply_spectral(c, lambda mu: np.sqrt(mu) * np.log1p(mu))
-        return np.allclose(a, b, rtol=1e-15, atol=0.0)
-
     def rotation_identity_ok():
-        from .solver import GroupCache
-
         cache = GroupCache(grid, 0.37)
         return np.max(np.abs(cache.cos_t**2 + grid.mu * cache.sinc**2 - 1.0)) < 1e-14
-
-    def linear_energy_ok():
-        cfg = replace(config, graph=LinearGraph(0.0), driver=None, record=frozenset())
-        result = simulate_path(cfg, 0)
-        e0 = energy(grid, result.u_first, result.v_first)
-        return abs(energy(grid, result.u_final, result.v_final) - e0) <= 1e-12 * e0
 
     def increment_stats_ok():
         rng = path_rng(11, 0)
@@ -139,20 +151,10 @@ def run_selftest(out=print) -> int:
                 return False
         return True
 
-    def duhamel_ok():
-        return duhamel_residual(config, 0) <= 1e-9
-
     def ibp_ok():
         rng = np.random.default_rng(4)
         probes = [(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)) for _ in range(3)]
         return ibp_residual(config, probes, 0) <= 1e-12
-
-    def chain_rule_ok():
-        gaps = []
-        for dt in (4e-3, 2e-3):
-            cfg = replace(config, dt=dt, driver=None, record=frozenset())
-            gaps.append(chain_rule_check(simulate_path(cfg, 0), cfg)["gap"])
-        return gaps[1] < gaps[0]
 
     def coupled_noise_ok():
         draws = {1e-1: [], 1e-3: []}
@@ -163,15 +165,14 @@ def run_selftest(out=print) -> int:
     checks = [
         ("graph convex-analysis invariants", graphs_ok),
         ("spectral round trip and Parseval", parseval_ok),
-        ("diagonal operators commute", diagonal_composition_ok),
         ("group rotation identity", rotation_identity_ok),
-        ("linear flow conserves energy", linear_energy_ok),
+        ("linear flow conserves energy", lambda: free_wave_energy_drift(config) <= 1e-12),
         ("increment mean/variance statistics", increment_stats_ok),
         ("increment stream determinism", increment_determinism_ok),
         ("second-moment identity (both drivers)", isometry_ok),
-        ("mild-form re-summation residual", duhamel_ok),
+        ("mild-form re-summation residual", lambda: duhamel_residual(config, 0) <= 1e-9),
         ("integration-by-parts telescoping", ibp_ok),
-        ("envelope chain-rule gap shrinks with dt", chain_rule_ok),
+        ("envelope chain-rule gap order >= 0.8", lambda: chain_rule_order(config, (4e-3, 2e-3)) >= 0.8),
         ("coupled noise streams bit-identical", coupled_noise_ok),
     ]
     return _run(checks, out)

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
-
 __all__ = ["SpectralGrid"]
 
 # Cap on the field entries one path steps through, n_steps * N^d, and on the
@@ -121,56 +119,23 @@ class SpectralGrid:
             return self._transform(matrix, rows[0]).reshape(x.shape)
         return np.dot(rows, matrix).reshape(x.shape)
 
-    def apply_spectral(self, coeffs: np.ndarray, phi) -> np.ndarray:
-        """Multiply mode k by phi(mu_k); realizes any function of -Laplacian."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        self._check_shape(coeffs, "coefficient array")
-        factors = np.asarray(phi(self.mu), dtype=float)
-        if not np.all(np.isfinite(factors)):
-            raise NumericError("spectral multiplier is not finite on the mode set")
-        return coeffs * factors
-
     def smoother(self, eps: float) -> np.ndarray:
         """Multiplier table of (I - eps*Laplacian)^{-1}: 1/(1 + eps*mu)."""
         if not 0.0 <= eps < math.inf:
             raise ValueError(f"smoothing parameter must be finite and >= 0, got {eps}")
         return 1.0 / (1.0 + eps * self.mu)
 
-    def nemytskii(self, coeffs: np.ndarray, f) -> np.ndarray:
-        """Apply the scalar map f pointwise at the nodes, back in modes."""
-        values = f(self.to_nodes(coeffs))
-        if not np.all(np.isfinite(values)):
-            raise NumericError("pointwise map produced non-finite nodal values")
-        return self.to_modes(values)
-
-    def norm(self, coeffs: np.ndarray, m: float = 0.0) -> float:
-        """Sobolev-scale norm (sum (1+mu_k)^m uhat_k^2)^(1/2); m=0 is L2."""
+    def norm(self, coeffs: np.ndarray) -> float:
+        """|u|_{L2} = (sum uhat_k^2)^(1/2)."""
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_shape(coeffs, "coefficient array")
-        if m == 0.0:
-            return float(np.sqrt(np.vdot(coeffs, coeffs)))
-        return float(np.sqrt(np.sum((1.0 + self.mu) ** m * coeffs**2)))
+        return float(np.sqrt(np.vdot(coeffs, coeffs)))
 
     def grad_seminorm(self, coeffs: np.ndarray) -> float:
         """|grad u|_{L2} = (sum mu_k uhat_k^2)^(1/2), the H^1_0 energy norm."""
         coeffs = np.asarray(coeffs, dtype=float)
         self._check_shape(coeffs, "coefficient array")
         return float(np.sqrt(np.vdot(self.mu * coeffs, coeffs)))
-
-    def quad_l2(self, nodal: np.ndarray) -> float:
-        """L2 norm of nodal values via the collocation quadrature."""
-        nodal = np.asarray(nodal, dtype=float)
-        self._check_shape(nodal, "nodal array")
-        return float(np.sqrt(self.weight * np.sum(nodal**2)))
-
-    def mode_square_sum(self, weights: np.ndarray) -> np.ndarray:
-        """Nodal values of sum_k w_k e_k(x)^2 for per-mode weights w."""
-        weights = np.asarray(weights, dtype=float)
-        self._check_shape(weights, "weight array")
-        sine2 = self._synthesis**2
-        if self.dim == 1:
-            return sine2 @ weights
-        return sine2 @ weights @ sine2
 
     def __repr__(self):
         return f"SpectralGrid(dim={self.dim}, n_modes={self.n_modes})"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stochwave import ConfigError, CubicGraph, SignGraph
-from stochwave import cli
+from stochwave import cli, selftest
 from stochwave.cli import cli_main
 from stochwave.config import (
     _SCHEMA,
@@ -309,11 +309,38 @@ class TestCli:
         assert code == 2
         assert "solver.u0" in capsys.readouterr().err
 
+    SELFTEST_CHECKS = (
+        "graph convex-analysis invariants",
+        "spectral round trip and Parseval",
+        "group rotation identity",
+        "linear flow conserves energy",
+        "increment mean/variance statistics",
+        "increment stream determinism",
+        "second-moment identity (both drivers)",
+        "mild-form re-summation residual",
+        "integration-by-parts telescoping",
+        "envelope chain-rule gap order >= 0.8",
+        "coupled noise streams bit-identical",
+    )
+
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("ok   -") >= 10
+        assert capsys.readouterr().out.splitlines() == [f"ok   - {name}" for name in self.SELFTEST_CHECKS]
+
+    def test_selftest_names_each_failure_and_goes_on(self, capsys, monkeypatch):
+        def raises(config, dts):
+            raise RuntimeError("no fit")
+
+        monkeypatch.setattr(selftest, "free_wave_energy_drift", lambda config: 1.0)
+        monkeypatch.setattr(selftest, "chain_rule_order", raises)
+        assert cli_main(["selftest"]) == 1
+        failed = {
+            "linear flow conserves energy": "FAIL - linear flow conserves energy",
+            "envelope chain-rule gap order >= 0.8": "FAIL - envelope chain-rule gap order >= 0.8 "
+            "(raised RuntimeError: no fit)",
+        }
+        expected = [failed.get(name, f"ok   - {name}") for name in self.SELFTEST_CHECKS]
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_numeric_abort_exit_code(self, config_file, tmp_path, capsys):
         code = cli_main(
@@ -423,4 +450,25 @@ class TestConfigFuzz:
                 config.write_text(text)
                 assert cli_main(["energy", "--config", str(config), "--outdir", str(tmp_path)]) == 2
                 assert re.search(re.escape(key) + r"\b", capsys.readouterr().err), key
+        assert not (tmp_path / "energy.csv").exists()
+
+    def test_a_key_given_twice_on_the_command_line_is_named(self, tmp_path, capsys):
+        flags = {
+            "study.seed": "--seed",
+            "study.workers": "--workers",
+            "study.n_paths": "--n-paths",
+            "study.lambda_grid": "--lambda-grid",
+            "study.eps_grid": "--eps-grid",
+        }
+        for key in _SCHEMA:
+            token = f"{key}={DEFAULTS[key]}"
+            with pytest.raises(ConfigError, match=re.escape(key) + r"\b"):
+                apply_overrides(DEFAULTS, [token, token])
+            # two --set overrides, and a --set with the direct flag of its key
+            twice = [["--set", token, "--set", token]]
+            if key in flags:
+                twice.append([flags[key], str(DEFAULTS[key]), "--set", token])
+            for args in twice:
+                assert cli_main(["energy", "--outdir", str(tmp_path), *args]) == 2, args
+                assert re.search(re.escape(key) + r"\b", capsys.readouterr().err), args
         assert not (tmp_path / "energy.csv").exists()

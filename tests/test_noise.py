@@ -205,52 +205,6 @@ class TestDiffusion:
             sigma.apply(grid8, np.zeros(7), np.zeros(8))
 
 
-class TestHsNorm:
-    def test_constant_sigma_gives_trace_root(self, grid8, cov8):
-        sigma = DiffusionMap.from_name("one")
-        assert sigma.hs_norm(grid8, np.zeros(grid8.shape), cov8) == pytest.approx(
-            np.sqrt(cov8.trace), abs=1e-10
-        )
-
-    def test_zero_covariance(self, grid8):
-        cov = NuclearCovariance.from_grid(grid8, 0.0, 2.0)
-        sigma = DiffusionMap.from_name("one")
-        assert sigma.hs_norm(grid8, np.zeros(grid8.shape), cov) == 0.0
-
-    def test_unit_modulus_maps_give_partial_sum_root(self):
-        # whenever |sigma(u)| = 1 nodally the norm is the covariance trace root;
-        # holds for sigma=one anywhere and for clip at a saturated state
-        grid = SpectralGrid(1, 64)
-        cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
-        partial_sum = sum(k**-2.0 for k in range(1, 65))  # direct-summation oracle
-        assert partial_sum == pytest.approx(1.629430501408887, abs=1e-12)
-        one = DiffusionMap.from_name("one")
-        assert one.hs_norm(grid, np.zeros(grid.shape), cov) == pytest.approx(
-            np.sqrt(partial_sum), abs=1e-10
-        )
-        clip = DiffusionMap.from_name("clip")
-        saturated = 5.0 * np.ones(grid.shape)
-        assert clip.hs_norm(grid, saturated, cov) == pytest.approx(
-            np.sqrt(partial_sum), abs=1e-10
-        )
-        # at u = 0 the clipped multiplier vanishes, so the operator does too
-        assert clip.hs_norm(grid, np.zeros(grid.shape), cov) == 0.0
-
-    def test_2d_matches_direct_summation(self):
-        grid = SpectralGrid(2, 6)
-        cov = NuclearCovariance.from_grid(grid, 1.0, 3.0)
-        sigma = DiffusionMap.from_name("sin")
-        rng = np.random.default_rng(8)
-        u_nodes = rng.standard_normal(grid.shape)
-        # direct oracle: sum_k q_k |sigma(u) e_k|^2 by explicit quadrature per mode
-        target = 0.0
-        s_nodes = np.sin(u_nodes)
-        for flat, (k1, k2) in enumerate(grid.mode_indices):
-            e_k = grid.to_nodes(grid.basis_field(k1, k2))
-            target += cov.q.ravel()[flat] * grid.weight * np.sum((s_nodes * e_k) ** 2)
-        assert sigma.hs_norm(grid, u_nodes, cov) == pytest.approx(np.sqrt(target), abs=1e-10)
-
-
 class TestItoIsometry:
     def test_degenerate_horizon(self, cov8):
         driver = MartingaleDriver("wiener", cov8)
