@@ -205,6 +205,57 @@ class TestDiffusion:
             sigma.apply(grid8, np.zeros(7), np.zeros(8))
 
 
+def _hs_norm(sigma, grid, u_nodes, cov):
+    """|sigma(u) Q^(1/2)|_HS = (sum_k q_k |apply(u, e_k)|^2)^(1/2), with ``apply`` run on the stack of basis fields."""
+    basis = np.eye(grid.size).reshape((grid.size,) + grid.shape)
+    out = sigma.apply(grid, u_nodes, basis).reshape(grid.size, -1)
+    return float(np.sqrt(np.dot(cov.q.ravel(), np.sum(out**2, axis=1))))
+
+
+class TestHsNorm:
+    def test_constant_sigma_gives_trace_root(self, grid8, cov8):
+        sigma = DiffusionMap.from_name("one")
+        assert _hs_norm(sigma, grid8, np.zeros(grid8.shape), cov8) == pytest.approx(
+            np.sqrt(cov8.trace), abs=1e-10
+        )
+
+    def test_zero_covariance(self, grid8):
+        cov = NuclearCovariance.from_grid(grid8, 0.0, 2.0)
+        sigma = DiffusionMap.from_name("one")
+        assert _hs_norm(sigma, grid8, np.zeros(grid8.shape), cov) == 0.0
+
+    def test_unit_modulus_maps_give_partial_sum_root(self):
+        # whenever |sigma(u)| = 1 nodally the norm is the covariance trace root;
+        # holds for sigma=one anywhere and for clip at a saturated state
+        grid = SpectralGrid(1, 64)
+        cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
+        partial_sum = sum(k**-2.0 for k in range(1, 65))  # direct-summation oracle
+        assert partial_sum == pytest.approx(1.629430501408887, abs=1e-12)
+        one = DiffusionMap.from_name("one")
+        assert _hs_norm(one, grid, np.zeros(grid.shape), cov) == pytest.approx(
+            np.sqrt(partial_sum), abs=1e-10
+        )
+        clip = DiffusionMap.from_name("clip")
+        saturated = 5.0 * np.ones(grid.shape)
+        assert _hs_norm(clip, grid, saturated, cov) == pytest.approx(np.sqrt(partial_sum), abs=1e-10)
+        # at u = 0 the clipped multiplier vanishes, so the operator does too
+        assert _hs_norm(clip, grid, np.zeros(grid.shape), cov) == 0.0
+
+    def test_2d_matches_direct_summation(self):
+        grid = SpectralGrid(2, 6)
+        cov = NuclearCovariance.from_grid(grid, 1.0, 3.0)
+        sigma = DiffusionMap.from_name("sin")
+        rng = np.random.default_rng(8)
+        u_nodes = rng.standard_normal(grid.shape)
+        # direct oracle: sum_k q_k |sigma(u) e_k|^2 by explicit quadrature per mode
+        target = 0.0
+        s_nodes = np.sin(u_nodes)
+        for flat, (k1, k2) in enumerate(grid.mode_indices):
+            e_k = grid.to_nodes(grid.basis_field(k1, k2))
+            target += cov.q.ravel()[flat] * grid.weight * np.sum((s_nodes * e_k) ** 2)
+        assert _hs_norm(sigma, grid, u_nodes, cov) == pytest.approx(np.sqrt(target), abs=1e-10)
+
+
 class TestItoIsometry:
     def test_degenerate_horizon(self, cov8):
         driver = MartingaleDriver("wiener", cov8)

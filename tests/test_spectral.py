@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from stochwave import SpectralGrid
-from stochwave.solver import _row_dots
+from stochwave import DiffusionMap, SpectralGrid
+from stochwave.graphs import LinearGraph
+from stochwave.solver import GroupCache, _drift, _row_dots
 
 
 @pytest.fixture(scope="module")
@@ -162,15 +163,93 @@ class TestStackedArithmetic:
 
 
 class TestSpectralMultipliers:
+    def test_eigenvalue_multiplication(self, grid64):
+        out = grid64.mu * grid64.basis_field(3)
+        assert out[2] == pytest.approx(9.0)
+        assert np.sum(np.abs(out)) == pytest.approx(9.0)
+
     def test_elliptic_smoother_scale(self, grid64):
         np.testing.assert_allclose(grid64.smoother(1.0), 1.0 / (1.0 + grid64.mu))
         with pytest.raises(ValueError):
             grid64.smoother(-1e-3)
 
 
+    def test_full_period_cosine_is_identity(self, grid64):
+        rng = np.random.default_rng(3)
+        u, v = rng.standard_normal((2,) + grid64.shape)
+        # integer frequencies: the wave group over t = 2 pi is the identity on every mode
+        cache = GroupCache(grid64, 2.0 * np.pi)
+        np.testing.assert_allclose(cache.cos_t, 1.0, atol=1e-11)
+        u_out, v_out = cache.rotate(u, v)
+        np.testing.assert_allclose(u_out, u, atol=1e-11)
+        np.testing.assert_allclose(v_out, v, atol=1e-9)
+
+    def test_diagonal_composition_and_commutation(self, grid64):
+        rng = np.random.default_rng(4)
+        u, v = rng.standard_normal((2,) + grid64.shape)
+        dt = 0.0173
+        one_shot = GroupCache(grid64, 2.0 * dt).rotate(u, v)
+        half = GroupCache(grid64, dt)
+        two_step = half.rotate(*half.rotate(u, v))
+        for a, b in zip(two_step, one_shot):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(b)))
+        # the smoother is diagonal in the same basis, so it commutes with the group
+        s = grid64.smoother(0.5)
+        smoothed_first = half.rotate(s * u, s * v)
+        smoothed_last = half.rotate(u, v)
+        for a, b in zip(smoothed_first, smoothed_last):
+            np.testing.assert_allclose(a, s * b, rtol=0.0, atol=1e-14 * np.max(np.abs(b)))
+
+
 class TestNorms:
     def test_single_mode_l2(self, grid64):
         assert grid64.norm(grid64.basis_field(1)) == 1.0
 
+    def test_single_mode_sobolev(self, grid64):
+        # |u|_{H^1}^2 = |u|_{L2}^2 + |grad u|_{L2}^2
+        f = grid64.basis_field(1)
+        assert np.hypot(grid64.norm(f), grid64.grad_seminorm(f)) == pytest.approx(np.sqrt(2.0))
+
     def test_gradient_seminorm(self, grid64):
         assert grid64.grad_seminorm(3.0 * grid64.basis_field(2)) == pytest.approx(6.0)
+
+    def test_negative_order_norms_decay(self, grid64):
+        # |u|_{H^-m} = |(I - Laplacian)^{-m/2} u|_{L2}, through the smoother table
+        f = grid64.basis_field(8)
+        s = grid64.smoother(1.0)
+        assert grid64.norm(s * f) < grid64.norm(np.sqrt(s) * f) < grid64.norm(f)
+
+
+class TestNemytskii:
+    """Pointwise maps of a field, taken at the nodes and projected back onto the modes."""
+
+    @staticmethod
+    def _yosida_modes(grid, c, slope, lam=0.5):
+        resolve = LinearGraph(slope)._resolvent_at(lam)
+        return _drift(grid, resolve, lam, c, None, None)[3]
+
+    def test_identity(self, grid64):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(grid64.shape)
+        # the Yosida map of beta(x) = x is x / (1 + lam), a multiple of the identity
+        np.testing.assert_allclose(self._yosida_modes(grid64, c, 1.0), c / 1.5, atol=1e-12)
+
+    def test_zero_map(self, grid64):
+        c = np.ones(grid64.shape)
+        assert np.all(self._yosida_modes(grid64, c, 0.0) == 0.0)
+
+    def test_square_of_first_mode_preserves_quadrature_norm(self, grid64):
+        # e_1 stays below 1 at the nodes, so clip(e_1) * e_1 is e_1^2;
+        # direct quadrature oracle for |e_1^2|_{L2}
+        e1 = grid64.basis_field(1)
+        nodal = grid64.to_nodes(e1)
+        assert np.max(np.abs(nodal)) < 1.0
+        oracle = np.sqrt(grid64.weight * np.sum(nodal**4))
+        out = DiffusionMap.from_name("clip").apply(grid64, nodal, e1)
+        assert grid64.norm(out) == pytest.approx(oracle, abs=1e-12)
+
+    def test_2d_identity(self):
+        grid = SpectralGrid(2, 8)
+        rng = np.random.default_rng(6)
+        c = rng.standard_normal(grid.shape)
+        np.testing.assert_allclose(self._yosida_modes(grid, c, 1.0), c / 1.5, atol=1e-12)
