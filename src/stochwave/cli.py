@@ -40,11 +40,12 @@ def _build_parser():
             continue
         p.add_argument("--config", help="path to a sectioned key=value config file")
         p.add_argument("--outdir", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="override study.seed")
-        p.add_argument("--workers", type=int, help="override study.workers")
-        p.add_argument("--n-paths", type=int, help="override study.n_paths")
-        p.add_argument("--lambda-grid", help="override study.lambda_grid (comma separated)")
-        p.add_argument("--eps-grid", help="override study.eps_grid")
+        # appended, so that a flag given twice reaches apply_overrides twice and is rejected
+        p.add_argument("--seed", type=int, action="append", help="override study.seed")
+        p.add_argument("--workers", type=int, action="append", help="override study.workers")
+        p.add_argument("--n-paths", type=int, action="append", help="override study.n_paths")
+        p.add_argument("--lambda-grid", action="append", help="override study.lambda_grid (comma separated)")
+        p.add_argument("--eps-grid", action="append", help="override study.eps_grid")
         p.add_argument(
             "--set",
             action="append",
@@ -63,8 +64,8 @@ def _gather_values(args):
         "study.lambda_grid": args.lambda_grid,
         "study.eps_grid": args.eps_grid,
     }
-    # a direct flag is one more --set, so a key given by both is rejected
-    flags = [f"{key}={value}" for key, value in direct.items() if value is not None]
+    # each direct flag is one more --set, so a key given twice by either is rejected
+    flags = [f"{key}={value}" for key, values in direct.items() for value in values or ()]
     return apply_overrides(load_config(args.config), (args.overrides or []) + flags)
 
 

@@ -33,9 +33,10 @@ __all__ = [
 ]
 
 BLOWUP_ENERGY = 1e12
-# Most increment entries the kernel draws at once, over all paths of a block
-# (32 KiB of float64): enough steps per draw call to amortize it, few enough
-# that a job's memory stays that of its state and observers.
+# Most increment entries the kernel draws at once per path (32 KiB of
+# float64): enough steps per draw call to amortize it, few enough that a
+# job's memory stays that of its state and observers.  Per path, so that a
+# block's draw calls span as many steps as a single path's.
 _DRAW_ENTRIES = 1 << 12
 
 SERIES_COLUMNS = ("t", "energy", "lyapunov", "l2_u", "h1_u", "l2_v", "pairing_running")
@@ -277,11 +278,13 @@ def simulate_path(
 ) -> PathResult:
     """Run one trajectory; raises NumericError with the step index on blow-up.
 
-    ``observe(k, u, v, beta_modes, dm)``, if given, is called once per step
-    k < n, after the step's increment draw (dm is None without a driver) and
-    before its kick.  It is the only way to read a path between its ends;
-    the state after the last step is ``u_final``/``v_final``.  The kernel
-    never writes to an array it has handed out, so an observer may keep it.
+    ``observe(k, u, v, beta_modes, dm, beta_nodes)``, if given, is called
+    once per step k < n, after the step's increment draw (dm is None without
+    a driver) and before its kick.  ``beta_nodes`` is the Yosida drift at the
+    nodes, whose ``grid.to_modes`` is ``beta_modes`` bit for bit.  It is the
+    only way to read a path between its ends; the state after the last step
+    is ``u_final``/``v_final``.  The kernel never writes to an array it has
+    handed out, so an observer may keep it.
     """
     return _run(config, path_index, config.lam, observe)[0]
 
@@ -294,7 +297,7 @@ def _increments(draw, rngs, n: int, size: int, single: bool, nodes=None):
     """Per step, (dm, jumps, dm_nodes): the paths' increments, which of them jump, and their nodal values.
 
     Each path draws from its own stream, in blocks of at most
-    ``_DRAW_ENTRIES`` entries over all paths.  One path's dm has the grid's
+    ``_DRAW_ENTRIES`` entries per path.  One path's dm has the grid's
     shape; a stack's is a (P, 1, *grid.shape) view of the drawn block, one
     row per path, which its lambdas share.  ``jumps`` (see ``_kick_rotate``)
     is decided once per drawn block, not per step: False for every step of a
@@ -305,7 +308,7 @@ def _increments(draw, rngs, n: int, size: int, single: bool, nodes=None):
     Each row of the transform has the bits of a per-step transform (see
     ``SpectralGrid._transform``).
     """
-    per_block = max(1, _DRAW_ENTRIES // (len(rngs) * size))
+    per_block = max(1, _DRAW_ENTRIES // size)
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
         # one path's block is (m, *shape); a stack's gets a lambda axis: (m, P, 1, *shape)
         block = parts[0] if single else np.stack(parts, 1)[:, :, None]
@@ -369,7 +372,8 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     mu = cache.mu
     # Scratch, never handed out: mu * u, then a product of the kick, go to tmp;
     # the Yosida values, then the kicked velocity, to w.  Each is used up
-    # before the next is written.
+    # before the next is written.  An observer is handed the Yosida values,
+    # so with one they get a new array every step.
     w, tmp = np.empty(u.shape), np.empty(u.shape)
     resolve = graph._resolvent_at(lam, len(batch))
     driver, diffusion = config.driver, config.diffusion
@@ -411,7 +415,8 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             sup_energy = max(sup_energy, quad)
         else:
             np.maximum(sup_energy, quad, out=sup_energy)
-        u_nodes, res, yos, beta_modes = _drift(grid, resolve, lam, u, warm, w)
+        yos_out = w if observe is None else np.empty(u.shape)
+        u_nodes, res, yos, beta_modes = _drift(grid, resolve, lam, u, warm, yos_out)
         warm = res
 
         if rec_series:
@@ -432,7 +437,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             pairing = pairing + dt * weight * dot(yos, res)
         dm, jumps, dm_nodes = next(increments) if increments is not None else (None, False, None)
         if observe is not None:
-            observe(step_idx, u, v, beta_modes, dm)
+            observe(step_idx, u, v, beta_modes, dm, yos)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
 
     if single:
@@ -478,7 +483,7 @@ def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
         if resid > worst:
             worst = resid
 
-    def observe(k, u, v, beta_modes, dm):
+    def observe(k, u, v, beta_modes, dm, beta_nodes):
         nonlocal acc_cos, acc_sin
         if k == 0:
             start.extend((u, v))
@@ -514,7 +519,7 @@ def ibp_residual(config: SolverConfig, probes, path_index: int = 0) -> float:
     z1 = np.empty((len(phi), config.n_steps + 1))
     z2 = np.empty_like(z1)
 
-    def observe(k, u, v, beta_modes=None, dm=None):
+    def observe(k, u, v, beta_modes=None, dm=None, beta_nodes=None):
         (u * phi).sum(axis=axes, out=z1[:, k])
         (v * psi).sum(axis=axes, out=z2[:, k])
 

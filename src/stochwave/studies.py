@@ -114,10 +114,42 @@ def write_field_csv(grid, coeffs, path) -> None:
             f.write(",".join(str(int(k)) for k in indices) + f",{float(value)!r}\n")
 
 
-class _Child:
-    """A forked worker process that steps a share of the blocks and pickles the results to a pipe."""
+def _usable_cpus():
+    """The CPUs this process may run on, in ascending order.
 
-    def __init__(self, fn, share):
+    Its affinity set where the platform has one (a cpuset or ``taskset`` can
+    make that smaller than the machine), else ``range(os.cpu_count())``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _place(cpu, cpus):
+    """Move this process onto ``cpu``, then let it run on every CPU of ``cpus`` again.
+
+    Where the kernel does not balance load between CPUs (a cpuset with
+    ``sched_load_balance`` 0), a forked child runs on its parent's CPU for
+    good, so two processes of one fork map would share one CPU.  Being moved
+    once is enough to stay apart there; elsewhere the kernel may move them on.
+    Does nothing where the platform cannot set an affinity, or refuses to.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+class _Child:
+    """A forked worker process that steps a share of the blocks and pickles the results to a pipe.
+
+    It first moves onto ``cpu`` of the usable ``cpus`` (see ``_place``).
+    """
+
+    def __init__(self, fn, share, cpu, cpus):
         self.share = share
         read, write = os.pipe()
         try:
@@ -128,6 +160,7 @@ class _Child:
             raise
         if self.pid == 0:
             os.close(read)
+            _place(cpu, cpus)
             _serve(fn, share, write)
         os.close(write)
         self.fd = read
@@ -191,23 +224,26 @@ def _serve(fn, share, fd):
 def _map_ordered(fn, blocks, workers):
     """[fn(block) for block in blocks] on up to ``workers`` processes, this one included.
 
-    Never more processes than blocks or than ``os.cpu_count()``.  The blocks
-    (ranges of path indices) are cut into one run of consecutive blocks per
-    process; this process steps the first run while a forked child steps
-    each other one, and the results come back in block order.  If anything
-    fails, every child is killed and reaped.  Without ``os.fork`` the map is
-    serial.
+    Never more processes than blocks or than usable CPUs (``_usable_cpus``).
+    The blocks (ranges of path indices) are cut into one run of consecutive
+    blocks per process; this process steps the first run while a forked
+    child steps each other one, and the results come back in block order.
+    Process k is first moved onto the k-th usable CPU (see ``_place``).  If
+    anything fails, every child is killed and reaped.  Without ``os.fork``
+    the map is serial.
     """
     blocks = list(blocks)
-    procs = min(workers, len(blocks), os.cpu_count() or 1)
+    cpus = _usable_cpus()
+    procs = min(workers, len(blocks), len(cpus))
     if procs <= 1 or not hasattr(os, "fork"):
         return [fn(block) for block in blocks]
     cuts = [len(blocks) * k // procs for k in range(procs + 1)]
     shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
     children = []
+    _place(cpus[0], cpus)
     try:
-        for share in shares[1:]:
-            children.append(_Child(fn, share))
+        for cpu, share in zip(cpus[1:], shares[1:]):
+            children.append(_Child(fn, share, cpu, cpus))
         results = [fn(block) for block in shares[0]]
         for child in children:
             results += child.join()
@@ -228,7 +264,7 @@ def _mean_se(values):
 
 # Most paths per study job, all stepped together by one block-kernel call.
 # A block gets min(_BLOCK_PATHS, ceil(n_paths / processes)) paths, so that
-# every process the fork map starts, min(workers, os.cpu_count()), gets a
+# every process the fork map starts, min(workers, usable CPUs), gets a
 # block; a row's bits do not depend on its block-mates.
 _BLOCK_PATHS = 8
 
@@ -257,7 +293,7 @@ def _sweep(spec: StudySpec, job):
     Studies reduce paths while they step, so nothing is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    procs = min(spec.workers, os.cpu_count() or 1)
+    procs = min(spec.workers, len(_usable_cpus()))
     size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
     blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
     per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, procs)
@@ -299,7 +335,7 @@ def _pairing_job(base, lambdas, paths, eps_values):
         scale = base.dt * grid.weight
         resolve = base.graph._resolvent_at(lam, 3)
 
-        def observe(k, u, v, beta_modes, dm):
+        def observe(k, u, v, beta_modes, dm, beta_nodes):
             res = resolve(grid._nodes(filt * u), None)
             sums[...] += scale * _row_dots(res, grid._nodes(filt * beta_modes), 3)
 
@@ -339,34 +375,36 @@ def _gaps_job(base, lambdas, paths):
 
     () for the first lambda, and where the previous lambda's row blew up.
     The gaps at a step are differences of adjacent lambda rows, so no state
-    outlives its step.  Each per-step squared norm is one BLAS dot per field,
-    like the solver's inner products; the norms are kept in contiguous
-    (paths, lambdas - 1, steps) arrays and reduced over the last axis, and
-    the L1 term is summed in step order.
+    outlives its step.  The L1 gap is taken of the kernel's nodal Yosida
+    values, so no field is transformed here.  Each per-step squared norm is
+    one BLAS dot per field, like the solver's inner products; the squares
+    are kept in contiguous (paths, lambdas - 1, steps) arrays, and rooted
+    and reduced over the last axis at the end (the root of the largest
+    square is the largest root), and the L1 term is summed in step order.
     """
     grid, n, dt = base.grid, base.n_steps, base.dt
     axes = tuple(range(-grid.dim, 0))
-    w2, w3 = ((1.0 + grid.mu) ** -2.0)[None, None], ((1.0 + grid.mu) ** -3.0)[None, None]
     pairs = (len(paths), len(lambdas) - 1)
+    # the H^-2 and H^-3 weights as (1, K) rows: one broadcast matmul makes both dots of each field
+    weights = np.stack(((1.0 + grid.mu) ** -2.0, (1.0 + grid.mu) ** -3.0)).reshape(2, 1, 1, 1, -1)
     # zeros, not empty: a block whose rows all blew up stops before the last step
-    u_norm, hm2, hm3 = np.zeros(pairs + (n + 1,)), np.zeros(pairs + (n,)), np.zeros(pairs + (n,))
+    u_sq, hm_sq = np.zeros(pairs + (n + 1,)), np.zeros((2,) + pairs + (n,))
     l1 = np.zeros(pairs)
 
     def u_gap(k, u):
         du = u[:, 1:] - u[:, :-1]
-        u_norm[..., k] = np.sqrt(_row_dots(du, du))
+        u_sq[..., k] = _row_dots(du, du)
 
-    def observe(k, u, v, beta_modes, dm):
+    def observe(k, u, v, beta_modes, dm, beta_nodes):
         u_gap(k, u)
-        dbeta = beta_modes[:, 1:] - beta_modes[:, :-1]
-        l1[...] += grid.weight * np.abs(grid._nodes(dbeta)).sum(axis=axes)
-        dbeta2 = dbeta**2
-        hm2[..., k] = np.sqrt(_row_dots(w2, dbeta2))
-        hm3[..., k] = np.sqrt(_row_dots(w3, dbeta2))
+        l1[...] += grid.weight * np.abs(beta_nodes[:, 1:] - beta_nodes[:, :-1]).sum(axis=axes)
+        dbeta2 = (beta_modes[:, 1:] - beta_modes[:, :-1]) ** 2
+        hm_sq[..., k] = np.matmul(weights, dbeta2.reshape(*pairs, -1, 1))[..., 0, 0]
 
     result, blown = _run(base, paths, lambdas, observe, sums=())
     u_gap(n, result.u_final)
-    gaps = np.stack((u_norm.max(axis=-1), l1 * dt, dt * hm2.sum(axis=-1), dt * hm3.sum(axis=-1)), axis=-1)
+    hm2, hm3 = dt * np.sqrt(hm_sq).sum(axis=-1)
+    gaps = np.stack((np.sqrt(u_sq.max(axis=-1)), l1 * dt, hm2, hm3), axis=-1)
     values = [
         [()] + [tuple(gap) if prev_ok else () for gap, prev_ok in zip(path_gaps, path_ok)]
         for path_gaps, path_ok in zip(gaps.tolist(), (blown < 0).tolist())

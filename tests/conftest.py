@@ -11,19 +11,22 @@ def _record_path(config, path_index=0):
     """``simulate_path`` plus the whole history of the path, read through its observer.
 
     The returned namespace holds every PathResult field plus ``u`` and ``v``
-    (n+1 rows, the last being u_final/v_final), ``beta`` (n rows) and
-    ``increments`` (n rows, zeros on a noise-free path).  The observer keeps
-    the arrays it is handed without copying them.
+    (n+1 rows, the last being u_final/v_final), ``beta`` and ``beta_nodes``
+    (n rows, the drift's modes and nodal values) and ``increments`` (n rows,
+    zeros on a noise-free path).  The observer keeps the arrays it is handed
+    without copying them.
     """
     seen = []
-    result = simulate_path(config, path_index, lambda k, u, v, beta, dm: seen.append((u, v, beta, dm)))
+    result = simulate_path(config, path_index, lambda k, *arrays: seen.append(arrays))
     zero = config.grid.zero_field()
+    u, v, beta, increments, beta_nodes = zip(*seen)
     return SimpleNamespace(
         **vars(result),
-        u=np.array([u for u, _, _, _ in seen] + [result.u_final]),
-        v=np.array([v for _, v, _, _ in seen] + [result.v_final]),
-        beta=np.array([beta for _, _, beta, _ in seen]),
-        increments=np.array([zero if dm is None else dm for _, _, _, dm in seen]),
+        u=np.array(u + (result.u_final,)),
+        v=np.array(v + (result.v_final,)),
+        beta=np.array(beta),
+        beta_nodes=np.array(beta_nodes),
+        increments=np.array([zero if dm is None else dm for dm in increments]),
     )
 
 

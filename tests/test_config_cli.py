@@ -464,10 +464,11 @@ class TestConfigFuzz:
             token = f"{key}={DEFAULTS[key]}"
             with pytest.raises(ConfigError, match=re.escape(key) + r"\b"):
                 apply_overrides(DEFAULTS, [token, token])
-            # two --set overrides, and a --set with the direct flag of its key
+            # two --set overrides, a --set with the direct flag of its key, and that flag twice
             twice = [["--set", token, "--set", token]]
             if key in flags:
-                twice.append([flags[key], str(DEFAULTS[key]), "--set", token])
+                flag = [flags[key], str(DEFAULTS[key])]
+                twice += [flag + ["--set", token], flag + flag]
             for args in twice:
                 assert cli_main(["energy", "--outdir", str(tmp_path), *args]) == 2, args
                 assert re.search(re.escape(key) + r"\b", capsys.readouterr().err), args

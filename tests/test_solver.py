@@ -337,7 +337,7 @@ class TestSimulatePath:
         config = replace(stochastic_config, t_final=0.1)
         grid, graph, lam = config.grid, config.graph, config.lam
         seen = []
-        result = simulate_path(config, 3, lambda k, u, v, beta, dm: seen.append((u, v, beta, dm)))
+        result = simulate_path(config, 3, lambda k, u, v, beta, dm, beta_nodes: seen.append((u, v, beta, dm)))
         np.testing.assert_array_equal(seen[0][0], result.u_first)
         np.testing.assert_array_equal(seen[0][1], result.v_first)
         cache = GroupCache(grid, config.dt)
@@ -428,7 +428,7 @@ class TestObserverContract:
         driver = None if kind is None else MartingaleDriver(kind, stochastic_config.driver.covariance, rate=50.0)
         config = replace(stochastic_config, t_final=0.1, driver=driver)
         calls = []
-        simulate_path(config, 3, lambda k, u, v, beta, dm: calls.append((k, dm is None)))
+        simulate_path(config, 3, lambda k, u, v, beta, dm, beta_nodes: calls.append((k, dm is None)))
         assert calls == [(k, driver is None) for k in range(config.n_steps)]
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
@@ -437,7 +437,7 @@ class TestObserverContract:
         draws = {1e-1: [], 1e-3: []}
         for lam, seen in draws.items():
             config = replace(stochastic_config, lam=lam, t_final=0.1, driver=driver)
-            simulate_path(config, 2, lambda k, u, v, beta, dm: seen.append(dm.tobytes()))
+            simulate_path(config, 2, lambda k, u, v, beta, dm, beta_nodes: seen.append(dm.tobytes()))
         assert draws[1e-1] == draws[1e-3]
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
@@ -475,6 +475,27 @@ class TestObserverContract:
                 assert a.tobytes() == b.tobytes()
         for final in (result.u_final, result.v_final):
             assert not any(np.shares_memory(final, a) for arrays in kept for a in arrays)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_beta_nodes_are_the_nodal_drift_of_each_row(self, dim, kind, record_path):
+        # beta_nodes transforms to beta_modes bit for bit, in a block and alone,
+        # and each block row holds its single path's nodal drift
+        config = block_config(dim, kind, "cubic", sigma="clip")
+        grid, paths, lambdas = config.grid, (0, 1, 2), (1e-1, 1e-2)
+        seen = []
+        _run(config, paths, lambdas, lambda k, u, v, beta, dm, beta_nodes: seen.append((beta, beta_nodes)))
+        assert len(seen) == config.n_steps
+        for beta, beta_nodes in seen:
+            assert beta_nodes.shape == beta.shape == (3, 2) + grid.shape
+            assert grid._modes(beta_nodes).tobytes() == beta.tobytes()
+        block = np.array([beta_nodes for _, beta_nodes in seen])
+        for i, p in enumerate(paths):
+            for j, lam in enumerate(lambdas):
+                single = record_path(replace(config, lam=lam), p)
+                for beta, beta_nodes in zip(single.beta, single.beta_nodes):
+                    assert grid.to_modes(beta_nodes).tobytes() == beta.tobytes()
+                assert block[:, i, j].tobytes() == single.beta_nodes.tobytes()
 
 
 def poisson_config(dim, sigma):
@@ -843,7 +864,7 @@ class TestBlockKernel:
             for lam in lambdas:
                 sums = dict.fromkeys(eps_values[:2], 0.0)
 
-                def observe(k, u, v, beta, dm):
+                def observe(k, u, v, beta, dm, beta_nodes):
                     for eps in sums:
                         filt = grid.smoother(eps)
                         res = graph.resolvent(lam, grid.to_nodes(filt * u))

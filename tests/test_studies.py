@@ -64,7 +64,7 @@ def scalar_recursion(lam, dt, n_steps, omega=1.0, u0=1.0):
 
 
 def whole_history_gaps(config, prev, result):
-    """Gap arithmetic over two recorded (u, beta) histories, one array op per quantity."""
+    """Gap arithmetic over two recorded (u, beta, beta_nodes) histories, one array op per quantity."""
     if prev is None:
         return ()
     grid, dt = config.grid, config.dt
@@ -72,8 +72,8 @@ def whole_history_gaps(config, prev, result):
     u_gap = float(np.max(np.sqrt([np.vdot(row, row) for row in du])))
     dbeta = result.beta - prev.beta
     l1 = 0.0
-    for n in range(dbeta.shape[0]):
-        l1 += grid.weight * float(np.sum(np.abs(grid.to_nodes(dbeta[n]))))
+    for row in result.beta_nodes - prev.beta_nodes:
+        l1 += grid.weight * float(np.sum(np.abs(row)))
     l1 *= dt
     hm2 = dt * float(np.sum(np.sqrt([np.vdot((1.0 + grid.mu) ** -2.0, row**2) for row in dbeta])))
     hm3 = dt * float(np.sum(np.sqrt([np.vdot((1.0 + grid.mu) ** -3.0, row**2) for row in dbeta])))
@@ -81,12 +81,17 @@ def whole_history_gaps(config, prev, result):
 
 
 def serial_children(monkeypatch, cpus):
-    """Make the fork map step its children's shares in this process, on ``cpus`` CPUs; returns the shares."""
+    """Make the fork map step its children's shares in this process, on ``cpus`` CPUs.
+
+    Returns the (cpu, share) of each child, in the order they were started;
+    no process is moved.
+    """
     shares = []
 
     class SerialChild:
-        def __init__(self, fn, share):
-            shares.append(share)
+        def __init__(self, fn, share, cpu, all_cpus):
+            assert all_cpus == list(range(cpus))
+            shares.append((cpu, share))
             self.results = [fn(block) for block in share]
 
         def join(self):
@@ -96,7 +101,8 @@ def serial_children(monkeypatch, cpus):
             pass
 
     monkeypatch.setattr(studies, "_Child", SerialChild)
-    monkeypatch.setattr(studies.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: list(range(cpus)))
+    monkeypatch.setattr(studies, "_place", lambda cpu, all_cpus: None)
     return shares
 
 
@@ -172,6 +178,40 @@ class TestForkMap:
         monkeypatch.delattr(studies.os, "fork")
         assert studies._map_ordered(lambda block: os.getpid(), self.BLOCKS, 2) == [os.getpid()] * 2
 
+    def test_each_process_is_moved_onto_its_own_cpu_and_then_allowed_all(self, monkeypatch):
+        # each process returns the affinity calls it has seen: a child inherits
+        # this process's calls at the fork and makes its own after it
+        calls = []
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: [3, 5, 8])
+        monkeypatch.setattr(studies.os, "sched_setaffinity", lambda pid, mask: calls.append((pid, set(mask))))
+        blocks = [range(p, p + 1) for p in range(4)]  # shares [b0], [b1], [b2, b3]
+        results = studies._map_ordered(lambda block: list(calls), blocks, 3)
+        every = {3, 5, 8}
+        parent = [(0, {3}), (0, every)]
+        child1, child2 = parent + [(0, {5}), (0, every)], parent + [(0, {8}), (0, every)]
+        assert results == [parent, child1, child2, child2]
+        assert calls == parent
+
+    @pytest.mark.parametrize("how", ["refused", "missing"])
+    def test_a_process_that_cannot_be_moved_still_steps_its_share(self, monkeypatch, how):
+        if how == "missing":
+            monkeypatch.delattr(studies.os, "sched_setaffinity", raising=False)
+        else:
+            def refuse(pid, mask):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(studies.os, "sched_setaffinity", refuse)
+        results = studies._map_ordered(lambda block: (list(block), os.getpid()), self.BLOCKS, 2)
+        assert [paths for paths, _ in results] == [[0, 1], [2, 3]]
+
+    def test_usable_cpus_are_the_affinity_set_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {7, 2, 4}, raising=False)
+        assert studies._usable_cpus() == [2, 4, 7]
+        monkeypatch.delattr(studies.os, "sched_getaffinity")
+        for count, cpus in ((3, [0, 1, 2]), (None, [0])):
+            monkeypatch.setattr(studies.os, "cpu_count", lambda: count)
+            assert studies._usable_cpus() == cpus
+
 
 class TestStudySpecValidation:
     def test_grid_rules(self, small_stochastic_spec):
@@ -220,7 +260,7 @@ class TestLambdaSweep:
         # this process steps the first, and 16 children one each
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert shares == [[range(p, p + 1)] for p in range(1, 17)]
+        assert shares == [(p, [range(p, p + 1)]) for p in range(1, 17)]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     def test_processes_are_capped_at_the_cpu_count(self, small_stochastic_spec, monkeypatch):
@@ -228,21 +268,42 @@ class TestLambdaSweep:
         # 17 paths on 64 workers but 4 CPUs make blocks of min(_BLOCK_PATHS, ceil(17 / 4)) paths, one per process
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert shares == [[range(5, 10)], [range(10, 15)], [range(15, 17)]]
+        assert shares == [(1, [range(5, 10)]), (2, [range(10, 15)]), (3, [range(15, 17)])]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
         shares.clear()
         # 100 000 workers on 100 000 one-path blocks start 3 children, not 99 999
         blocks = [range(p, p + 1) for p in range(100_000)]
         assert studies._map_ordered(lambda block: block.start, blocks, 100_000) == list(range(100_000))
-        assert [len(share) for share in shares] == [25_000] * 3
+        assert [(cpu, len(share)) for cpu, share in shares] == [(1, 25_000), (2, 25_000), (3, 25_000)]
 
     def test_workers_above_the_cpu_count_do_not_shrink_blocks(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=2)
         # 8 workers on 2 CPUs: blocks of _BLOCK_PATHS paths, as with 2 workers, not 17 / 8 -> 3
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=8))
-        assert shares == [[range(8, 16), range(16, 17)]]
+        assert shares == [(1, [range(8, 16), range(16, 17)])]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lambda_conv_csv_bytes_do_not_depend_on_workers_or_block_size(
+        self, small_stochastic_spec, dim, tmp_path, monkeypatch
+    ):
+        spec = replace(small_stochastic_spec, n_paths=5)
+        if dim == 2:
+            grid = SpectralGrid(2, 8)
+            driver = MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=5.0)
+            sigma = DiffusionMap.from_name("sin")
+            base = replace(spec.base, grid=grid, graph=SignGraph(), driver=driver, diffusion=sigma)
+            spec = replace(spec, base=base)
+        texts = set()
+        # blocks of 1, 2, 3 and 4 paths: min(_BLOCK_PATHS, ceil(5 / processes))
+        for block_paths in (1, 2, 4):
+            monkeypatch.setattr(studies, "_BLOCK_PATHS", block_paths)
+            for workers in (1, 2):
+                path = tmp_path / f"{block_paths}-{workers}.csv"
+                write_csv(lambda_convergence_study(replace(spec, workers=workers)), path)
+                texts.add(path.read_bytes())
+        assert len(texts) == 1
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind, record_path):
@@ -250,7 +311,7 @@ class TestLambdaSweep:
         driver = MartingaleDriver(kind, spec.base.driver.covariance, rate=50.0)
         base = replace(spec.base, driver=driver)
         draws = []
-        result, _ = _run(base, (2,), spec.lambdas, lambda k, u, v, beta, dm: draws.append(dm))
+        result, _ = _run(base, (2,), spec.lambdas, lambda k, u, v, beta, dm, beta_nodes: draws.append(dm))
         # a (1, L) block sees one increment row, shared by all its lambda rows
         assert {dm.shape for dm in draws} == {(1, 1, *base.grid.shape)}
         first, [[u_first, *rest]] = np.array(draws)[:, 0, 0], result.u_final
