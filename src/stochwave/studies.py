@@ -115,41 +115,20 @@ def write_field_csv(grid, coeffs, path) -> None:
 
 
 def _usable_cpus():
-    """The CPUs this process may run on, in ascending order.
+    """How many CPUs this process may run on.
 
-    Its affinity set where the platform has one (a cpuset or ``taskset`` can
-    make that smaller than the machine), else ``range(os.cpu_count())``.
+    The size of its affinity set where the platform has one (a cpuset or
+    ``taskset`` can make that smaller than the machine), else ``os.cpu_count()``.
     """
     if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
-def _place(cpu, cpus):
-    """Move this process onto ``cpu``, then let it run on every CPU of ``cpus`` again.
-
-    Where the kernel does not balance load between CPUs (a cpuset with
-    ``sched_load_balance`` 0), a forked child runs on its parent's CPU for
-    good, so two processes of one fork map would share one CPU.  Being moved
-    once is enough to stay apart there; elsewhere the kernel may move them on.
-    Does nothing where the platform cannot set an affinity, or refuses to.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _Child:
-    """A forked worker process that steps a share of the blocks and pickles the results to a pipe.
+    """A forked worker process that steps a share of the blocks and pickles the results to a pipe."""
 
-    It first moves onto ``cpu`` of the usable ``cpus`` (see ``_place``).
-    """
-
-    def __init__(self, fn, share, cpu, cpus):
+    def __init__(self, fn, share):
         self.share = share
         read, write = os.pipe()
         try:
@@ -160,7 +139,6 @@ class _Child:
             raise
         if self.pid == 0:
             os.close(read)
-            _place(cpu, cpus)
             _serve(fn, share, write)
         os.close(write)
         self.fd = read
@@ -228,22 +206,19 @@ def _map_ordered(fn, blocks, workers):
     The blocks (ranges of path indices) are cut into one run of consecutive
     blocks per process; this process steps the first run while a forked
     child steps each other one, and the results come back in block order.
-    Process k is first moved onto the k-th usable CPU (see ``_place``).  If
-    anything fails, every child is killed and reaped.  Without ``os.fork``
+    If anything fails, every child is killed and reaped.  Without ``os.fork``
     the map is serial.
     """
     blocks = list(blocks)
-    cpus = _usable_cpus()
-    procs = min(workers, len(blocks), len(cpus))
+    procs = min(workers, len(blocks), _usable_cpus())
     if procs <= 1 or not hasattr(os, "fork"):
         return [fn(block) for block in blocks]
     cuts = [len(blocks) * k // procs for k in range(procs + 1)]
     shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
     children = []
-    _place(cpus[0], cpus)
     try:
-        for cpu, share in zip(cpus[1:], shares[1:]):
-            children.append(_Child(fn, share, cpu, cpus))
+        for share in shares[1:]:
+            children.append(_Child(fn, share))
         results = [fn(block) for block in shares[0]]
         for child in children:
             results += child.join()
@@ -293,7 +268,7 @@ def _sweep(spec: StudySpec, job):
     Studies reduce paths while they step, so nothing is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    procs = min(spec.workers, len(_usable_cpus()))
+    procs = min(spec.workers, _usable_cpus())
     size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
     blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
     per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, procs)

@@ -81,17 +81,12 @@ def whole_history_gaps(config, prev, result):
 
 
 def serial_children(monkeypatch, cpus):
-    """Make the fork map step its children's shares in this process, on ``cpus`` CPUs.
-
-    Returns the (cpu, share) of each child, in the order they were started;
-    no process is moved.
-    """
+    """Make the fork map step its children's shares in this process, on ``cpus`` CPUs; returns the shares."""
     shares = []
 
     class SerialChild:
-        def __init__(self, fn, share, cpu, all_cpus):
-            assert all_cpus == list(range(cpus))
-            shares.append((cpu, share))
+        def __init__(self, fn, share):
+            shares.append(share)
             self.results = [fn(block) for block in share]
 
         def join(self):
@@ -101,8 +96,7 @@ def serial_children(monkeypatch, cpus):
             pass
 
     monkeypatch.setattr(studies, "_Child", SerialChild)
-    monkeypatch.setattr(studies, "_usable_cpus", lambda: list(range(cpus)))
-    monkeypatch.setattr(studies, "_place", lambda cpu, all_cpus: None)
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: cpus)
     return shares
 
 
@@ -178,37 +172,11 @@ class TestForkMap:
         monkeypatch.delattr(studies.os, "fork")
         assert studies._map_ordered(lambda block: os.getpid(), self.BLOCKS, 2) == [os.getpid()] * 2
 
-    def test_each_process_is_moved_onto_its_own_cpu_and_then_allowed_all(self, monkeypatch):
-        # each process returns the affinity calls it has seen: a child inherits
-        # this process's calls at the fork and makes its own after it
-        calls = []
-        monkeypatch.setattr(studies, "_usable_cpus", lambda: [3, 5, 8])
-        monkeypatch.setattr(studies.os, "sched_setaffinity", lambda pid, mask: calls.append((pid, set(mask))))
-        blocks = [range(p, p + 1) for p in range(4)]  # shares [b0], [b1], [b2, b3]
-        results = studies._map_ordered(lambda block: list(calls), blocks, 3)
-        every = {3, 5, 8}
-        parent = [(0, {3}), (0, every)]
-        child1, child2 = parent + [(0, {5}), (0, every)], parent + [(0, {8}), (0, every)]
-        assert results == [parent, child1, child2, child2]
-        assert calls == parent
-
-    @pytest.mark.parametrize("how", ["refused", "missing"])
-    def test_a_process_that_cannot_be_moved_still_steps_its_share(self, monkeypatch, how):
-        if how == "missing":
-            monkeypatch.delattr(studies.os, "sched_setaffinity", raising=False)
-        else:
-            def refuse(pid, mask):
-                raise OSError(22, "Invalid argument")
-
-            monkeypatch.setattr(studies.os, "sched_setaffinity", refuse)
-        results = studies._map_ordered(lambda block: (list(block), os.getpid()), self.BLOCKS, 2)
-        assert [paths for paths, _ in results] == [[0, 1], [2, 3]]
-
     def test_usable_cpus_are_the_affinity_set_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(studies.os, "sched_getaffinity", lambda pid: {7, 2, 4}, raising=False)
-        assert studies._usable_cpus() == [2, 4, 7]
+        assert studies._usable_cpus() == 3
         monkeypatch.delattr(studies.os, "sched_getaffinity")
-        for count, cpus in ((3, [0, 1, 2]), (None, [0])):
+        for count, cpus in ((5, 5), (None, 1)):
             monkeypatch.setattr(studies.os, "cpu_count", lambda: count)
             assert studies._usable_cpus() == cpus
 
@@ -260,7 +228,7 @@ class TestLambdaSweep:
         # this process steps the first, and 16 children one each
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert shares == [(p, [range(p, p + 1)]) for p in range(1, 17)]
+        assert shares == [[range(p, p + 1)] for p in range(1, 17)]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     def test_processes_are_capped_at_the_cpu_count(self, small_stochastic_spec, monkeypatch):
@@ -268,20 +236,20 @@ class TestLambdaSweep:
         # 17 paths on 64 workers but 4 CPUs make blocks of min(_BLOCK_PATHS, ceil(17 / 4)) paths, one per process
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=64))
-        assert shares == [(1, [range(5, 10)]), (2, [range(10, 15)]), (3, [range(15, 17)])]
+        assert shares == [[range(5, 10)], [range(10, 15)], [range(15, 17)]]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
         shares.clear()
         # 100 000 workers on 100 000 one-path blocks start 3 children, not 99 999
         blocks = [range(p, p + 1) for p in range(100_000)]
         assert studies._map_ordered(lambda block: block.start, blocks, 100_000) == list(range(100_000))
-        assert [(cpu, len(share)) for cpu, share in shares] == [(1, 25_000), (2, 25_000), (3, 25_000)]
+        assert [len(share) for share in shares] == [25_000] * 3
 
     def test_workers_above_the_cpu_count_do_not_shrink_blocks(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=2)
         # 8 workers on 2 CPUs: blocks of _BLOCK_PATHS paths, as with 2 workers, not 17 / 8 -> 3
         spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
         pooled = energy_study(replace(spec, workers=8))
-        assert shares == [(1, [range(8, 16), range(16, 17)])]
+        assert shares == [[range(8, 16), range(16, 17)]]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     @pytest.mark.parametrize("dim", [1, 2])
