@@ -32,6 +32,12 @@ def _as_float_array(x):
     return a, (a.ndim == 0)
 
 
+def _checked_lam(lam):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
+    return float(lam)
+
+
 def _solve_monotone(beta, beta_prime, lam, x):
     """Solve y + lam*beta(y) = x elementwise by safeguarded Newton.
 
@@ -147,10 +153,8 @@ class MonotoneGraph:
 
     def resolvent(self, lam, x):
         """(I + lam*beta)^{-1} x: the unique y with x in y + lam*beta(y)."""
-        if not 0.0 < lam < math.inf:
-            raise ValueError(f"lambda must be finite and positive, got {lam}")
         a, scalar = _as_float_array(x)
-        y = self._resolvent_impl(float(lam), a)
+        y = self._resolvent_impl(_checked_lam(lam), a)
         return float(y) if scalar else y
 
     def _resolvent_impl(self, lam, x):
@@ -168,10 +172,25 @@ class MonotoneGraph:
         """
         return lambda x, y0: self._resolvent_impl(lam, x)
 
+    def _yosida_at(self, lam, batch_ndim=0):
+        """``yosida(x, y0, out) -> (yos, res)``: ``_resolvent_at``'s counterpart for the Yosida map.
+
+        yos goes into ``out`` (an array of x's shape, or None for a new one).
+        This default is ``(x - res) / lam`` with ``res = resolve(x, y0)``, the
+        next step's hint.  A map that takes no resolvent returns res None.
+        """
+        resolve = self._resolvent_at(lam, batch_ndim)
+
+        def yosida(x, y0, out=None):
+            res = resolve(x, y0)
+            return np.divide(np.subtract(x, res, out=out), lam, out=out), res
+
+        return yosida
+
     def yosida(self, lam, x):
         """(x - resolvent(lam, x)) / lam: Lipschitz single-valued surrogate."""
         a, scalar = _as_float_array(x)
-        out = (a - self.resolvent(lam, a)) / lam
+        out = self._yosida_at(_checked_lam(lam))(a, None, np.empty(a.shape))[0]
         return float(out) if scalar else out
 
     def moreau(self, lam, x):
@@ -277,6 +296,23 @@ class PowerLawGraph(MonotoneGraph):
             return y
 
         return resolve
+
+    def _yosida_at(self, lam, batch_ndim=0):
+        """For p = 1, beta_lam = beta(J_lam x) = clip(x/lam, -1, 1), else the default.
+
+        (Brezis, Operateurs maximaux monotones, Prop. 2.6.)  It takes no
+        resolvent and cancels nothing, so every value lies in [-1, 1]
+        exactly; both clips keep a NaN for the blow-up guard.
+        """
+        if self.p != 1.0:
+            return super()._yosida_at(lam, batch_ndim)
+
+        def yosida(x, y0, out=None):
+            yos = np.divide(x, lam, out=out)
+            np.maximum(yos, -1.0, out=yos)
+            return np.minimum(yos, 1.0, out=yos), None
+
+        return yosida
 
 
 class CubicGraph(PowerLawGraph):

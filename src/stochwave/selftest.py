@@ -46,8 +46,8 @@ def convex_analysis_holds(graph, lam, x, y) -> bool:
     """
     jx = graph.resolvent(lam, x)
     jy = graph.resolvent(lam, y)
-    bx = (x - jx) / lam
-    by = (y - jy) / lam
+    bx = graph.yosida(lam, x)
+    by = graph.yosida(lam, y)
     swap = x > y
     lo, hi = graph.section(jx)
     m = graph.moreau(lam, x)

@@ -192,18 +192,20 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
-def _drift(grid: SpectralGrid, resolve, lam, u, warm, out):
+def _drift(grid: SpectralGrid, yosida, u, warm, out, resolve=None):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
-    u is a field or a stack of fields; ``resolve(x, y0)`` is the graph's
-    resolvent at lam (``MonotoneGraph._resolvent_at``), lam a float or an
-    array that broadcasts against u.  ``warm`` is the previous step's
-    resolvent, used as a Newton start, or None.  ``out``, an array of u's
-    shape or None, receives the Yosida values.
+    u is a field or a stack of fields; ``yosida(x, y0, out)`` is the graph's
+    Yosida map at lam (``MonotoneGraph._yosida_at``).  ``warm`` is the
+    previous step's resolvent, used as a Newton start, or None.  ``out``, an
+    array of u's shape or None, receives the Yosida values.  The resolvent is
+    the one the Yosida map took, else ``resolve``'s (``_resolvent_at``) if
+    that is given, else None.
     """
     u_nodes = grid._nodes(u)
-    res = resolve(u_nodes, warm)
-    yos = np.divide(np.subtract(u_nodes, res, out=out), lam, out=out)
+    yos, res = yosida(u_nodes, warm, out)
+    if res is None and resolve is not None:
+        res = resolve(u_nodes, warm)
     return u_nodes, res, yos, grid._modes(yos)
 
 
@@ -262,10 +264,9 @@ def _envelope_mass(weight, graph: MonotoneGraph, lam: float, res, yos) -> float:
 
 
 def _cold_envelope_mass(grid: SpectralGrid, graph: MonotoneGraph, lam: float, u) -> float:
-    """``_envelope_mass`` of the modes u through the cold resolvent."""
+    """``_envelope_mass`` of the modes u through the cold resolvent and the public Yosida map."""
     u_nodes = grid.to_nodes(u)
-    res = graph.resolvent(lam, u_nodes)
-    return _envelope_mass(grid.weight, graph, lam, res, (u_nodes - res) / lam)
+    return _envelope_mass(grid.weight, graph, lam, graph.resolvent(lam, u_nodes), graph.yosida(lam, u_nodes))
 
 
 def lyapunov(grid: SpectralGrid, u, v, graph: MonotoneGraph, lam: float) -> float:
@@ -344,12 +345,15 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     (``record`` with 'functionals') is for a single path only.
 
     Work that is the same at every step is done once per call: the group
-    tables, mu and the lambda table at the state's shape, the resolvent's
-    lambda constants, the scratch arrays; the jump-free test and the nodal
-    transform of the increments once per drawn block.  Of the ``_SUMS``, only
-    those named in ``sums`` are accumulated; the others are None in the
-    result.  ``sup_energy`` is always there: the blow-up guard needs the
-    energy anyway.
+    tables, mu and the lambda table at the state's shape, the Yosida map's
+    and the resolvent's lambda constants, the scratch arrays; the jump-free
+    test and the nodal transform of the increments once per drawn block.
+    Of the ``_SUMS``, only those named in ``sums`` are accumulated; the
+    others are None in the result.  ``sup_energy`` is always there: the
+    blow-up guard needs the energy anyway.  The drift is the graph's
+    ``_yosida_at`` map; where that takes no resolvent (the sign graph), one
+    is computed only for the pairing and the series.  The drift after the
+    last step is computed only for the series.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
     weight, dim = grid.weight, grid.dim
@@ -375,7 +379,6 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     # before the next is written.  An observer is handed the Yosida values,
     # so with one they get a new array every step.
     w, tmp = np.empty(u.shape), np.empty(u.shape)
-    resolve = graph._resolvent_at(lam, len(batch))
     driver, diffusion = config.driver, config.diffusion
 
     rec_series = "functionals" in config.record
@@ -383,6 +386,9 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     series = np.empty((n + 1, 6)) if rec_series else None
     chain = "chain_lhs" in sums
     pair = "pairing" in sums or rec_series
+    yosida = graph._yosida_at(lam, len(batch))
+    # the pairing and the series read the resolvent; nothing else does
+    resolve = graph._resolvent_at(lam, len(batch)) if pair else None
 
     u_first, v_first = u.copy(), v.copy()
     sup_energy = np.full(batch, -np.inf)
@@ -415,8 +421,10 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             sup_energy = max(sup_energy, quad)
         else:
             np.maximum(sup_energy, quad, out=sup_energy)
+        if step_idx == n and not rec_series:
+            break
         yos_out = w if observe is None else np.empty(u.shape)
-        u_nodes, res, yos, beta_modes = _drift(grid, resolve, lam, u, warm, yos_out)
+        u_nodes, res, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, resolve)
         warm = res
 
         if rec_series:

@@ -61,6 +61,8 @@ class StudySpec:
             raise ValueError(f"study.lambda_grid (StudySpec.lambdas) entries must be positive, got {self.lambdas}")
         if not all(math.isfinite(e) and e >= 0.0 for e in self.eps_grid):
             raise ValueError(f"study.eps_grid entries must be finite and >= 0, got {tuple(self.eps_grid)}")
+        if len(set(self.eps_grid)) < len(self.eps_grid):
+            raise ValueError(f"study.eps_grid entries must be distinct, got {tuple(self.eps_grid)}")
         if self.n_paths < 1:
             raise ValueError(f"study.n_paths (StudySpec.n_paths) must be >= 1, got {self.n_paths}")
         if self.workers < 1:
@@ -298,21 +300,26 @@ def _pairing_job(base, lambdas, paths, eps_values):
     per step serves every eps, lambda and path.  The resolver is built once
     per block and called without a hint, so it is the closed form or the
     cold solver: both work entry by entry, so each field keeps the bits it
-    gets alone.
+    gets alone.  u and beta_modes share one stack, so that one product
+    smooths both at every eps and one transform takes them to the nodes.
     """
     grid = base.grid
-    smoothed = tuple(dict.fromkeys(e for e in eps_values if e > 0.0))
-    sums = np.zeros((len(smoothed), len(paths), len(lambdas)))
+    smoothed = tuple(e for e in eps_values if e > 0.0)
+    block = (len(paths), len(lambdas))
+    sums = np.zeros((len(smoothed),) + block)
     observe = None
     if smoothed:
         filt = np.array([grid.smoother(e) for e in smoothed])[:, None, None]  # (E, 1, 1, *grid.shape)
         lam = np.reshape(np.array(lambdas, dtype=float), (len(lambdas),) + (1,) * grid.dim)
         scale = base.dt * grid.weight
         resolve = base.graph._resolvent_at(lam, 3)
+        pair = np.empty((2, 1) + block + grid.shape)  # (u, beta_modes), with a unit eps axis
+        smooth = np.empty((2, len(smoothed)) + block + grid.shape)
 
         def observe(k, u, v, beta_modes, dm, beta_nodes):
-            res = resolve(grid._nodes(filt * u), None)
-            sums[...] += scale * _row_dots(res, grid._nodes(filt * beta_modes), 3)
+            pair[0, 0], pair[1, 0] = u, beta_modes
+            u_eps, beta_eps = grid._nodes(np.multiply(filt, pair, out=smooth))
+            sums[...] += scale * _row_dots(resolve(u_eps, None), beta_eps, 3)
 
     result, blown = _run(base, paths, lambdas, observe, sums={"pairing"})
     values = [

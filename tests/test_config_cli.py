@@ -133,6 +133,9 @@ class TestBuilders:
             ("study.lambda_grid", ",1e-1"),
             ("study.eps_grid", "1e-2, ,0"),
             ("study.eps_grid", ""),
+            ("study.eps_grid", "1e-2,1e-2,0"),
+            ("study.eps_grid", "1e-2,0.01"),
+            ("study.eps_grid", "0,-0"),
         ):
             values = parse_config_text(BASE_TEXT)
             values[key] = raw
@@ -390,10 +393,11 @@ class TestConfigFuzz:
     """Every key at the edges of its type: it builds, or its error names it, also through the CLI."""
 
     EDGES = ("0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", str(2**63))
-    # values that once built: an empty list entry, and a token with an empty argument
+    # values that once built: an empty or repeated list entry, and a token with an empty argument
     ESCAPES = (
         ("study.lambda_grid", "1e-1,,1e-2"),
         ("study.eps_grid", "1e-2,"),
+        ("study.eps_grid", "1e-2,0.01,0"),
         ("solver.record", "functionals,,"),
         ("solver.u0", "smooth:"),
         ("solver.u0", "random:"),

@@ -216,6 +216,18 @@ class TestYosidaExamples:
         # |x| <= lam: resolvent is 0, so the map is x/lam
         assert SignGraph().yosida(0.5, 0.25) == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("lam", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_sign_is_in_the_graph_exactly(self, lam):
+        # clip(x/lam, -1, 1): (x - resolvent)/lam rounded up to 2e-12 outside [-1, 1]
+        rng = np.random.default_rng(19)
+        x = np.concatenate((rng.standard_normal(100_000), lam * rng.uniform(-2.0, 2.0, 100_000)))
+        b = SignGraph().yosida(lam, x)
+        assert np.abs(b).max() <= 1.0
+        beyond = np.abs(x) > lam
+        assert beyond.sum() > 100_000
+        assert np.array_equal(b[beyond], np.sign(x[beyond]))
+        assert np.array_equal(b[~beyond], x[~beyond] / lam)
+
     def test_cubic(self):
         assert CubicGraph().yosida(1.0, 2.0) == pytest.approx(1.0, abs=1e-13)
 

@@ -28,6 +28,7 @@ from stochwave import (
     simulate_path,
 )
 from stochwave.noise import path_rng
+from stochwave.selftest import GRAPHS
 from stochwave.solver import MAX_STEP_ENTRIES, _increments, _run
 from stochwave.studies import _pairing_job
 
@@ -496,6 +497,36 @@ class TestObserverContract:
                 for beta, beta_nodes in zip(single.beta, single.beta_nodes):
                     assert grid.to_modes(beta_nodes).tobytes() == beta.tobytes()
                 assert block[:, i, j].tobytes() == single.beta_nodes.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
+    def test_beta_nodes_are_the_graphs_yosida_map(self, dim, graph):
+        # alone and in a block, each field's beta_nodes is graph.yosida of its
+        # nodal state, bit for bit; without a closed form (power:2.5) the
+        # kernel starts Newton from the previous step's resolvent, so there
+        # the map is replayed with that hint and is graph.yosida to round-off
+        config = replace(block_config(dim, "wiener", "cubic"), graph=graph)
+        grid, paths, lambdas = config.grid, (0, 1), (1e-1, 1e-2)
+        hinted = getattr(graph, "_closed_form", 0) is None
+        single, block = [], []
+        simulate_path(config, 1, lambda k, u, v, beta, dm, beta_nodes: single.append((u, beta_nodes)))
+        _run(config, paths, lambdas, lambda k, u, v, beta, dm, beta_nodes: block.append((u, beta_nodes)))
+        fields = [(config.lam, single)] + [
+            (lam, [(u[i, j], beta_nodes[i, j]) for u, beta_nodes in block])
+            for i in range(len(paths))
+            for j, lam in enumerate(lambdas)
+        ]
+        for lam, steps in fields:
+            assert len(steps) == config.n_steps
+            yosida, warm = graph._yosida_at(lam), None
+            for u, beta_nodes in steps:
+                u_nodes = grid.to_nodes(u)
+                expected, warm = yosida(u_nodes, warm)
+                assert beta_nodes.tobytes() == expected.tobytes()
+                if hinted:
+                    np.testing.assert_allclose(expected, graph.yosida(lam, u_nodes), rtol=0, atol=1e-12 / lam)
+                else:
+                    assert expected.tobytes() == graph.yosida(lam, u_nodes).tobytes()
 
 
 def poisson_config(dim, sigma):

@@ -225,8 +225,7 @@ class TestNemytskii:
 
     @staticmethod
     def _yosida_modes(grid, c, slope, lam=0.5):
-        resolve = LinearGraph(slope)._resolvent_at(lam)
-        return _drift(grid, resolve, lam, c, None, None)[3]
+        return _drift(grid, LinearGraph(slope)._yosida_at(lam), c, None, None)[3]
 
     def test_identity(self, grid64):
         rng = np.random.default_rng(5)

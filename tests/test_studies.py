@@ -32,7 +32,7 @@ from stochwave import (
 )
 from stochwave import noise, studies
 from stochwave.solver import _run
-from stochwave.studies import _gaps_job, _mean_se
+from stochwave.studies import _energy_job, _gaps_job, _mean_se, _pairing_job
 
 
 @pytest.fixture(scope="module")
@@ -374,11 +374,33 @@ class TestPairingStudy:
         # smoothing is a contraction mode-wise, so estimates stay comparable
         assert all(np.isfinite(row[2]) for row in report.rows)
 
-    def test_repeated_eps_is_counted_once(self, small_stochastic_spec):
-        spec = replace(small_stochastic_spec, n_paths=2, lambdas=(1e-2,))
-        once = pairing_study(replace(spec, eps_grid=(1e-2, 0.0))).rows
-        twice = pairing_study(replace(spec, eps_grid=(1e-2, 1e-2, 0.0))).rows
-        assert twice == [once[0], once[0], once[1]]
+    def test_the_sign_resolvent_is_computed_only_where_read(self, small_stochastic_spec, monkeypatch):
+        # the sign graph's drift takes no resolvent: energy and lambda-conv
+        # never call its resolver, and pairing calls it once per step for the
+        # unsmoothed pairing, plus once per step for the smoothed ones
+        calls = []
+        resolvent_at = SignGraph._resolvent_at
+
+        def spy(self, lam, batch_ndim=0):
+            resolve = resolvent_at(self, lam, batch_ndim)
+
+            def counted(x, y0):
+                calls.append(x.shape)
+                return resolve(x, y0)
+
+            return counted
+
+        monkeypatch.setattr(SignGraph, "_resolvent_at", spy)
+        base = replace(small_stochastic_spec.base, graph=SignGraph())
+        paths, lambdas, n = range(2, 5), small_stochastic_spec.lambdas, base.n_steps
+        block = (len(paths), len(lambdas)) + base.grid.shape
+        for job in (_energy_job, _gaps_job):
+            assert (job(base, lambdas, paths)[1] < 0).all()
+            assert calls == []
+        _pairing_job(base, lambdas, paths, eps_values=(1e-2, 1e-3, 0.0))
+        smoothed = (2,) + block  # one field per eps > 0
+        assert set(calls) == {block, smoothed}
+        assert calls.count(block) == calls.count(smoothed) == n
 
     # power:3 has a closed form; the others do not, so every graph class's resolver is pinned
     @pytest.mark.parametrize("spec", ["power:3", "power:2.5", "jump:0.5", "linear:2"])
