@@ -287,8 +287,6 @@ class PowerLawGraph(MonotoneGraph):
             f = y + lam * self._beta(y) - x
             # a NaN residual fails the comparison and so also falls back
             close = np.abs(f) <= 1e-12 * (1.0 + np.abs(x))
-            if batch_ndim == 0:
-                return y if np.all(close) else self._resolvent_impl(lam, x)
             cold = ~close.reshape(*x.shape[:batch_ndim], -1).all(axis=-1)
             if cold.any():
                 # lam may be a column of a stack's lambdas or a table at x's shape

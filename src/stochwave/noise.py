@@ -84,12 +84,12 @@ class MartingaleDriver:
             raise ValueError(f"noise.rate: poisson driver needs rate > 0, got {self.rate}")
 
     def increment_sampler(self, dt: float):
-        """Precompiled sampler ``draw(rng, n_steps=None)`` of increments of M
+        """Precompiled sampler ``draw(rng, n_steps)`` of increments of M
         over steps of length dt.
 
-        Without ``n_steps`` it returns one increment; with it, an
-        ``(n_steps, *q.shape)`` block of consecutive increments, equal bit for
-        bit to ``n_steps`` single draws in a row from the same rng.
+        It returns an ``(n_steps, *q.shape)`` block of consecutive
+        increments, equal bit for bit to ``n_steps`` blocks of one in a row
+        from the same rng.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -97,9 +97,8 @@ class MartingaleDriver:
         if self.kind == "wiener":
             scale = np.sqrt(q * dt)
 
-            def draw(rng, n_steps=None):
-                shape = scale.shape if n_steps is None else (n_steps, *scale.shape)
-                return scale * rng.standard_normal(shape)
+            def draw(rng, n_steps):
+                return scale * rng.standard_normal((n_steps, *scale.shape))
 
             return draw
         # compound Poisson: Poisson(rate*dt) jumps, each sum_k sqrt(q_k/rate) xi_k e_k
@@ -115,13 +114,13 @@ class MartingaleDriver:
             xi = rng.uniform(-_SQRT3, _SQRT3, size=(n_jumps,) + jump_scale.shape)
             return jump_scale * xi.sum(axis=0)
 
-        def draw(rng, n_steps=None):
-            block = np.zeros((1 if n_steps is None else n_steps, *jump_scale.shape))
-            for i in range(len(block)):
+        def draw(rng, n_steps):
+            block = np.zeros((n_steps, *jump_scale.shape))
+            for i in range(n_steps):
                 step = jumps(rng)
                 if step is not None:
                     block[i] = step
-            return block[0] if n_steps is None else block
+            return block
 
         return draw
 
@@ -186,7 +185,7 @@ def _increment_blocks(draw, rng, n_steps: int, per_block: int):
     """An iterator over blocks of the first n_steps increments of one stream.
 
     A block is an ``(m, *q.shape)`` array of 1 <= m <= per_block consecutive
-    steps; stacked, the blocks are the n_steps single draws in step order.
+    steps; stacked, the blocks are n_steps one-step draws in step order.
     """
     return (draw(rng, min(per_block, n_steps - start)) for start in range(0, n_steps, per_block))
 

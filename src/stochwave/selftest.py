@@ -142,7 +142,7 @@ def run_selftest(out=print) -> int:
 
     def increment_determinism_ok():
         draw = wiener.increment_sampler(0.5)
-        return np.array_equal(draw(path_rng(3, 9)), draw(path_rng(3, 9)))
+        return np.array_equal(draw(path_rng(3, 9), 1), draw(path_rng(3, 9), 1))
 
     def isometry_ok():
         for driver in (wiener, poisson):

@@ -142,8 +142,9 @@ class SolverConfig:
 class PathResult:
     """One simulated trajectory plus the functionals accumulated along it.
 
-    ``chain_lhs`` and ``pairing`` are None where the kernel was not asked for
-    them (see ``_run``).
+    ``simulate_path``'s has floats and grid-shaped fields, ``_run``'s a
+    block's (P, L) and (P, L, *grid.shape) arrays.  ``chain_lhs`` and
+    ``pairing`` are None where the kernel was not asked for them.
     """
 
     path_index: int
@@ -285,34 +286,47 @@ def simulate_path(
     nodes, whose ``grid.to_modes`` is ``beta_modes`` bit for bit.  It is the
     only way to read a path between its ends; the state after the last step
     is ``u_final``/``v_final``.  The kernel never writes to an array it has
-    handed out, so an observer may keep it.
+    handed out, so an observer may keep it.  The path is ``_run``'s 1 x 1
+    block of (path_index, config.lam), read at [0, 0]: observe gets
+    grid-shaped views, and the result has float sums and grid-shaped fields.
     """
-    return _run(config, path_index, config.lam, observe)[0]
+
+    def block_observe(k, u, v, beta_modes, dm, beta_nodes):
+        observe(k, u[0, 0], v[0, 0], beta_modes[0, 0], None if dm is None else dm[0, 0], beta_nodes[0, 0])
+
+    result, blown = _run(config, (path_index,), (config.lam,), block_observe if observe is not None else None)
+    step = int(blown[0, 0])
+    if step >= 0:
+        raise NumericError(
+            f"energy blow-up at step {step} (lambda={config.lam:g}, energy={result.sup_energy[0, 0]:.3e})", step=step
+        )
+    sums = {name: float(getattr(result, name)[0, 0]) for name in ("sup_energy", *_SUMS)}
+    fields = {name: getattr(result, name)[0, 0] for name in ("u_first", "v_first", "u_final", "v_final")}
+    return replace(result, path_index=path_index, **sums, **fields)
 
 
 # The per-path sums the kernel can accumulate; ``_run`` computes those asked for.
 _SUMS = frozenset({"chain_lhs", "pairing"})
 
 
-def _increments(draw, rngs, n: int, size: int, single: bool, nodes=None):
+def _increments(draw, rngs, n: int, size: int, nodes=None):
     """Per step, (dm, jumps, dm_nodes): the paths' increments, which of them jump, and their nodal values.
 
     Each path draws from its own stream, in blocks of at most
-    ``_DRAW_ENTRIES`` entries per path.  One path's dm has the grid's
-    shape; a stack's is a (P, 1, *grid.shape) view of the drawn block, one
-    row per path, which its lambdas share.  ``jumps`` (see ``_kick_rotate``)
-    is decided once per drawn block, not per step: False for every step of a
-    block with no nonzero entry, else from a per-(step, path) any.  With
-    ``nodes`` (the grid's ``_nodes``), the block's jumping (step, path) rows
-    are transformed in one call, and dm_nodes is the step's share of them,
-    shaped like dm[jumps] (like dm where every path jumps); else it is None.
+    ``_DRAW_ENTRIES`` entries per path.  dm is a (P, 1, *grid.shape) view
+    of the drawn block, one row per path, which its lambdas share.
+    ``jumps`` (see ``_kick_rotate``) is decided once per drawn block, not
+    per step: False for every step of a block with no nonzero entry, else
+    from a per-(step, path) any.  With ``nodes`` (the grid's ``_nodes``),
+    the block's jumping (step, path) rows are transformed in one call, and
+    dm_nodes is the step's share of them, shaped like dm[jumps] (like dm
+    where every path jumps); else it is None.
     Each row of the transform has the bits of a per-step transform (see
     ``SpectralGrid._transform``).
     """
     per_block = max(1, _DRAW_ENTRIES // size)
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
-        # one path's block is (m, *shape); a stack's gets a lambda axis: (m, P, 1, *shape)
-        block = parts[0] if single else np.stack(parts, 1)[:, :, None]
+        block = np.stack(parts, 1)[:, :, None]  # (m, P, 1, *shape): a lambda axis
         if not block.any():
             yield from ((dm, False, None) for dm in block)
             continue
@@ -322,27 +336,26 @@ def _increments(draw, rngs, n: int, size: int, single: bool, nodes=None):
         nodal = [None] * len(block)
         if nodes is not None:
             ends = np.cumsum(rows.sum(axis=1)).tolist()
-            at = nodes(block[rows[:, 0] if single else rows])
-            nodal = [(at[a] if single else at[a:b]) if b > a else None for a, b in zip([0] + ends, ends)]
+            at = nodes(block[rows])
+            nodal = [at[a:b] if b > a else None for a, b in zip([0] + ends, ends)]
         yield from zip(block, jumps, nodal)
 
 
 def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, sums=_SUMS):
-    """The stepping loop, over one path or over a block of paths x lambdas.
+    """The stepping loop over a block of P path indices x L lambdas.
 
-    Returns (PathResult, blow-up steps).  With one path index and one lambda
-    the state arrays have the grid's shape and a blow-up raises NumericError.
-    With P path indices and L lambdas they have shape (P, L, *grid.shape), the
-    result's fields are indexed [path, lambda], and a (path, lambda) row that
-    trips the guard leaves with its step index in the (P, L) step array (-1
-    for the rows that finished); its state is zeroed, so that the others go
-    on without a warning.  Every row runs the operation order of its single
-    path, and its transforms and dots give each field the bits it gets
-    alone (see ``SpectralGrid._transform`` and ``_row_dots``), so it holds
-    that path's bits whatever its batch-mates.  Each path draws once per
-    step from its own stream (see ``_increments``), and its lambdas share
-    the draw.  The functional series
-    (``record`` with 'functionals') is for a single path only.
+    Returns (PathResult, blow-up steps).  The state arrays have shape
+    (P, L, *grid.shape) and the result's fields are indexed [path, lambda];
+    ``simulate_path`` is its 1 x 1 block.  A (path, lambda) row that trips
+    the guard leaves with its step index in the (P, L) step array (-1 for
+    the rows that finished) and its energy at that step in ``sup_energy``;
+    its state is zeroed, so that the others go on without a warning.  Every
+    row runs the operation order of its single path, and its transforms and
+    dots give each field the bits it gets alone (see
+    ``SpectralGrid._transform`` and ``_row_dots``), so it holds that path's
+    bits whatever its block-mates.  Each path draws once per step from its
+    own stream (see ``_increments``), and its lambdas share the draw.  Only
+    a 1 x 1 block records the functional series (``record``).
 
     Work that is the same at every step is done once per call: the group
     tables, mu and the lambda table at the state's shape, the Yosida map's
@@ -357,21 +370,16 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
     weight, dim = grid.weight, grid.dim
-    single = np.ndim(paths) == 0
-    rngs = [path_rng(config.seed, p) for p in ([paths] if single else paths)]
-    starts = [build_initial_state(grid, config.u0, rng) for rng in rngs]
-    if single:
-        batch, lam, (u, v) = (), lams, starts[0]
-        # numpy's reductions would cost more than the arithmetic on one float
-        dot, every = np.vdot, bool
-    else:
-        dot, every = _row_dots, np.ndarray.all
-        batch = (len(rngs), len(lams))
-        lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * dim)
-        lam = np.broadcast_to(lam, batch + grid.shape).copy()
-        u = np.empty(batch + grid.shape)
-        u[:] = np.array([u0 for u0, _ in starts])[:, None]
-        v = np.zeros(batch + grid.shape)
+    rngs = [path_rng(config.seed, p) for p in paths]
+    batch = (len(rngs), len(lams))
+    # numpy's reductions and ufuncs would cost more than the arithmetic on the
+    # floats of a 1 x 1 block; max(quad, sup) keeps a nan quad, as np.maximum does
+    dot, every, top = (np.vdot, bool, max) if batch == (1, 1) else (_row_dots, np.ndarray.all, np.maximum)
+    lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * dim)
+    lam = np.broadcast_to(lam, batch + grid.shape).copy()
+    u = np.empty(batch + grid.shape)
+    u[:] = np.array([build_initial_state(grid, config.u0, rng)[0] for rng in rngs])[:, None]
+    v = np.zeros(batch + grid.shape)
     cache = GroupCache(grid, dt, u.shape)
     mu = cache.mu
     # Scratch, never handed out: mu * u, then a product of the kick, go to tmp;
@@ -391,25 +399,22 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     resolve = graph._resolvent_at(lam, len(batch)) if pair else None
 
     u_first, v_first = u.copy(), v.copy()
-    sup_energy = np.full(batch, -np.inf)
-    chain_lhs = np.zeros(batch) if chain else None
-    pairing = np.zeros(batch) if pair else None
+    sup_energy = -np.inf
+    chain_lhs = 0.0 if chain else None
+    pairing = 0.0 if pair else None
     blown = np.full(batch, -1)
     warm = None
     increments = None
     if driver is not None:
         nodes = grid._nodes if diffusion.multiplies else None
-        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, single, nodes)
+        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, nodes)
 
     for step_idx in range(n + 1):
         grad2, kin2 = _energy_terms(mu, u, v, dot, tmp)
         quad = grad2 + kin2
+        sup_energy = top(quad, sup_energy)  # before the guard: a row that trips keeps its energy
         ok = quad <= BLOWUP_ENERGY  # False for nan and inf too
         if not every(ok):
-            if single:
-                raise NumericError(
-                    f"energy blow-up at step {step_idx} (lambda={lam:g}, energy={quad:.3e})", step=step_idx
-                )
             trip = ~ok
             blown[trip] = step_idx
             if (blown >= 0).all():
@@ -417,10 +422,6 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             u[trip] = v[trip] = quad[trip] = 0.0
             if warm is not None:
                 warm[trip] = 0.0
-        if single:
-            sup_energy = max(sup_energy, quad)
-        else:
-            np.maximum(sup_energy, quad, out=sup_energy)
         if step_idx == n and not rec_series:
             break
         yos_out = w if observe is None else np.empty(u.shape)
@@ -430,7 +431,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
         if rec_series:
             series[step_idx] = (
                 quad,
-                quad + 2.0 * _envelope_mass(weight, graph, lam, res, yos),
+                quad + 2.0 * _envelope_mass(weight, graph, lams[0], res, yos),
                 math.sqrt(np.vdot(u, u)),
                 math.sqrt(grad2),
                 math.sqrt(kin2),
@@ -448,8 +449,9 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             observe(step_idx, u, v, beta_modes, dm, yos)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
 
-    if single:
-        sup_energy, chain_lhs, pairing = (None if x is None else float(x) for x in (sup_energy, chain_lhs, pairing))
+    sup_energy, chain_lhs, pairing = (
+        None if x is None else np.broadcast_to(x, batch) for x in (sup_energy, chain_lhs, pairing)
+    )
     result = PathResult(
         path_index=paths,
         times=times,

@@ -42,8 +42,7 @@ class SpectralGrid:
         self.size = n_modes**dim
 
         k = np.arange(1, n_modes + 1, dtype=float)
-        # interior nodes i*pi/(N+1); quadrature weight h^d is exact on the basis
-        self.nodes_1d = k * np.pi / (n_modes + 1.0)
+        # interior nodes i*h, h = pi/(N+1); quadrature weight h^d is exact on the basis
         self.h = np.pi / (n_modes + 1.0)
         self.weight = self.h**dim
         # sine matrix S[i-1, k-1] = sin(i k pi / (N+1)); symmetric, S@S = (N+1)/2 I.
@@ -51,7 +50,7 @@ class SpectralGrid:
         sine = np.sin(np.outer(k, k) * np.pi / (n_modes + 1.0))
         self._synthesis = np.sqrt(2.0 / np.pi) * sine
         self._analysis = self.h * self._synthesis
-        self._pad = np.zeros((2, n_modes))  # a lone 1-D field's row 0, never handed out
+        self._pad = np.zeros((2, n_modes))  # row 0 takes a one-row 1-D transform; never handed out
 
         if dim == 1:
             self.mu = k**2
@@ -107,17 +106,14 @@ class SpectralGrid:
         # np.dot(rows, matrix) with the symmetric matrix untransposed (the
         # gemm call of rows @ matrix, at less overhead): each row of it has
         # the same bits at any row count, while rows @ matrix.T does not
-        # above about 1 200 entries (OpenBLAS 0.3.31).  A lone field is
-        # padded to 2 rows, since numpy hands a 1-row product to gemv.
+        # above about 1 200 entries (OpenBLAS 0.3.31).  One row, a lone field
+        # or a stack of one, is padded to 2, since numpy hands it to gemv.
         if self.dim == 2:
             return matrix @ x @ matrix
-        if x.ndim == 1:
+        if x.size == self.n_modes:
             self._pad[0] = x
-            return np.dot(self._pad, matrix)[0]
-        rows = x.reshape(-1, self.n_modes)
-        if len(rows) == 1:
-            return self._transform(matrix, rows[0]).reshape(x.shape)
-        return np.dot(rows, matrix).reshape(x.shape)
+            return np.dot(self._pad, matrix)[0].reshape(x.shape)
+        return np.dot(x.reshape(-1, self.n_modes), matrix).reshape(x.shape)
 
     def smoother(self, eps: float) -> np.ndarray:
         """Multiplier table of (I - eps*Laplacian)^{-1}: 1/(1 + eps*mu)."""

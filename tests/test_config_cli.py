@@ -363,7 +363,9 @@ class TestCli:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "lambda=1e-09" in err and "step 1 " in err
+        assert "lambda=1e-09" in err and "step 1 " in err and "energy=" in err
+        # the energy of the step that tripped the guard, not the last one below it
+        assert float(re.search(r"energy=(\S+)\)", err).group(1)) > 1e12
 
     def test_blow_up_warning_names_the_first_step(self, config_file, tmp_path, capsys):
         # the path above stops at step 1; in a study the lambda is flagged and the others go on

@@ -57,12 +57,12 @@ class TestIncrements:
     def test_zero_covariance_gives_zero_field(self, grid8):
         cov = NuclearCovariance.from_grid(grid8, 0.0, 2.0)
         driver = MartingaleDriver("wiener", cov)
-        assert np.all(driver.increment_sampler(0.1)(path_rng(0, 0)) == 0.0)
+        assert np.all(driver.increment_sampler(0.1)(path_rng(0, 0), 1)[0] == 0.0)
 
     def test_dt_must_be_positive(self, cov8):
         driver = MartingaleDriver("wiener", cov8)
         with pytest.raises(ValueError):
-            driver.increment_sampler(0.0)(path_rng(0, 0))
+            driver.increment_sampler(0.0)(path_rng(0, 0), 1)
 
     def test_driver_validation(self, cov8):
         with pytest.raises(ValueError):
@@ -73,11 +73,11 @@ class TestIncrements:
     def test_reproducible_streams(self, cov8):
         for kind, rate in (("wiener", 0.0), ("poisson", 5.0)):
             driver = MartingaleDriver(kind, cov8, rate=rate)
-            a = driver.increment_sampler(1.0)(path_rng(7, 3))
-            b = driver.increment_sampler(1.0)(path_rng(7, 3))
+            a = driver.increment_sampler(1.0)(path_rng(7, 3), 1)[0]
+            b = driver.increment_sampler(1.0)(path_rng(7, 3), 1)[0]
             assert np.array_equal(a, b)
             # different path index -> different draw
-            c = driver.increment_sampler(1.0)(path_rng(7, 4))
+            c = driver.increment_sampler(1.0)(path_rng(7, 4), 1)[0]
             assert not np.array_equal(a, c)
 
     def test_mean_zero_per_mode(self, cov8):
@@ -90,7 +90,7 @@ class TestIncrements:
             total = np.zeros(cov8.q.shape)
             total_sq = np.zeros(cov8.q.shape)
             for _ in range(n):
-                inc = draw(rng)
+                inc = draw(rng, 1)[0]
                 total += inc
                 total_sq += inc**2
             mean = total / n
@@ -103,7 +103,7 @@ class TestIncrements:
         rng = path_rng(5, 0)
         n, dt = 100_000, 0.01
         draw = driver.increment_sampler(dt)
-        samples = np.array([draw(rng)[0] for _ in range(n)])
+        samples = np.array([draw(rng, 1)[0, 0] for _ in range(n)])
         sq = samples**2
         se = np.std(sq, ddof=1) / np.sqrt(n)
         assert abs(np.mean(sq) - cov8.q[0] * dt) <= 3.0 * se
@@ -114,7 +114,7 @@ class TestIncrements:
         rng = path_rng(13, 0)
         n, dt = 20_000, 0.05
         draw = driver.increment_sampler(dt)
-        samples = np.stack([draw(rng) for _ in range(n)])
+        samples = np.stack([draw(rng, 1)[0] for _ in range(n)])
         sq = samples**2
         se = np.std(sq, axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(sq.mean(axis=0) - cov8.q * dt) <= 3.0 * se)
@@ -128,7 +128,7 @@ class TestIncrements:
             rng = path_rng(42, p)
             m = np.zeros(cov8.q.shape)
             for _ in range(n_steps):
-                m += driver.increment_sampler(dt)(rng)
+                m += driver.increment_sampler(dt)(rng, 1)[0]
             finals[p] = m
         t_final = n_steps * dt
         sq = finals**2
@@ -138,7 +138,7 @@ class TestIncrements:
 
 
 def _per_step_draws(draw, rng, n_steps):
-    return np.stack([draw(rng) for _ in range(n_steps)])
+    return np.stack([draw(rng, 1)[0] for _ in range(n_steps)])
 
 
 # rate 5 over dt 0.01 leaves about 95% of the Poisson steps without a jump
@@ -160,7 +160,7 @@ class TestBlockDraws:
             jumped = np.any(block != 0.0, axis=tuple(range(1, block.ndim)))
             assert 0 < jumped.sum() < 200
         # both streams stand at the same place afterwards
-        assert np.array_equal(draw(a), draw(b))
+        assert np.array_equal(draw(a, 1)[0], draw(b, 1)[0])
 
     @pytest.mark.parametrize("kind, rate", DRIVERS)
     @pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2"])
@@ -177,19 +177,19 @@ class TestBlockDraws:
 class TestDiffusion:
     def test_constant_map_is_identity_on_noise(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
-        dm = driver.increment_sampler(0.1)(path_rng(1, 1))
+        dm = driver.increment_sampler(0.1)(path_rng(1, 1), 1)[0]
         sigma = DiffusionMap.from_name("one")
         np.testing.assert_allclose(sigma.apply(grid8, np.zeros(grid8.shape), dm), dm, atol=1e-12)
 
     def test_zero_map_annihilates(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
-        dm = driver.increment_sampler(0.1)(path_rng(1, 2))
+        dm = driver.increment_sampler(0.1)(path_rng(1, 2), 1)[0]
         sigma = DiffusionMap.from_name("zero")
         assert np.all(sigma.apply(grid8, np.ones(grid8.shape), dm) == 0.0)
 
     def test_clip_is_nodally_bounded(self, grid8, cov8):
         driver = MartingaleDriver("wiener", cov8)
-        dm = driver.increment_sampler(0.1)(path_rng(1, 3))
+        dm = driver.increment_sampler(0.1)(path_rng(1, 3), 1)[0]
         sigma = DiffusionMap.from_name("clip")
         u_nodes = 50.0 * np.sin(np.arange(8.0))  # mostly saturated
         out_nodes = grid8.to_nodes(sigma.apply(grid8, u_nodes, dm))
@@ -277,7 +277,7 @@ class TestItoIsometry:
         for p in range(4):
             rng, total = path_rng(6, p), np.zeros(cov8.q.shape)
             for _ in range(10):
-                total += draw(rng)
+                total += draw(rng, 1)[0]
             sq.append(np.sum(total**2))
         rep = ito_isometry_check(driver, 1.0, 10, 4, 6)
         assert rep["lhs_estimate"] == np.mean(sq)
@@ -301,7 +301,7 @@ class TestItoIsometry:
         for p in range(n_paths):
             rng = path_rng(77, p)
             totals[p] = sum(
-                float(np.sum(driver.increment_sampler(dt)(rng) ** 2)) for _ in range(n_steps)
+                float(np.sum(driver.increment_sampler(dt)(rng, 1)[0] ** 2)) for _ in range(n_steps)
             )
         se = np.std(totals, ddof=1) / np.sqrt(n_paths)
         assert abs(np.mean(totals) - cov8.trace) <= 3.0 * se

@@ -785,7 +785,10 @@ def block_config(dim, kind, graph, dt=1e-3, sigma="clip", u0="smooth:4"):
 class TestBlockKernel:
     """Every (path, lambda) row of a block equals that path's own simulate_path call, bit for bit.
 
-    The suite turns every RuntimeWarning into an error, so none of these runs raises one.
+    simulate_path steps its 1 x 1 block with np.vdot dots, and the larger
+    blocks with _row_dots: so a row depends on neither its block-mates nor
+    which of the two dots took it.  The suite turns every RuntimeWarning
+    into an error, so none of these runs raises one.
     """
 
     @staticmethod
@@ -832,7 +835,7 @@ class TestBlockKernel:
     def jump_flags(config, paths):
         draw = config.driver.increment_sampler(config.dt)
         rngs = [path_rng(config.seed, p) for p in paths]
-        return [jumps for _, jumps, _ in _increments(draw, rngs, config.n_steps, config.grid.size, False)]
+        return [jumps for _, jumps, _ in _increments(draw, rngs, config.n_steps, config.grid.size)]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_closed_form_rows_of_a_driver_without_noise(self, dim):

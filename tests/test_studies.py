@@ -609,10 +609,10 @@ class TestIsometryStudy:
         sq, qv = [], []
         for p in range(spec.n_paths):
             rng = path_rng(base.seed, p)
-            sq.append(float(np.sum(driver.increment_sampler(base.t_final)(rng) ** 2)))
+            sq.append(float(np.sum(driver.increment_sampler(base.t_final)(rng, 1)[0] ** 2)))
             draw, rng, total = driver.increment_sampler(base.dt), path_rng(base.seed, p), 0.0
             for _ in range(base.n_steps):
-                total += float(np.sum(draw(rng) ** 2))
+                total += float(np.sum(draw(rng, 1)[0] ** 2))
             qv.append(total)
         rows = isometry_study(spec).rows
         assert rows[0] == (
