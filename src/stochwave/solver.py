@@ -193,7 +193,7 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
-def _drift(grid: SpectralGrid, yosida, u, warm, out, resolve=None):
+def _drift(grid: SpectralGrid, yosida, u, warm, out, resolve=None, modes=True):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
     u is a field or a stack of fields; ``yosida(x, y0, out)`` is the graph's
@@ -201,13 +201,14 @@ def _drift(grid: SpectralGrid, yosida, u, warm, out, resolve=None):
     previous step's resolvent, used as a Newton start, or None.  ``out``, an
     array of u's shape or None, receives the Yosida values.  The resolvent is
     the one the Yosida map took, else ``resolve``'s (``_resolvent_at``) if
-    that is given, else None.
+    that is given, else None.  The drift modes are None where ``modes`` is
+    false: a kick summed at the nodes reads only the Yosida values.
     """
     u_nodes = grid._nodes(u)
     yos, res = yosida(u_nodes, warm, out)
     if res is None and resolve is not None:
         res = resolve(u_nodes, warm)
-    return u_nodes, res, yos, grid._modes(yos)
+    return u_nodes, res, yos, grid._modes(yos) if modes else None
 
 
 def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp):
@@ -222,13 +223,28 @@ def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, ju
     ``w`` and ``tmp``, scratch arrays of u's shape or None, take the kicked
     velocity and the rotation's products in place of new temporaries; u, v,
     beta_modes and dm are never written.  Returns new arrays.
+
+    With ``beta_modes`` None, ``w`` holds the Yosida values at the nodes and
+    the kick is summed there: -dt*beta_lam(u) in place, plus sigma(u)*dM
+    (``DiffusionMap.at_nodes``, so dm_nodes is needed wherever dm moves a
+    field) on the fields that jump, then one analysis transform, then v.
+    A field that does not jump takes the same formula, so its bits do not
+    depend on whether its block-mates jump.
     """
-    w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
-    w += v
+    grid, fused = cache.grid, beta_modes is None
+    if fused:
+        w *= -cache.dt
+    else:
+        w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
+        w += v
     if jumps is True:
-        w += diffusion.apply(cache.grid, u_nodes, dm, dm_nodes)
+        w += diffusion.at_nodes(u_nodes, dm_nodes) if fused else diffusion.apply(grid, u_nodes, dm, dm_nodes)
     elif jumps is not False:
-        w[jumps] += diffusion.apply(cache.grid, u_nodes[jumps], dm[jumps], dm_nodes)
+        rows = u_nodes[jumps]
+        w[jumps] += diffusion.at_nodes(rows, dm_nodes) if fused else diffusion.apply(grid, rows, dm[jumps], dm_nodes)
+    if fused:
+        w = grid._modes(w)
+        w += v
     return cache.rotate(u, w, tmp)
 
 
@@ -236,13 +252,11 @@ def _row_dots(a, b, batch_ndim=2):
     """np.vdot of each field of two stacks, with its bits, e.g. of (P, L, *grid.shape) stacks.
 
     The first ``batch_ndim`` axes index the fields; a stack with ones there
-    (a weight field) broadcasts against the other.  One batched
-    (1, K) @ (K, 1) matmul makes the BLAS dot call per field that np.vdot
+    (a weight field) broadcasts against the other.  np.vecdot over the
+    flattened field axes makes the BLAS dot call per field that np.vdot
     makes; np.einsum would not.
     """
-    return np.matmul(
-        a.reshape(*a.shape[:batch_ndim], 1, -1), b.reshape(*b.shape[:batch_ndim], -1, 1)
-    )[..., 0, 0]
+    return np.vecdot(a.reshape(*a.shape[:batch_ndim], -1), b.reshape(*b.shape[:batch_ndim], -1))
 
 
 def _energy_terms(mu, u, v, dot=np.vdot, out=None):
@@ -316,21 +330,27 @@ def _increments(draw, rngs, n: int, size: int, nodes=None):
     ``_DRAW_ENTRIES`` entries per path.  dm is a (P, 1, *grid.shape) view
     of the drawn block, one row per path, which its lambdas share.
     ``jumps`` (see ``_kick_rotate``) is decided once per drawn block, not
-    per step: False for every step of a block with no nonzero entry, else
-    from a per-(step, path) any.  With ``nodes`` (the grid's ``_nodes``),
-    the block's jumping (step, path) rows are transformed in one call, and
-    dm_nodes is the step's share of them, shaped like dm[jumps] (like dm
-    where every path jumps); else it is None.
-    Each row of the transform has the bits of a per-step transform (see
+    per step, from a per-(step, path) any: False for every step of a block
+    with no nonzero entry, True for every step of a block whose rows all
+    jump (every Wiener block), else per step.  With ``nodes`` (the grid's
+    ``_nodes``), a block whose rows all jump is transformed as it is, and
+    dm_nodes is the step's (P, 1, *grid.shape) share, shaped like dm;
+    otherwise the block's jumping (step, path) rows are gathered and
+    transformed in one call, and dm_nodes is the step's share of them,
+    shaped like dm[jumps].  Without ``nodes`` it is None.  Each row of the
+    transform has the bits of a per-step transform (see
     ``SpectralGrid._transform``).
     """
     per_block = max(1, _DRAW_ENTRIES // size)
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
         block = np.stack(parts, 1)[:, :, None]  # (m, P, 1, *shape): a lambda axis
-        if not block.any():
+        rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
+        if not rows.any():
             yield from ((dm, False, None) for dm in block)
             continue
-        rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
+        if rows.all():
+            yield from zip(block, [True] * len(block), [None] * len(block) if nodes is None else nodes(block))
+            continue
         every, some = rows.all(axis=1).tolist(), rows.any(axis=1).tolist()
         jumps = [all_ or (any_ and rows[k]) for k, (all_, any_) in enumerate(zip(every, some))]
         nodal = [None] * len(block)
@@ -350,12 +370,13 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     the guard leaves with its step index in the (P, L) step array (-1 for
     the rows that finished) and its energy at that step in ``sup_energy``;
     its state is zeroed, so that the others go on without a warning.  Every
-    row runs the operation order of its single path, and its transforms and
-    dots give each field the bits it gets alone (see
-    ``SpectralGrid._transform`` and ``_row_dots``), so it holds that path's
-    bits whatever its block-mates.  Each path draws once per step from its
-    own stream (see ``_increments``), and its lambdas share the draw.  Only
-    a 1 x 1 block records the functional series (``record``).
+    row runs the operation order of its single path run with the same reads
+    (observer and ``sums``), and its transforms and dots give each field the
+    bits it gets alone (see ``SpectralGrid._transform`` and ``_row_dots``),
+    so it holds that path's bits whatever its block-mates.  Each path draws
+    once per step from its own stream (see ``_increments``), and its lambdas
+    share the draw.  Only a 1 x 1 block records the functional series
+    (``record``).
 
     Work that is the same at every step is done once per call: the group
     tables, mu and the lambda table at the state's shape, the Yosida map's
@@ -366,7 +387,12 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     blow-up guard needs the energy anyway.  The drift is the graph's
     ``_yosida_at`` map; where that takes no resolvent (the sign graph), one
     is computed only for the pairing and the series.  The drift after the
-    last step is computed only for the series.
+    last step is computed only for the series.  The drift modes are
+    computed only where read: by an observer, by ``chain_lhs``, and by a
+    kick that adds modal noise or none.  Where sigma multiplies at the nodes
+    under a driver and nothing else reads them, the kick is summed at the
+    nodes (see ``_kick_rotate``): one transform per step fewer, and the
+    state moves at round-off from the modal kick's.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
     weight, dim = grid.weight, grid.dim
@@ -388,6 +414,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     # so with one they get a new array every step.
     w, tmp = np.empty(u.shape), np.empty(u.shape)
     driver, diffusion = config.driver, config.diffusion
+    nodes = grid._nodes if driver is not None and diffusion.multiplies else None
 
     rec_series = "functionals" in config.record
     times = dt * np.arange(n + 1)
@@ -397,6 +424,9 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     yosida = graph._yosida_at(lam, len(batch))
     # the pairing and the series read the resolvent; nothing else does
     resolve = graph._resolvent_at(lam, len(batch)) if pair else None
+    # the observer and the chain term read the drift modes, and so does a kick
+    # that adds modal noise or none; any other kick is summed at the nodes
+    modes = observe is not None or chain or nodes is None
 
     u_first, v_first = u.copy(), v.copy()
     sup_energy = -np.inf
@@ -406,7 +436,6 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     warm = None
     increments = None
     if driver is not None:
-        nodes = grid._nodes if diffusion.multiplies else None
         increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, nodes)
 
     for step_idx in range(n + 1):
@@ -425,7 +454,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
         if step_idx == n and not rec_series:
             break
         yos_out = w if observe is None else np.empty(u.shape)
-        u_nodes, res, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, resolve)
+        u_nodes, res, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, resolve, modes)
         warm = res
 
         if rec_series:

@@ -859,6 +859,49 @@ class TestBlockKernel:
         assert any(jumps is False for jumps in flags)
         self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
 
+    @staticmethod
+    def assert_rows_are_single_nodal_kick_paths(config, lambdas, monkeypatch):
+        """Rows of blocks that read no drift modes (sums=(), no observer) against 1 x 1 blocks that read none."""
+        nodal = []
+        at_nodes = DiffusionMap.at_nodes
+
+        def counting_at_nodes(self, u_nodes, dm_nodes):
+            nodal.append(1)
+            return at_nodes(self, u_nodes, dm_nodes)
+
+        def modal_apply(*args):
+            pytest.fail("the noise product went to the modes on its own")
+
+        monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
+        monkeypatch.setattr(DiffusionMap, "apply", modal_apply)
+        singles = {(p, lam): _run(config, (p,), (lam,), sums=()) for p in range(8) for lam in lambdas}
+        for paths in ((4,), (1, 2, 3), tuple(range(8))):
+            result, blown = _run(config, paths, lambdas, sums=())
+            assert result.chain_lhs is None and result.pairing is None
+            for i, p in enumerate(paths):
+                for j, lam in enumerate(lambdas):
+                    single, single_blown = singles[p, lam]
+                    assert blown[i, j] == single_blown[0, 0]
+                    if blown[i, j] >= 0:
+                        continue
+                    for name in ("sup_energy", "u_final", "v_final"):
+                        row = getattr(result, name)[i, j]
+                        assert row.tobytes() == getattr(single, name)[0, 0].tobytes(), name
+        assert nodal  # the kick was summed at the nodes
+
+    @pytest.mark.parametrize(
+        "dim, kind, graph, sigma",
+        [(1, "wiener", "cubic", "clip"), (1, "poisson", "sign", "sin"), (2, "wiener", "cubic", "clip"),
+         (2, "poisson", "sign", "sin")],
+    )
+    def test_nodal_kick_rows(self, dim, kind, graph, sigma, monkeypatch):
+        # Poisson blocks have steps where some paths jump and others do not
+        config = block_config(dim, kind, graph, sigma=sigma)
+        if kind == "poisson":
+            flags = self.jump_flags(config, range(8))
+            assert any(jumps is not True and jumps is not False for jumps in flags)
+        self.assert_rows_are_single_nodal_kick_paths(config, (1e-1, 1e-2, 1e-3), monkeypatch)
+
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener")])
     def test_newton_rows_fall_back_one_by_one(self, dim, kind, monkeypatch):
         cold_rows = []
@@ -929,3 +972,27 @@ class TestBlockKernel:
         singles = self.assert_rows_are_single_paths(config, (2.6e-7, 2.4e-7))
         assert all(singles[p, 2.4e-7] == 13 for p in range(8))
         assert not any(isinstance(singles[p, 2.6e-7], int) for p in range(8))
+
+
+class TestNodalKick:
+    """A kick summed at the nodes (no drift modes read) against the kick summed in the modes.
+
+    The sine transform is linear, so the two forms differ only at round-off.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    @pytest.mark.parametrize("sigma", ["clip", "sin"])
+    @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
+    def test_agrees_with_the_modal_kick(self, graph, sigma, kind, dim):
+        config = replace(block_config(dim, kind, "cubic", sigma=sigma), graph=graph)
+        paths, lambdas = tuple(range(4)), (1e-1, 1e-2, 1e-3)
+        nodal, nodal_blown = _run(config, paths, lambdas, sums=())
+        modal, modal_blown = _run(config, paths, lambdas, sums={"chain_lhs"})  # the chain term reads the modes
+        np.testing.assert_array_equal(nodal_blown, modal_blown)
+        np.testing.assert_allclose(nodal.sup_energy, modal.sup_energy, rtol=1e-14, atol=0)
+        for name in ("u_final", "v_final"):
+            a, b = getattr(nodal, name), getattr(modal, name)
+            axes = tuple(range(2, a.ndim))
+            error = np.sqrt(((a - b) ** 2).sum(axis=axes)) / np.sqrt((b**2).sum(axis=axes))
+            assert error.max() <= 1e-13, name

@@ -582,6 +582,46 @@ class TestGapObserver:
         assert peak < 0.5 * history_bytes
 
 
+class TestTransformCounts:
+    """Sine transforms per job block: two per step where nothing reads the drift modes."""
+
+    @staticmethod
+    def count_transforms(monkeypatch, job, *args):
+        calls = []
+        transform = SpectralGrid._transform
+
+        def counting_transform(self, matrix, x):
+            calls.append(1)
+            return transform(self, matrix, x)
+
+        monkeypatch.setattr(SpectralGrid, "_transform", counting_transform)
+        job(*args)
+        return len(calls)
+
+    def test_an_energy_block_sums_its_kick_at_the_nodes(self, monkeypatch):
+        # the default profile: u to the nodes and the kick to the modes per step,
+        # plus one transform per drawn block of 64 steps' increments
+        grid = SpectralGrid(1, 64)
+        base = SolverConfig(
+            grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
+            driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
+            diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=42, record=frozenset(),
+        )
+        assert self.count_transforms(monkeypatch, _energy_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(4)) == 2016
+
+    def test_a_gaps_block_keeps_its_drift_modes(self, monkeypatch):
+        # 2 per step (the observer reads the drift modes), one noise product per
+        # step on which a path jumps (14) and one transform per drawn block of
+        # increments with a jump (13)
+        grid = SpectralGrid(2, 32)
+        base = SolverConfig(
+            grid=grid, graph=SignGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
+            driver=MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=5.0),
+            diffusion=DiffusionMap.from_name("sin"), u0="smooth:8", seed=42, record=frozenset(),
+        )
+        assert self.count_transforms(monkeypatch, _gaps_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(2)) == 2027
+
+
 class TestIsometryStudy:
     @staticmethod
     def _spec(spec, kind):
