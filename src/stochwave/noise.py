@@ -98,7 +98,9 @@ class MartingaleDriver:
             scale = np.sqrt(q * dt)
 
             def draw(rng, n_steps):
-                return scale * rng.standard_normal((n_steps, *scale.shape))
+                block = rng.standard_normal((n_steps, *scale.shape))
+                block *= scale  # in place: a long block is one array, not two
+                return block
 
             return draw
         # compound Poisson: Poisson(rate*dt) jumps, each sum_k sqrt(q_k/rate) xi_k e_k
@@ -199,24 +201,25 @@ def _increment_blocks(draw, rng, n_steps: int, per_block: int):
     return (draw(rng, min(per_block, n_steps - start)) for start in range(0, n_steps, per_block))
 
 
-def _path_increments(driver: MartingaleDriver, dt: float, n_steps: int, n_paths: int, master_seed: int):
-    """Per path, in index order: ``_increment_blocks`` of at most ``_BLOCK_ENTRIES`` entries.
+def _path_sums(driver: MartingaleDriver, dt: float, n_steps: int, master_seed: int, paths, term):
+    """Per path index in ``paths``: ``term(dM_1) + ... + term(dM_n)`` over its first n_steps increments.
 
-    All paths draw through one sampler, each from its own ``path_rng`` stream.
+    Each path draws from its own ``path_rng`` stream, all through one
+    sampler, in blocks of at most ``_BLOCK_ENTRIES`` entries; ``term`` maps a
+    block of m consecutive increments to its m per-step terms.  The terms
+    are added one at a time in step order, which is the running sum of a
+    per-step loop, bit for bit (``np.sum`` over a block would add pairwise).
     """
     draw = driver.increment_sampler(dt)
     per_block = max(1, _BLOCK_ENTRIES // driver.covariance.q.size)
-    for p in range(n_paths):
-        yield _increment_blocks(draw, path_rng(master_seed, p), n_steps, per_block)
-
-
-def _add_in_order(total, rows):
-    """``total + rows[0] + rows[1] + ...``, added one row at a time in step order.
-
-    This is the running sum of per-step loops, bit for bit; ``np.sum`` over
-    the rows would add pairwise and move the last bits.
-    """
-    return np.add.accumulate(np.concatenate((np.asarray(total)[None], rows)), axis=0)[-1]
+    sums = []
+    for p in paths:
+        total = 0.0
+        # map keeps no block alive across draws, so one block's memory serves every path
+        for rows in map(term, _increment_blocks(draw, path_rng(master_seed, p), n_steps, per_block)):
+            total = np.add.accumulate(np.concatenate((np.broadcast_to(total, rows.shape[1:])[None], rows)))[-1]
+        sums.append(total)
+    return sums
 
 
 def ito_isometry_check(
@@ -235,16 +238,13 @@ def ito_isometry_check(
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rhs = t_final * driver.covariance.trace
-    if t_final == 0.0 or n_paths < 1:
+    if t_final == 0.0:
         return {"lhs_estimate": 0.0, "rhs": rhs, "std_error": 0.0, "n_paths": n_paths}
-    sq = np.empty(n_paths)
-    paths = _path_increments(driver, t_final / n_steps, n_steps, n_paths, master_seed)
-    for p, blocks in enumerate(paths):
-        total = np.zeros(driver.covariance.q.shape)
-        for block in blocks:
-            total = _add_in_order(total, block)
-        sq[p] = np.sum(total**2)
+    ends = _path_sums(driver, t_final / n_steps, n_steps, master_seed, range(n_paths), lambda block: block)
+    sq = np.array([np.sum(end**2) for end in ends])
     lhs = float(np.mean(sq))
     se = float(np.std(sq, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return {"lhs_estimate": lhs, "rhs": rhs, "std_error": se, "n_paths": n_paths}

@@ -18,8 +18,8 @@ __all__ = ["SpectralGrid"]
 # jump entries a compound-Poisson path draws, rate * t_final * N^d; checked
 # when a config is built, so that a run too long or too large to finish fails
 # before its first path.  The isometry study draws a path's jumps over t_final
-# in one step, 8 bytes per entry (2 GiB at the cap).  A grid's N x N sine
-# matrix and its N^d-entry fields are held to the same cap.
+# in one step, 8 bytes per entry (2 GiB at the cap) in each worker process at
+# once.  A grid's N x N sine matrix and its N^d-entry fields are held to it.
 MAX_STEP_ENTRIES = 2**28
 
 

@@ -1,12 +1,12 @@
 """Monte Carlo studies over the regularization scale, with reproducible worker processes.
 
-Every lambda study maps one job over blocks of consecutive paths (one RNG
-stream per path index), on forked worker processes if asked.  A job steps its
-block at every lambda in one call of the solver's block kernel, reduces
-each (path, lambda) row while it steps, and keeps no history.  A row holds
-the bits of its own single path whatever its block-mates, and the values
-are reduced in path order, so reports are bit-identical for a fixed seed
-regardless of block size and worker count.
+Every study maps one job over blocks of consecutive paths (one RNG stream
+per path index), on forked worker processes if asked.  A lambda study's job
+steps its block at every lambda in one call of the solver's block kernel,
+reduces each (path, lambda) row while it steps, and keeps no history.  A
+row holds the bits of its own single path whatever its block-mates, and the
+values are reduced in path order, so reports are bit-identical for a fixed
+seed regardless of block size and worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .noise import _add_in_order, _path_increments, ito_isometry_check, path_rng
+from .noise import _path_sums, path_rng
 from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _row_dots, _run, ibp_residual
 
 __all__ = [
@@ -239,11 +239,19 @@ def _mean_se(values):
     return mean, se
 
 
-# Most paths per study job, all stepped together by one block-kernel call.
+# Most paths per study job; a lambda study steps them in one block-kernel call.
 # A block gets min(_BLOCK_PATHS, ceil(n_paths / processes)) paths, so that
 # every process the fork map starts, min(workers, usable CPUs), gets a
 # block; a row's bits do not depend on its block-mates.
 _BLOCK_PATHS = 8
+
+
+def _map_blocks(spec: StudySpec, job):
+    """[job(paths) for paths in the study's blocks of path indices], on ``_map_ordered``'s processes."""
+    procs = min(spec.workers, _usable_cpus())
+    size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
+    blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
+    return _map_ordered(job, blocks, procs)
 
 
 def _drop_blown(values, blown):
@@ -260,8 +268,7 @@ def _energy_job(base, lambdas, paths):
 def _sweep(spec: StudySpec, job):
     """Map ``job(base, lambdas, paths)`` over blocks of paths on the worker processes; blow-ups are not fatal.
 
-    A job gets min(_BLOCK_PATHS, ceil(n_paths / processes)) consecutive path
-    indices (fewer in the last block), steps them at every lambda in one
+    A job gets a block of ``_map_blocks``, steps it at every lambda in one
     ``_run`` call, and returns, per path, its values per lambda with None
     for a blow-up, plus the (paths, lambdas) array of blow-up steps.
     Returns, per lambda in grid order, the values of the finished paths in
@@ -270,10 +277,7 @@ def _sweep(spec: StudySpec, job):
     Studies reduce paths while they step, so nothing is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    procs = min(spec.workers, _usable_cpus())
-    size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
-    blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
-    per_block = _map_ordered(partial(job, base, spec.lambdas), blocks, procs)
+    per_block = _map_blocks(spec, partial(job, base, spec.lambdas))
     per_path = [values for block, _ in per_block for values in block]
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
     blown = np.concatenate([steps for _, steps in per_block]).T
@@ -426,39 +430,35 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     )
 
 
+def _isometry_job(base, paths):
+    """Per path of a block, |M(T)|^2 and the discrete quadratic variation sum_k |dM_k|^2.
+
+    M(T) is one draw over t_final, and the variation sums n_steps draws over
+    dt; each starts from a fresh ``path_rng`` stream of the path.
+    """
+    driver, seed = base.driver, base.seed
+    ends = _path_sums(driver, base.t_final, 1, seed, paths, lambda block: block)
+    axes = tuple(range(1, 1 + base.grid.dim))  # a block's mode axes; each block is squared in place
+    qv = _path_sums(driver, base.dt, base.n_steps, seed, paths, lambda block: np.square(block, out=block).sum(axes))
+    return [np.sum(end**2) for end in ends], qv
+
+
 def isometry_study(spec: StudySpec) -> StudyReport:
     """Second-moment identity, discrete quadratic variation, and the telescoping
     integration-by-parts defect, all for the configured driver.
 
-    Runs serially and ignores ``study.workers``: the driver loops and the one
-    integration-by-parts path fork no worker process.
+    The driver paths are mapped in blocks like a lambda study's; the one
+    integration-by-parts path runs in this process.
     """
     base = spec.base
     if base.driver is None:
         raise ValueError("isometry study needs a noise driver in the base config")
-    driver = base.driver
-    iso = ito_isometry_check(driver, base.t_final, 1, spec.n_paths, base.seed)
-    rows = [
-        (
-            f"ito_isometry_{driver.kind}",
-            iso["lhs_estimate"],
-            iso["rhs"],
-            iso["std_error"],
-            iso["n_paths"],
-        )
-    ]
-
-    qv = np.empty(spec.n_paths)
-    paths = _path_increments(driver, base.dt, base.n_steps, spec.n_paths, base.seed)
-    for p, blocks in enumerate(paths):
-        total = 0.0
-        for block in blocks:
-            total = _add_in_order(total, np.sum(block**2, axis=tuple(range(1, block.ndim))))
-        qv[p] = total
-    qv_est, qv_se = _mean_se(qv)
-    rows.append(
-        ("quadratic_variation", qv_est, base.t_final * driver.covariance.trace, qv_se, spec.n_paths)
-    )
+    target = base.t_final * base.driver.covariance.trace
+    per_block = _map_blocks(spec, partial(_isometry_job, base))
+    rows = []
+    for check, k in ((f"ito_isometry_{base.driver.kind}", 0), ("quadratic_variation", 1)):
+        mean, se = _mean_se([v for block in per_block for v in block[k]])
+        rows.append((check, mean, target, se, spec.n_paths))
 
     grid = base.grid
     probe_rng = path_rng(base.seed, 2**31)

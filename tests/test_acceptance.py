@@ -242,23 +242,24 @@ def test_criterion_10_byte_identical_reports(tmp_path):
             "[solver] lambda=1e-2 dt=2e-3 t_final=0.25 u0=smooth:4\n"
             "[study] n_paths=8 seed=11 lambda_grid=1e-1,1e-2\n"
         )
-        outputs = []
-        for tag, workers in (("w1", 1), ("w1b", 1), ("w2", 2)):
-            outdir = tmp_path / tag
-            code = cli_main(
-                [
-                    "energy",
-                    "--config",
-                    str(cfg),
-                    "--workers",
-                    str(workers),
-                    "--outdir",
-                    str(outdir),
-                ]
-            )
-            assert code == 0
-            outputs.append((outdir / "energy.csv").read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        for study in ("energy", "isometry"):
+            outputs = []
+            for tag, workers in (("w1", 1), ("w1b", 1), ("w2", 2)):
+                outdir = tmp_path / study / tag
+                code = cli_main(
+                    [
+                        study,
+                        "--config",
+                        str(cfg),
+                        "--workers",
+                        str(workers),
+                        "--outdir",
+                        str(outdir),
+                    ]
+                )
+                assert code == 0
+                outputs.append((outdir / f"{study}.csv").read_bytes())
+            assert outputs[0] == outputs[1] == outputs[2]
         # single-path simulation is byte-stable too
         sim1, sim2 = tmp_path / "s1", tmp_path / "s2"
         for outdir in (sim1, sim2):

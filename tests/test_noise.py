@@ -164,14 +164,25 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("kind, rate", DRIVERS)
     @pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2"])
-    def test_path_increments_span_several_blocks(self, kind, rate, grid, monkeypatch):
+    def test_path_sums_span_several_blocks(self, kind, rate, grid, monkeypatch):
         driver = MartingaleDriver(kind, NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=rate)
         monkeypatch.setattr(noise, "_BLOCK_ENTRIES", 4 * driver.covariance.q.size + 1)  # 4 steps per block
         draw = driver.increment_sampler(0.01)
-        for p, blocks in enumerate(noise._path_increments(driver, 0.01, 10, 3, 8)):
-            blocks = list(blocks)
-            assert [len(b) for b in blocks] == [4, 4, 2]
-            assert np.array_equal(np.concatenate(blocks), _per_step_draws(draw, path_rng(8, p), 10))
+        blocks = []
+
+        def keep(block):
+            blocks.append(block)
+            return block
+
+        sums = noise._path_sums(driver, 0.01, 10, 8, (2, 0, 1), keep)
+        assert [len(b) for b in blocks] == [4, 4, 2] * 3
+        for k, p in enumerate((2, 0, 1)):
+            steps = _per_step_draws(draw, path_rng(8, p), 10)
+            assert np.array_equal(np.concatenate(blocks[3 * k : 3 * k + 3]), steps)
+            total = np.zeros(grid.shape)
+            for step in steps:
+                total += step
+            assert np.array_equal(sums[k], total)
 
 
 class TestDiffusion:
@@ -267,6 +278,13 @@ class TestItoIsometry:
         for n_steps in (0, -1):
             with pytest.raises(ValueError, match="n_steps"):
                 ito_isometry_check(driver, 1.0, n_steps, 10, 0)
+
+    def test_n_paths_must_be_positive(self, cov8):
+        driver = MartingaleDriver("wiener", cov8)
+        for t_final in (1.0, 0.0):
+            for n_paths in (0, -5):
+                with pytest.raises(ValueError, match="n_paths"):
+                    ito_isometry_check(driver, t_final, 1, n_paths, 0)
 
     @pytest.mark.parametrize("kind, rate", DRIVERS)
     def test_matches_a_per_step_sum(self, kind, rate, cov8, monkeypatch):

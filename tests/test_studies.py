@@ -210,7 +210,7 @@ class TestStudySpecValidation:
 
 class TestLambdaSweep:
     @pytest.mark.parametrize(
-        "study", [energy_study, pairing_study, lambda_convergence_study], ids=lambda f: f.__name__
+        "study", [energy_study, pairing_study, lambda_convergence_study, isometry_study], ids=lambda f: f.__name__
     )
     def test_worker_count_does_not_change_rows(self, small_stochastic_spec, study):
         serial = study(replace(small_stochastic_spec, workers=1))
@@ -270,6 +270,22 @@ class TestLambdaSweep:
             for workers in (1, 2):
                 path = tmp_path / f"{block_paths}-{workers}.csv"
                 write_csv(lambda_convergence_study(replace(spec, workers=workers)), path)
+                texts.add(path.read_bytes())
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    def test_isometry_csv_bytes_do_not_depend_on_workers_or_block_size(
+        self, small_stochastic_spec, kind, tmp_path, monkeypatch
+    ):
+        driver = replace(small_stochastic_spec.base.driver, kind=kind, rate=5.0 if kind == "poisson" else 0.0)
+        spec = replace(small_stochastic_spec, base=replace(small_stochastic_spec.base, driver=driver), n_paths=5)
+        texts = set()
+        # blocks of 1, 2, 3 and 4 paths: min(_BLOCK_PATHS, ceil(5 / processes))
+        for block_paths in (1, 2, 4):
+            monkeypatch.setattr(studies, "_BLOCK_PATHS", block_paths)
+            for workers in (1, 2):
+                path = tmp_path / f"{block_paths}-{workers}.csv"
+                write_csv(isometry_study(replace(spec, workers=workers)), path)
                 texts.add(path.read_bytes())
         assert len(texts) == 1
 
@@ -640,11 +656,12 @@ class TestIsometryStudy:
             ibp = checks["integration_by_parts"]
             assert ibp[1] <= 1e-12
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
-    def test_rows_match_a_per_step_reference(self, small_stochastic_spec, kind, monkeypatch):
-        # 3 steps per block, so each path's 125 steps span 42 blocks
+    def test_rows_match_a_per_step_reference(self, small_stochastic_spec, kind, workers, monkeypatch):
+        # 3 steps per block, so each path's 125 steps span 42 blocks; 2 workers fork a child for paths 3..4
         monkeypatch.setattr(noise, "_BLOCK_ENTRIES", 3 * 16 + 5)
-        spec = replace(self._spec(small_stochastic_spec, kind), n_paths=5)
+        spec = replace(self._spec(small_stochastic_spec, kind), n_paths=5, workers=workers)
         base, driver = spec.base, spec.base.driver
         sq, qv = [], []
         for p in range(spec.n_paths):
@@ -661,6 +678,14 @@ class TestIsometryStudy:
         )
         assert rows[1][1:3] == (np.mean(qv), base.t_final * driver.covariance.trace)
         assert rows[1][3] == np.std(qv, ddof=1) / np.sqrt(spec.n_paths)
+
+    def test_driver_paths_are_shared_among_the_workers(self, small_stochastic_spec, monkeypatch):
+        shares = serial_children(monkeypatch, cpus=4)
+        # 17 paths on 4 workers make blocks of min(_BLOCK_PATHS, ceil(17 / 4)) paths, one per process
+        spec = replace(small_stochastic_spec, n_paths=17)
+        pooled = isometry_study(replace(spec, workers=4))
+        assert shares == [[range(5, 10)], [range(10, 15)], [range(15, 17)]]
+        assert pooled.rows == isometry_study(spec).rows
 
     def test_requires_driver(self, small_stochastic_spec):
         base = replace(small_stochastic_spec.base, driver=None)
