@@ -25,27 +25,6 @@ from .studies import StudySpec
 
 __all__ = ["parse_config_text", "load_config", "apply_overrides", "build_solver_config", "build_study_spec", "DEFAULTS"]
 
-_SCHEMA = {
-    "domain.dim": int,
-    "domain.n_modes": int,
-    "graph.kind": str,
-    "noise.kind": str,
-    "noise.q0": float,
-    "noise.r": float,
-    "noise.rate": float,
-    "noise.sigma": str,
-    "solver.lambda": float,
-    "solver.dt": float,
-    "solver.t_final": float,
-    "solver.u0": str,
-    "solver.record": str,
-    "study.n_paths": int,
-    "study.seed": int,
-    "study.lambda_grid": str,
-    "study.eps_grid": str,
-    "study.workers": int,
-}
-
 DEFAULTS = {
     "domain.dim": 1,
     "domain.n_modes": 64,
@@ -69,7 +48,7 @@ DEFAULTS = {
 
 
 def _convert(key, raw):
-    kind = _SCHEMA[key]
+    kind = type(DEFAULTS[key])  # every key's type is its default's
     try:
         value = kind(raw)
     except ValueError:
@@ -93,7 +72,7 @@ def parse_config_text(text: str) -> dict:
                 if not token.endswith("]"):
                     raise ConfigError(f"line {lineno}: malformed section token {token!r}")
                 section = token[1:-1]
-                if not any(k.startswith(section + ".") for k in _SCHEMA):
+                if not any(k.startswith(section + ".") for k in DEFAULTS):
                     raise ConfigError(f"line {lineno}: unknown config section '{section}'")
                 continue
             key, sep, raw = token.partition("=")
@@ -102,7 +81,7 @@ def parse_config_text(text: str) -> dict:
             if section is None:
                 raise ConfigError(f"line {lineno}: key '{key}' appears before any [section]")
             full = f"{section}.{key}"
-            if full not in _SCHEMA:
+            if full not in DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown config key '{full}'")
             if full in set_on:
                 raise ConfigError(f"line {lineno}: config key '{full}' is set again (first on line {set_on[full]})")
@@ -126,7 +105,7 @@ def apply_overrides(values: dict, overrides) -> dict:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        if key not in _SCHEMA:
+        if key not in DEFAULTS:
             raise ConfigError(f"unknown config key '{key}'")
         if key in given:
             raise ConfigError(f"config key '{key}' is given twice on the command line")

@@ -222,6 +222,16 @@ def _path_sums(driver: MartingaleDriver, dt: float, n_steps: int, master_seed: i
     return sums
 
 
+def _mean_se(values):
+    """(mean, standard error) of a sample: the error is 0 for one value, and both are nan for none."""
+    arr = np.asarray(values, dtype=float)
+    if not len(arr):
+        return float("nan"), float("nan")
+    mean = float(np.mean(arr))
+    se = float(np.std(arr, ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return mean, se
+
+
 def ito_isometry_check(
     driver: MartingaleDriver,
     t_final: float,
@@ -244,7 +254,5 @@ def ito_isometry_check(
     if t_final == 0.0:
         return {"lhs_estimate": 0.0, "rhs": rhs, "std_error": 0.0, "n_paths": n_paths}
     ends = _path_sums(driver, t_final / n_steps, n_steps, master_seed, range(n_paths), lambda block: block)
-    sq = np.array([np.sum(end**2) for end in ends])
-    lhs = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    lhs, se = _mean_se([np.sum(end**2) for end in ends])
     return {"lhs_estimate": lhs, "rhs": rhs, "std_error": se, "n_paths": n_paths}

@@ -37,15 +37,21 @@ def _tick_label(value, log):
     return f"{value:.4g}"
 
 
+def _axis_points(xs, ys, logx, logy):
+    """The finite points of a series that its axes can show, log10-mapped on a log axis."""
+    pts = []
+    for x, y in zip(xs, ys):
+        if logx and x <= 0 or logy and y <= 0:
+            continue
+        if math.isfinite(x) and math.isfinite(y):
+            pts.append((math.log10(x) if logx else float(x), math.log10(y) if logy else float(y)))
+    return pts
+
+
 def write_line_plot(path, title, xlabel, ylabel, series, logx=False, logy=False):
     """Write a polyline chart; series is a list of (label, xs, ys) triples."""
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if logx and x <= 0 or logy and y <= 0:
-                continue
-            if math.isfinite(x) and math.isfinite(y):
-                pts.append((math.log10(x) if logx else float(x), math.log10(y) if logy else float(y)))
+    mapped = [_axis_points(xs, ys, logx, logy) for _, xs, ys in series]
+    pts = [p for series_pts in mapped for p in series_pts]
     if pts:
         x_lo, x_hi = _spread(min(p[0] for p in pts), max(p[0] for p in pts))
         y_lo, y_hi = _spread(min(p[1] for p in pts), max(p[1] for p in pts))
@@ -93,15 +99,9 @@ def write_line_plot(path, title, xlabel, ylabel, series, logx=False, logy=False)
         f'font-family="sans-serif" transform="rotate(-90 20 {_TOP + plot_h / 2:.1f})">{ylabel}</text>'
     )
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, ((label, _, _), series_pts) in enumerate(zip(series, mapped)):
         color = _COLORS[i % len(_COLORS)]
-        coords = []
-        for x, y in zip(xs, ys):
-            if logx and x <= 0 or logy and y <= 0:
-                continue
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            coords.append((sx(math.log10(x) if logx else x), sy(math.log10(y) if logy else y)))
+        coords = [(sx(x), sy(y)) for x, y in series_pts]
         if len(coords) > 1:
             points = " ".join(f"{px:.2f},{py:.2f}" for px, py in coords)
             parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')

@@ -143,17 +143,14 @@ class PathResult:
     """One simulated trajectory plus the functionals accumulated along it.
 
     ``simulate_path``'s has floats and grid-shaped fields, ``_run``'s a
-    block's (P, L) and (P, L, *grid.shape) arrays.  ``chain_lhs`` and
-    ``pairing`` are None where the kernel was not asked for them.
+    block's (P, L) and (P, L, *grid.shape) arrays.  ``pairing`` is None
+    where the kernel was not asked for it.  The state before the first
+    step is ``build_initial_state``'s, or an observer's at k = 0.
     """
 
-    path_index: int
     times: np.ndarray
     sup_energy: float
-    chain_lhs: float
     pairing: float
-    u_first: np.ndarray
-    v_first: np.ndarray
     u_final: np.ndarray
     v_final: np.ndarray
     series: Optional[np.ndarray] = None  # columns per SERIES_COLUMNS, minus t; needs 'functionals'
@@ -301,26 +298,26 @@ def simulate_path(
     only way to read a path between its ends; the state after the last step
     is ``u_final``/``v_final``.  The kernel never writes to an array it has
     handed out, so an observer may keep it.  The path is ``_run``'s 1 x 1
-    block of (path_index, config.lam), read at [0, 0]: observe gets
-    grid-shaped views, and the result has float sums and grid-shaped fields.
+    block of (path_index, config.lam) with its pairing, read at [0, 0]:
+    observe gets grid-shaped views, and the result has float sums and
+    grid-shaped fields.  An observer reads the drift modes, so the kick's
+    form (see ``_run``) is that of an observed block.
     """
 
     def block_observe(k, u, v, beta_modes, dm, beta_nodes):
         observe(k, u[0, 0], v[0, 0], beta_modes[0, 0], None if dm is None else dm[0, 0], beta_nodes[0, 0])
 
-    result, blown = _run(config, (path_index,), (config.lam,), block_observe if observe is not None else None)
+    result, blown = _run(
+        config, (path_index,), (config.lam,), block_observe if observe is not None else None, pairing=True
+    )
     step = int(blown[0, 0])
     if step >= 0:
         raise NumericError(
             f"energy blow-up at step {step} (lambda={config.lam:g}, energy={result.sup_energy[0, 0]:.3e})", step=step
         )
-    sums = {name: float(getattr(result, name)[0, 0]) for name in ("sup_energy", *_SUMS)}
-    fields = {name: getattr(result, name)[0, 0] for name in ("u_first", "v_first", "u_final", "v_final")}
-    return replace(result, path_index=path_index, **sums, **fields)
-
-
-# The per-path sums the kernel can accumulate; ``_run`` computes those asked for.
-_SUMS = frozenset({"chain_lhs", "pairing"})
+    sums = {name: float(getattr(result, name)[0, 0]) for name in ("sup_energy", "pairing")}
+    fields = {name: getattr(result, name)[0, 0] for name in ("u_final", "v_final")}
+    return replace(result, **sums, **fields)
 
 
 def _increments(draw, rngs, n: int, size: int, nodes=None):
@@ -361,7 +358,7 @@ def _increments(draw, rngs, n: int, size: int, nodes=None):
         yield from zip(block, jumps, nodal)
 
 
-def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, sums=_SUMS):
+def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, pairing: bool = False):
     """The stepping loop over a block of P path indices x L lambdas.
 
     Returns (PathResult, blow-up steps).  The state arrays have shape
@@ -370,10 +367,10 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     the guard leaves with its step index in the (P, L) step array (-1 for
     the rows that finished) and its energy at that step in ``sup_energy``;
     its state is zeroed, so that the others go on without a warning.  Every
-    row runs the operation order of its single path run with the same reads
-    (observer and ``sums``), and its transforms and dots give each field the
-    bits it gets alone (see ``SpectralGrid._transform`` and ``_row_dots``),
-    so it holds that path's bits whatever its block-mates.  Each path draws
+    row runs the operation order of its ``simulate_path`` path (observed if
+    the block is), and its transforms and dots give each field the bits it
+    gets alone (see ``SpectralGrid._transform`` and ``_row_dots``), so it
+    holds that path's bits whatever its block-mates.  Each path draws
     once per step from its own stream (see ``_increments``), and its lambdas
     share the draw.  Only a 1 x 1 block records the functional series
     (``record``).
@@ -382,17 +379,17 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     tables, mu and the lambda table at the state's shape, the Yosida map's
     and the resolvent's lambda constants, the scratch arrays; the jump-free
     test and the nodal transform of the increments once per drawn block.
-    Of the ``_SUMS``, only those named in ``sums`` are accumulated; the
-    others are None in the result.  ``sup_energy`` is always there: the
-    blow-up guard needs the energy anyway.  The drift is the graph's
-    ``_yosida_at`` map; where that takes no resolvent (the sign graph), one
-    is computed only for the pairing and the series.  The drift after the
-    last step is computed only for the series.  The drift modes are
-    computed only where read: by an observer, by ``chain_lhs``, and by a
-    kick that adds modal noise or none.  Where sigma multiplies at the nodes
-    under a driver and nothing else reads them, the kick is summed at the
-    nodes (see ``_kick_rotate``): one transform per step fewer, and the
-    state moves at round-off from the modal kick's.
+    The pairing is accumulated only with ``pairing`` (or the series), else
+    it is None in the result.  ``sup_energy`` is always there: the blow-up
+    guard needs the energy anyway.  The drift is the graph's ``_yosida_at``
+    map; where that takes no resolvent (the sign graph), one is computed
+    only for the pairing and the series.  The drift after the last step is
+    computed only for the series.  The drift modes are computed only where
+    read: by an observer, and by a kick that adds modal noise or none.
+    Where sigma multiplies at the nodes under a driver and no observer reads
+    them, the kick is summed at the nodes (see ``_kick_rotate``): one
+    transform per step fewer, and the state moves at round-off from the
+    modal kick's.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
     weight, dim = grid.weight, grid.dim
@@ -419,18 +416,15 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     rec_series = "functionals" in config.record
     times = dt * np.arange(n + 1)
     series = np.empty((n + 1, 6)) if rec_series else None
-    chain = "chain_lhs" in sums
-    pair = "pairing" in sums or rec_series
+    pair = pairing or rec_series
     yosida = graph._yosida_at(lam, len(batch))
     # the pairing and the series read the resolvent; nothing else does
     resolve = graph._resolvent_at(lam, len(batch)) if pair else None
-    # the observer and the chain term read the drift modes, and so does a kick
-    # that adds modal noise or none; any other kick is summed at the nodes
-    modes = observe is not None or chain or nodes is None
+    # the observer reads the drift modes, and so does a kick that adds modal
+    # noise or none; any other kick is summed at the nodes
+    modes = observe is not None or nodes is None
 
-    u_first, v_first = u.copy(), v.copy()
     sup_energy = -np.inf
-    chain_lhs = 0.0 if chain else None
     pairing = 0.0 if pair else None
     blown = np.full(batch, -1)
     warm = None
@@ -469,8 +463,6 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
         if step_idx == n:
             break
 
-        if chain:
-            chain_lhs = chain_lhs + dt * dot(beta_modes, v)
         if pair:
             pairing = pairing + dt * weight * dot(yos, res)
         dm, jumps, dm_nodes = next(increments) if increments is not None else (None, False, None)
@@ -478,21 +470,8 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             observe(step_idx, u, v, beta_modes, dm, yos)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
 
-    sup_energy, chain_lhs, pairing = (
-        None if x is None else np.broadcast_to(x, batch) for x in (sup_energy, chain_lhs, pairing)
-    )
-    result = PathResult(
-        path_index=paths,
-        times=times,
-        sup_energy=sup_energy,
-        chain_lhs=chain_lhs,
-        pairing=pairing,
-        u_first=u_first,
-        v_first=v_first,
-        u_final=u,
-        v_final=v,
-        series=series,
-    )
+    sup_energy, pairing = (None if x is None else np.broadcast_to(x, batch) for x in (sup_energy, pairing))
+    result = PathResult(times=times, sup_energy=sup_energy, pairing=pairing, u_final=u, v_final=v, series=series)
     return result, blown
 
 
@@ -538,11 +517,26 @@ def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
     return worst
 
 
-def chain_rule_check(result: PathResult, config: SolverConfig) -> dict:
-    """Compare the accumulated <yosida(u), v> integral with the envelope change."""
-    grid, graph, lam = config.grid, config.graph, config.lam
-    rhs = _cold_envelope_mass(grid, graph, lam, result.u_final) - _cold_envelope_mass(grid, graph, lam, result.u_first)
-    lhs = result.chain_lhs
+def chain_rule_check(config: SolverConfig, path_index: int = 0) -> dict:
+    """Compare one path's <yosida(u), v> integral with the change of its envelope mass.
+
+    An observer adds dt * <beta_modes, v> at every step, before its kick,
+    and keeps the first state; the envelope masses of that state and of the
+    last go through the cold resolvent (``_cold_envelope_mass``).
+    """
+    grid, graph, lam, dt = config.grid, config.graph, config.lam, config.dt
+    lhs = 0.0
+    start = []
+
+    def observe(k, u, v, beta_modes, dm, beta_nodes):
+        nonlocal lhs
+        if k == 0:
+            start.append(u)
+        lhs = lhs + dt * np.vdot(beta_modes, v)
+
+    result = simulate_path(replace(config, record=frozenset()), path_index, observe)
+    rhs = _cold_envelope_mass(grid, graph, lam, result.u_final) - _cold_envelope_mass(grid, graph, lam, start[0])
+    lhs = float(lhs)
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .noise import _path_sums, path_rng
+from .noise import _mean_se, _path_sums, path_rng
 from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _row_dots, _run, ibp_residual
 
 __all__ = [
@@ -230,15 +230,6 @@ def _map_ordered(fn, blocks, workers):
             child.kill()
 
 
-def _mean_se(values):
-    arr = np.asarray(values, dtype=float)
-    if not len(arr):
-        return float("nan"), float("nan")
-    mean = float(np.mean(arr))
-    se = float(np.std(arr, ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return mean, se
-
-
 # Most paths per study job; a lambda study steps them in one block-kernel call.
 # A block gets min(_BLOCK_PATHS, ceil(n_paths / processes)) paths, so that
 # every process the fork map starts, min(workers, usable CPUs), gets a
@@ -261,16 +252,17 @@ def _drop_blown(values, blown):
 
 def _energy_job(base, lambdas, paths):
     """sup_t energy of every (path, lambda) of a block."""
-    result, blown = _run(base, paths, lambdas, sums=())
-    return _drop_blown(result.sup_energy.tolist(), blown), blown
+    result, blown = _run(base, paths, lambdas)
+    return result.sup_energy.tolist(), blown
 
 
 def _sweep(spec: StudySpec, job):
     """Map ``job(base, lambdas, paths)`` over blocks of paths on the worker processes; blow-ups are not fatal.
 
     A job gets a block of ``_map_blocks``, steps it at every lambda in one
-    ``_run`` call, and returns, per path, its values per lambda with None
-    for a blow-up, plus the (paths, lambdas) array of blow-up steps.
+    ``_run`` call, and returns, per path, its values per lambda, plus the
+    (paths, lambdas) array of blow-up steps; a blown-up row's value is
+    dropped here (``_drop_blown``).
     Returns, per lambda in grid order, the values of the finished paths in
     path order, and the report meta: {lambda: blown-up path count} and
     {lambda: blow-up steps in path order}, for the lambdas that had any.
@@ -278,7 +270,7 @@ def _sweep(spec: StudySpec, job):
     """
     base = replace(spec.base, record=frozenset())
     per_block = _map_blocks(spec, partial(job, base, spec.lambdas))
-    per_path = [values for block, _ in per_block for values in block]
+    per_path = [values for block, steps in per_block for values in _drop_blown(block, steps)]
     columns = [[v for v in column if v is not None] for column in zip(*per_path)]
     blown = np.concatenate([steps for _, steps in per_block]).T
     steps = {lam: row[row >= 0].tolist() for lam, row in zip(spec.lambdas, blown) if (row >= 0).any()}
@@ -325,12 +317,12 @@ def _pairing_job(base, lambdas, paths, eps_values):
             u_eps, beta_eps = grid._nodes(np.multiply(filt, pair, out=smooth))
             sums[...] += scale * _row_dots(resolve(u_eps, None), beta_eps, 3)
 
-    result, blown = _run(base, paths, lambdas, observe, sums={"pairing"})
+    result, blown = _run(base, paths, lambdas, observe, pairing=True)
     values = [
         [{**dict(zip(smoothed, by_eps)), 0.0: pairing} for by_eps, pairing in zip(path_sums, path_pairing)]
         for path_sums, path_pairing in zip(np.moveaxis(sums, 0, -1).tolist(), result.pairing.tolist())
     ]
-    return _drop_blown(values, blown), blown
+    return values, blown
 
 
 def pairing_study(spec: StudySpec) -> StudyReport:
@@ -387,7 +379,7 @@ def _gaps_job(base, lambdas, paths):
         dbeta2 = (beta_modes[:, 1:] - beta_modes[:, :-1]) ** 2
         hm_sq[..., k] = np.matmul(weights, dbeta2.reshape(*pairs, -1, 1))[..., 0, 0]
 
-    result, blown = _run(base, paths, lambdas, observe, sums=())
+    result, blown = _run(base, paths, lambdas, observe)
     u_gap(n, result.u_final)
     hm2, hm3 = dt * np.sqrt(hm_sq).sum(axis=-1)
     gaps = np.stack((np.sqrt(u_sq.max(axis=-1)), l1 * dt, hm2, hm3), axis=-1)
@@ -395,7 +387,7 @@ def _gaps_job(base, lambdas, paths):
         [()] + [tuple(gap) if prev_ok else () for gap, prev_ok in zip(path_gaps, path_ok)]
         for path_gaps, path_ok in zip(gaps.tolist(), (blown < 0).tolist())
     ]
-    return _drop_blown(values, blown), blown
+    return values, blown
 
 
 def lambda_convergence_study(spec: StudySpec) -> StudyReport:

@@ -12,7 +12,6 @@ from stochwave import ConfigError, CubicGraph, SignGraph
 from stochwave import cli, selftest
 from stochwave.cli import cli_main
 from stochwave.config import (
-    _SCHEMA,
     DEFAULTS,
     apply_overrides,
     build_solver_config,
@@ -412,7 +411,7 @@ class TestConfigFuzz:
     def test_every_key_builds_or_names_itself(self, tmp_path, capsys):
         rng = random.Random(20)
         cases = []
-        for key in _SCHEMA:
+        for key in DEFAULTS:
             malformed = "".join(rng.choice("0123456789.,:+-eEnaix_") for _ in range(rng.randint(1, 8)))
             cases += [(key, raw) for raw in (*self.EDGES, malformed)]
         rng.shuffle(cases)
@@ -446,7 +445,7 @@ class TestConfigFuzz:
 
     def test_a_repeated_key_is_named(self, tmp_path, capsys):
         config = tmp_path / "twice.cfg"
-        for key in _SCHEMA:
+        for key in DEFAULTS:
             section, name = key.split(".")
             token = f"{name}={DEFAULTS[key]}"
             # twice on one line, and once more under a second [section] token
@@ -466,7 +465,7 @@ class TestConfigFuzz:
             "study.lambda_grid": "--lambda-grid",
             "study.eps_grid": "--eps-grid",
         }
-        for key in _SCHEMA:
+        for key in DEFAULTS:
             token = f"{key}={DEFAULTS[key]}"
             with pytest.raises(ConfigError, match=re.escape(key) + r"\b"):
                 apply_overrides(DEFAULTS, [token, token])

@@ -29,7 +29,7 @@ from stochwave import (
 )
 from stochwave.noise import path_rng
 from stochwave.selftest import GRAPHS
-from stochwave.solver import MAX_STEP_ENTRIES, _increments, _run
+from stochwave.solver import MAX_STEP_ENTRIES, _increments, _row_dots, _run
 from stochwave.studies import _pairing_job
 
 
@@ -339,8 +339,9 @@ class TestSimulatePath:
         grid, graph, lam = config.grid, config.graph, config.lam
         seen = []
         result = simulate_path(config, 3, lambda k, u, v, beta, dm, beta_nodes: seen.append((u, v, beta, dm)))
-        np.testing.assert_array_equal(seen[0][0], result.u_first)
-        np.testing.assert_array_equal(seen[0][1], result.v_first)
+        u0, v0 = build_initial_state(grid, config.u0, path_rng(config.seed, 3))
+        np.testing.assert_array_equal(seen[0][0], u0)
+        np.testing.assert_array_equal(seen[0][1], v0)
         cache = GroupCache(grid, config.dt)
         following = [(u, v) for u, v, _, _ in seen[1:]] + [(result.u_final, result.v_final)]
         for (u, v, beta, dm), (u_next, v_next) in zip(seen, following):
@@ -349,7 +350,8 @@ class TestSimulatePath:
             kicked = kernel_step(cache, u, v, graph, lam, config.diffusion, dm)
             np.testing.assert_array_equal(kicked[0], u_next)
             np.testing.assert_array_equal(kicked[1], v_next)
-        plain = simulate_path(config, 3)
+        # an observer that keeps nothing steps the same path: keeping the arrays changes no bit
+        plain = simulate_path(config, 3, lambda *step: None)
         np.testing.assert_array_equal(plain.u_final, result.u_final)
         assert plain.pairing == result.pairing
 
@@ -617,7 +619,7 @@ class TestDotReductions:
             config = poisson_config(2, "sin")
         result = record_path(config, 1)
         expected = summed_reductions(config, result)
-        actual = (result.sup_energy, result.chain_lhs, result.pairing)
+        actual = (result.sup_energy, chain_rule_check(config, 1)["lhs"], result.pairing)
         np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 32)])
@@ -698,7 +700,7 @@ class TestChainRule:
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
             driver=None, u0="zero", record=frozenset(),
         )
-        out = chain_rule_check(simulate_path(config, 0), config)
+        out = chain_rule_check(config, 0)
         assert out == {"lhs": 0.0, "rhs": 0.0, "gap": 0.0}
 
     def test_linear_single_mode_matches_scalar_recursion(self, grid64):
@@ -708,7 +710,7 @@ class TestChainRule:
             grid=grid64, graph=LinearGraph(1.0), lam=lam, dt=dt, t_final=1.0,
             driver=None, u0="smooth:1", record=frozenset(),
         )
-        out = chain_rule_check(simulate_path(config, 0), config)
+        out = chain_rule_check(config, 0)
         rate = 1.0 / (1.0 + lam)
         u, v = 1.0, 0.0
         lhs = 0.0
@@ -728,7 +730,7 @@ class TestChainRule:
                 grid=grid64, graph=CubicGraph(), lam=1e-2, dt=dt, t_final=1.0,
                 driver=None, u0="smooth:8", record=frozenset(),
             )
-            gaps.append(chain_rule_check(simulate_path(config, 0), config)["gap"])
+            gaps.append(chain_rule_check(config, 0)["gap"])
         assert gaps[0] / gaps[1] >= 1.4
         assert gaps[1] / gaps[2] >= 1.4
 
@@ -736,7 +738,7 @@ class TestChainRule:
         gaps = []
         for dt in (4e-3, 2e-3, 1e-3):
             config = replace(stochastic_config, dt=dt, record=frozenset())
-            gaps.append(chain_rule_check(simulate_path(config, 0), config)["gap"])
+            gaps.append(chain_rule_check(config, 0)["gap"])
         for ratio in (gaps[0] / gaps[1], gaps[1] / gaps[2]):
             assert 1.4 <= ratio <= 3.0
 
@@ -793,15 +795,27 @@ class TestBlockKernel:
 
     @staticmethod
     def assert_rows_are_single_paths(config, lambdas):
-        singles = {}
+        """Rows of observed blocks against observed single paths, and their chain sums against chain_rule_check's.
+
+        An observer reads the drift modes, so these rows take the modal
+        kick; it sums each row's dt * <beta_modes, v> with _row_dots.
+        """
+        singles, chains = {}, {}
         for p in range(8):
             for lam in lambdas:
+                single = replace(config, lam=lam)
                 try:
-                    singles[p, lam] = simulate_path(replace(config, lam=lam), p)
+                    singles[p, lam] = simulate_path(single, p, lambda *step: None)
+                    chains[p, lam] = chain_rule_check(single, p)["lhs"]
                 except NumericError as err:
                     singles[p, lam] = err.step
         for paths in ((4,), (1, 2, 3), tuple(range(8))):
-            result, blown = _run(config, paths, lambdas)
+            chain = np.zeros((len(paths), len(lambdas)))
+
+            def observe(k, u, v, beta_modes, dm, beta_nodes):
+                chain[...] += config.dt * _row_dots(beta_modes, v)
+
+            result, blown = _run(config, paths, lambdas, observe, pairing=True)
             assert blown.shape == result.sup_energy.shape == (len(paths), len(lambdas))
             for i, p in enumerate(paths):
                 for j, lam in enumerate(lambdas):
@@ -810,7 +824,8 @@ class TestBlockKernel:
                         assert blown[i, j] == single
                         continue
                     assert blown[i, j] == -1
-                    for name in ("sup_energy", "chain_lhs", "pairing", "u_final", "v_final"):
+                    assert chain[i, j].tobytes() == np.float64(chains[p, lam]).tobytes()
+                    for name in ("sup_energy", "pairing", "u_final", "v_final"):
                         row = np.asarray(getattr(result, name)[i, j])
                         assert row.tobytes() == np.asarray(getattr(single, name)).tobytes(), name
         return singles
@@ -861,7 +876,7 @@ class TestBlockKernel:
 
     @staticmethod
     def assert_rows_are_single_nodal_kick_paths(config, lambdas, monkeypatch):
-        """Rows of blocks that read no drift modes (sums=(), no observer) against 1 x 1 blocks that read none."""
+        """Rows of blocks that read no drift modes (no observer) against 1 x 1 blocks that read none."""
         nodal = []
         at_nodes = DiffusionMap.at_nodes
 
@@ -874,10 +889,10 @@ class TestBlockKernel:
 
         monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
         monkeypatch.setattr(DiffusionMap, "apply", modal_apply)
-        singles = {(p, lam): _run(config, (p,), (lam,), sums=()) for p in range(8) for lam in lambdas}
+        singles = {(p, lam): _run(config, (p,), (lam,)) for p in range(8) for lam in lambdas}
         for paths in ((4,), (1, 2, 3), tuple(range(8))):
-            result, blown = _run(config, paths, lambdas, sums=())
-            assert result.chain_lhs is None and result.pairing is None
+            result, blown = _run(config, paths, lambdas)
+            assert result.pairing is None
             for i, p in enumerate(paths):
                 for j, lam in enumerate(lambdas):
                     single, single_blown = singles[p, lam]
@@ -921,16 +936,24 @@ class TestBlockKernel:
         config = block_config(1, "poisson", "sign", sigma="sin")
         jumps = sum(bool(np.count_nonzero(dm)) for p in range(8) for dm in record_path(config, p).increments)
         assert 0 < jumps < 8 * config.n_steps
-        paths = []
-        apply = DiffusionMap.apply
+        paths, nodal_paths = [], []
+        apply, at_nodes = DiffusionMap.apply, DiffusionMap.at_nodes
 
         def counting_apply(self, grid, u_nodes, dm, dm_nodes=None):
             paths.append(len(dm))  # one (1, *grid.shape) increment per path
             return apply(self, grid, u_nodes, dm, dm_nodes)
 
+        def counting_at_nodes(self, u_nodes, dm_nodes):
+            nodal_paths.append(len(u_nodes))  # one (L, *grid.shape) row per path
+            return at_nodes(self, u_nodes, dm_nodes)
+
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
-        _run(config, tuple(range(8)), (1e-1, 1e-2))
+        _run(config, tuple(range(8)), (1e-1, 1e-2), lambda *step: None)  # an observed block's kick is modal
         assert sum(paths) == jumps
+        monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
+        del paths[:]
+        _run(config, tuple(range(8)), (1e-1, 1e-2))
+        assert paths == [] and sum(nodal_paths) == jumps
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (2, "poisson")])
     def test_smoothed_pairings_of_a_newton_block_are_single_path_pairings(self, dim, kind, monkeypatch):
@@ -987,8 +1010,8 @@ class TestNodalKick:
     def test_agrees_with_the_modal_kick(self, graph, sigma, kind, dim):
         config = replace(block_config(dim, kind, "cubic", sigma=sigma), graph=graph)
         paths, lambdas = tuple(range(4)), (1e-1, 1e-2, 1e-3)
-        nodal, nodal_blown = _run(config, paths, lambdas, sums=())
-        modal, modal_blown = _run(config, paths, lambdas, sums={"chain_lhs"})  # the chain term reads the modes
+        nodal, nodal_blown = _run(config, paths, lambdas)
+        modal, modal_blown = _run(config, paths, lambdas, lambda *step: None)  # an observer reads the modes
         np.testing.assert_array_equal(nodal_blown, modal_blown)
         np.testing.assert_allclose(nodal.sup_energy, modal.sup_energy, rtol=1e-14, atol=0)
         for name in ("u_final", "v_final"):

@@ -32,7 +32,7 @@ from stochwave import (
 )
 from stochwave import noise, studies
 from stochwave.solver import _run
-from stochwave.studies import _energy_job, _gaps_job, _mean_se, _pairing_job
+from stochwave.studies import _drop_blown, _energy_job, _gaps_job, _mean_se, _pairing_job
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +321,37 @@ class TestEnergyStudy:
             assert se == 0.0
             assert n == 5
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    @pytest.mark.parametrize("sigma", ["clip", "sin"])
+    @pytest.mark.parametrize("graph", ["cubic", "sign"])
+    def test_rows_are_their_simulate_path_paths(self, graph, sigma, kind, dim, monkeypatch):
+        # neither reads the drift modes, so both sum the kick at the nodes, bit for bit; simulate_path
+        # also sums the pairing, which for the sign graph computes a resolvent the energy job does not
+        grid = SpectralGrid(dim, 16 if dim == 1 else 8)
+        base = SolverConfig(
+            grid=grid, graph=parse_graph(graph), lam=1e-2, dt=1e-3, t_final=0.2,
+            driver=MartingaleDriver(kind, NuclearCovariance.from_grid(grid, 1.0, dim + 1.0), rate=50.0),
+            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", seed=11, record=frozenset(),
+        )
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(studies, "_run", spy)
+        paths, lambdas = range(4), (1e-1, 1e-2, 1e-3)
+        values, blown = _energy_job(base, lambdas, paths)
+        [(result, _)] = runs
+        assert (blown < 0).all()
+        for i, p in enumerate(paths):
+            for j, lam in enumerate(lambdas):
+                single = simulate_path(replace(base, lam=lam), p)
+                assert repr(values[i][j]) == repr(single.sup_energy)
+                assert result.u_final[i, j].tobytes() == single.u_final.tobytes()
+                assert result.v_final[i, j].tobytes() == single.v_final.tobytes()
+
     def test_single_path_reports_identical_across_runs(self, small_stochastic_spec):
         spec = replace(small_stochastic_spec, n_paths=1)
         assert energy_study(spec).rows == energy_study(spec).rows
@@ -572,8 +603,9 @@ class TestGapObserver:
         with pytest.raises(NumericError) as err:
             simulate_path(b, 0)
         assert 1 < err.value.step < base.n_steps
-        [values], blown = _gaps_job(base, (a.lam, b.lam, c.lam, d.lam), (0,))
+        values, blown = _gaps_job(base, (a.lam, b.lam, c.lam, d.lam), (0,))
         assert blown.tolist() == [[-1, err.value.step, -1, -1]]
+        [values] = _drop_blown(values, blown)  # the rows _sweep keeps
         assert values[:3] == [(), None, ()]
         assert values[3] == whole_history_gaps(d, record_path(c), record_path(d))
 
