@@ -144,7 +144,8 @@ class PathResult:
 
     ``simulate_path``'s has floats and grid-shaped fields, ``_run``'s a
     block's (P, L) and (P, L, *grid.shape) arrays.  ``pairing`` is None
-    where the kernel was not asked for it.  The state before the first
+    where the kernel was not asked for it, as on a ``simulate_path`` path
+    recorded without 'functionals'.  The state before the first
     step is ``build_initial_state``'s, or an observer's at k = 0.
     """
 
@@ -211,12 +212,12 @@ def _drift(grid: SpectralGrid, yosida, u, warm, out, resolve=None, modes=True):
 def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
-    ``jumps`` says which fields dm moves: False when it is all zero (a
+    ``jumps`` is the row index of the fields that dm moves: ``...`` for all
+    of them; in a (P, L) stack, where dm has one (1, *grid.shape) row per
+    path, a (P,) mask of the paths that jump; None where dm is all zero (a
     jump-free compound-Poisson step), whose exactly-zero product is skipped,
-    so that only the sign of a zero entry of v can differ; True for all of
-    them; in a (P, L) stack, where dm has one (1, *grid.shape) row per path,
-    a (P,) mask of the paths that jump.  ``dm_nodes``, if not None, is the
-    nodal increment of the fields that jump (see ``DiffusionMap.apply``).
+    so that only the sign of a zero entry of v can differ.  ``dm_nodes``, if
+    not None, is the nodal value of dm[jumps] (see ``DiffusionMap.apply``).
     ``w`` and ``tmp``, scratch arrays of u's shape or None, take the kicked
     velocity and the rotation's products in place of new temporaries; u, v,
     beta_modes and dm are never written.  Returns new arrays.
@@ -234,9 +235,7 @@ def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, ju
     else:
         w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
         w += v
-    if jumps is True:
-        w += diffusion.at_nodes(u_nodes, dm_nodes) if fused else diffusion.apply(grid, u_nodes, dm, dm_nodes)
-    elif jumps is not False:
+    if jumps is not None:
         rows = u_nodes[jumps]
         w[jumps] += diffusion.at_nodes(rows, dm_nodes) if fused else diffusion.apply(grid, rows, dm[jumps], dm_nodes)
     if fused:
@@ -298,24 +297,23 @@ def simulate_path(
     only way to read a path between its ends; the state after the last step
     is ``u_final``/``v_final``.  The kernel never writes to an array it has
     handed out, so an observer may keep it.  The path is ``_run``'s 1 x 1
-    block of (path_index, config.lam) with its pairing, read at [0, 0]:
-    observe gets grid-shaped views, and the result has float sums and
-    grid-shaped fields.  An observer reads the drift modes, so the kick's
-    form (see ``_run``) is that of an observed block.
+    block of (path_index, config.lam), read at [0, 0]: observe gets
+    grid-shaped views, and the result has float sums and grid-shaped
+    fields.  It sums the pairing only with the series (``record``).  An
+    observer reads the drift modes, so the kick's form (see ``_run``) is
+    that of an observed block.
     """
 
     def block_observe(k, u, v, beta_modes, dm, beta_nodes):
         observe(k, u[0, 0], v[0, 0], beta_modes[0, 0], None if dm is None else dm[0, 0], beta_nodes[0, 0])
 
-    result, blown = _run(
-        config, (path_index,), (config.lam,), block_observe if observe is not None else None, pairing=True
-    )
+    result, blown = _run(config, (path_index,), (config.lam,), block_observe if observe is not None else None)
     step = int(blown[0, 0])
     if step >= 0:
         raise NumericError(
             f"energy blow-up at step {step} (lambda={config.lam:g}, energy={result.sup_energy[0, 0]:.3e})", step=step
         )
-    sums = {name: float(getattr(result, name)[0, 0]) for name in ("sup_energy", "pairing")}
+    sums = {name: float(x[0, 0]) for name in ("sup_energy", "pairing") if (x := getattr(result, name)) is not None}
     fields = {name: getattr(result, name)[0, 0] for name in ("u_final", "v_final")}
     return replace(result, **sums, **fields)
 
@@ -326,16 +324,15 @@ def _increments(draw, rngs, n: int, size: int, nodes=None):
     Each path draws from its own stream, in blocks of at most
     ``_DRAW_ENTRIES`` entries per path.  dm is a (P, 1, *grid.shape) view
     of the drawn block, one row per path, which its lambdas share.
-    ``jumps`` (see ``_kick_rotate``) is decided once per drawn block, not
-    per step, from a per-(step, path) any: False for every step of a block
-    with no nonzero entry, True for every step of a block whose rows all
-    jump (every Wiener block), else per step.  With ``nodes`` (the grid's
-    ``_nodes``), a block whose rows all jump is transformed as it is, and
-    dm_nodes is the step's (P, 1, *grid.shape) share, shaped like dm;
-    otherwise the block's jumping (step, path) rows are gathered and
-    transformed in one call, and dm_nodes is the step's share of them,
-    shaped like dm[jumps].  Without ``nodes`` it is None.  Each row of the
-    transform has the bits of a per-step transform (see
+    ``jumps``, the row index of the paths that jump (see ``_kick_rotate``),
+    is decided once per drawn block, not per step, from a per-(step, path)
+    any: None for every step of a block with no nonzero entry, ``...`` for
+    every step of a block whose rows all jump (every Wiener block), else per
+    step.  With ``nodes`` (the grid's ``_nodes``), dm_nodes is the nodal
+    value of dm[jumps]: a block whose rows all jump is transformed as it is,
+    any other block's jumping (step, path) rows are gathered and transformed
+    in one call.  Without ``nodes``, or where no row jumps, it is None.
+    Each row of the transform has the bits of a per-step transform (see
     ``SpectralGrid._transform``).
     """
     per_block = max(1, _DRAW_ENTRIES // size)
@@ -343,13 +340,13 @@ def _increments(draw, rngs, n: int, size: int, nodes=None):
         block = np.stack(parts, 1)[:, :, None]  # (m, P, 1, *shape): a lambda axis
         rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
         if not rows.any():
-            yield from ((dm, False, None) for dm in block)
+            yield from ((dm, None, None) for dm in block)
             continue
         if rows.all():
-            yield from zip(block, [True] * len(block), [None] * len(block) if nodes is None else nodes(block))
+            yield from zip(block, [...] * len(block), [None] * len(block) if nodes is None else nodes(block))
             continue
         every, some = rows.all(axis=1).tolist(), rows.any(axis=1).tolist()
-        jumps = [all_ or (any_ and rows[k]) for k, (all_, any_) in enumerate(zip(every, some))]
+        jumps = [... if all_ else row if any_ else None for row, all_, any_ in zip(rows, every, some)]
         nodal = [None] * len(block)
         if nodes is not None:
             ends = np.cumsum(rows.sum(axis=1)).tolist()
@@ -379,8 +376,9 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     tables, mu and the lambda table at the state's shape, the Yosida map's
     and the resolvent's lambda constants, the scratch arrays; the jump-free
     test and the nodal transform of the increments once per drawn block.
-    The pairing is accumulated only with ``pairing`` (or the series), else
-    it is None in the result.  ``sup_energy`` is always there: the blow-up
+    The pairing is accumulated only with ``pairing`` (which only
+    ``_pairing_job`` passes) or the series, else it is None in the result.
+    ``sup_energy`` is always there: the blow-up
     guard needs the energy anyway.  The drift is the graph's ``_yosida_at``
     map; where that takes no resolvent (the sign graph), one is computed
     only for the pairing and the series.  The drift after the last step is
@@ -465,7 +463,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
 
         if pair:
             pairing = pairing + dt * weight * dot(yos, res)
-        dm, jumps, dm_nodes = next(increments) if increments is not None else (None, False, None)
+        dm, jumps, dm_nodes = next(increments) if increments is not None else (None, None, None)
         if observe is not None:
             observe(step_idx, u, v, beta_modes, dm, yos)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)

@@ -296,8 +296,8 @@ def _pairing_job(base, lambdas, paths, eps_values):
     per step serves every eps, lambda and path.  The resolver is built once
     per block and called without a hint, so it is the closed form or the
     cold solver: both work entry by entry, so each field keeps the bits it
-    gets alone.  u and beta_modes share one stack, so that one product
-    smooths both at every eps and one transform takes them to the nodes.
+    gets alone.  u and beta_modes are smoothed at every eps straight into
+    one stack, so that one transform takes them to the nodes.
     """
     grid = base.grid
     smoothed = tuple(e for e in eps_values if e > 0.0)
@@ -309,12 +309,13 @@ def _pairing_job(base, lambdas, paths, eps_values):
         lam = np.reshape(np.array(lambdas, dtype=float), (len(lambdas),) + (1,) * grid.dim)
         scale = base.dt * grid.weight
         resolve = base.graph._resolvent_at(lam, 3)
-        pair = np.empty((2, 1) + block + grid.shape)  # (u, beta_modes), with a unit eps axis
         smooth = np.empty((2, len(smoothed)) + block + grid.shape)
+        smooth_u, smooth_beta = smooth  # views, so that no step indexes the stack
 
         def observe(k, u, v, beta_modes, dm, beta_nodes):
-            pair[0, 0], pair[1, 0] = u, beta_modes
-            u_eps, beta_eps = grid._nodes(np.multiply(filt, pair, out=smooth))
+            np.multiply(filt, u, out=smooth_u)
+            np.multiply(filt, beta_modes, out=smooth_beta)
+            u_eps, beta_eps = grid._nodes(smooth)
             sums[...] += scale * _row_dots(resolve(u_eps, None), beta_eps, 3)
 
     result, blown = _run(base, paths, lambdas, observe, pairing=True)

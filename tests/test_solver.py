@@ -311,6 +311,17 @@ class TestSimulatePath:
         e = result.series[:, 0]
         assert np.max(np.abs(e - e[0])) <= 1e-12 * e[0]
 
+    @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
+    def test_a_path_recorded_without_its_series_sums_no_pairing(self, stochastic_config, graph):
+        config = replace(stochastic_config, graph=graph, t_final=0.1)
+        recorded = simulate_path(config, 2)
+        plain = simulate_path(replace(config, record=frozenset()), 2)
+        assert plain.pairing is None and plain.series is None
+        assert recorded.pairing >= 0.0
+        assert plain.sup_energy == recorded.sup_energy
+        assert plain.u_final.tobytes() == recorded.u_final.tobytes()
+        assert plain.v_final.tobytes() == recorded.v_final.tobytes()
+
     def test_zero_initial_data_stays_zero(self, grid64, record_path):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
@@ -617,7 +628,8 @@ class TestDotReductions:
             )
         else:
             config = poisson_config(2, "sin")
-        result = record_path(config, 1)
+        # a path recorded without its series sums no pairing
+        result = record_path(replace(config, record=frozenset({"functionals"})), 1)
         expected = summed_reductions(config, result)
         actual = (result.sup_energy, chain_rule_check(config, 1)["lhs"], result.pairing)
         np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
@@ -774,6 +786,39 @@ class TestIntegrationByParts:
             assert ibp_residual(config, [(phi, psi)], 0) <= 1e-12
 
 
+class TestSinglePathChecks:
+    """duhamel_residual, chain_rule_check and ibp_residual read no pairing, so their paths sum none."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_the_sign_resolvent_is_never_called(self, dim, stochastic_config, monkeypatch):
+        # the sign graph's drift takes no resolvent; only the pairing would call its resolver
+        calls = []
+        resolvent_at = SignGraph._resolvent_at
+
+        def spy(self, lam, batch_ndim=0):
+            resolve = resolvent_at(self, lam, batch_ndim)
+
+            def counted(x, y0):
+                calls.append(x.shape)
+                return resolve(x, y0)
+
+            return counted
+
+        monkeypatch.setattr(SignGraph, "_resolvent_at", spy)
+        config = replace(stochastic_config, t_final=0.1) if dim == 1 else poisson_config(2, "sin")
+        config = replace(config, graph=SignGraph())
+        grid = config.grid
+        rng = np.random.default_rng(0)
+        probes = [(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))]
+        assert duhamel_residual(config, 1) <= 1e-9
+        assert np.isfinite(chain_rule_check(config, 1)["gap"])
+        assert ibp_residual(config, probes, 1) <= 1e-12
+        assert calls == []
+        # a path that records its series sums the pairing, which reads the resolvent at every step
+        simulate_path(replace(config, record=frozenset({"functionals"})), 1)
+        assert calls == [(1, 1) + grid.shape] * (config.n_steps + 1)
+
+
 def block_config(dim, kind, graph, dt=1e-3, sigma="clip", u0="smooth:4"):
     grid = SpectralGrid(dim, 16 if dim == 1 else 8)
     cov = NuclearCovariance.from_grid(grid, 1.0, dim + 1.0)
@@ -798,14 +843,16 @@ class TestBlockKernel:
         """Rows of observed blocks against observed single paths, and their chain sums against chain_rule_check's.
 
         An observer reads the drift modes, so these rows take the modal
-        kick; it sums each row's dt * <beta_modes, v> with _row_dots.
+        kick; it sums each row's dt * <beta_modes, v> with _row_dots.  The
+        single paths record their series, so that they sum the pairing.
         """
         singles, chains = {}, {}
         for p in range(8):
             for lam in lambdas:
                 single = replace(config, lam=lam)
                 try:
-                    singles[p, lam] = simulate_path(single, p, lambda *step: None)
+                    recorded = replace(single, record=frozenset({"functionals"}))
+                    singles[p, lam] = simulate_path(recorded, p, lambda *step: None)
                     chains[p, lam] = chain_rule_check(single, p)["lhs"]
                 except NumericError as err:
                     singles[p, lam] = err.step
@@ -852,13 +899,40 @@ class TestBlockKernel:
         rngs = [path_rng(config.seed, p) for p in paths]
         return [jumps for _, jumps, _ in _increments(draw, rngs, config.n_steps, config.grid.size)]
 
+    @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener"), (2, "poisson")])
+    def test_increments_name_the_jumping_rows_by_one_index(self, dim, kind):
+        # ... where every path jumps, a (P,) mask where some do, None where none does;
+        # dm_nodes is the nodal value of dm[jumps], bit for bit
+        config = block_config(dim, kind, "cubic")
+        grid = config.grid
+        draw = config.driver.increment_sampler(config.dt)
+        rngs = [path_rng(config.seed, p) for p in range(8)]
+        steps = list(_increments(draw, rngs, config.n_steps, grid.size, grid._nodes))
+        assert repr([jumps for _, jumps, _ in steps]) == repr(self.jump_flags(config, range(8)))  # with or without nodes
+        forms = set()
+        for dm, jumps, dm_nodes in steps:
+            moved = dm.reshape(len(dm), -1).any(axis=1)
+            if jumps is None:
+                assert not moved.any() and dm_nodes is None
+                forms.add("none")
+                continue
+            if jumps is ...:
+                assert moved.all()
+                forms.add("all")
+            else:
+                assert jumps.dtype == bool and 0 < jumps.sum() < len(jumps)
+                np.testing.assert_array_equal(jumps, moved)
+                forms.add("some")
+            assert dm_nodes.tobytes() == grid._nodes(dm[jumps]).tobytes()
+        assert forms == ({"all"} if kind == "wiener" else {"none", "some"})
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_closed_form_rows_of_a_driver_without_noise(self, dim):
         # q0 = 0: every increment is +-0.0, so every step of every path skips the noise product
         config = block_config(dim, "wiener", "cubic", sigma="one")
         grid = config.grid
         config = replace(config, driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 0.0, dim + 1.0)))
-        assert all(jumps is False for jumps in self.jump_flags(config, range(8)))
+        assert all(jumps is None for jumps in self.jump_flags(config, range(8)))
         singles = self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
         for (p, lam), single in singles.items():
             plain = simulate_path(replace(config, lam=lam, driver=None), p)
@@ -869,9 +943,9 @@ class TestBlockKernel:
     def test_closed_form_rows_where_some_paths_jump(self, dim, sigma):
         config = block_config(dim, "poisson", "cubic", sigma=sigma)
         flags = self.jump_flags(config, range(8))
-        masks = [jumps for jumps in flags if jumps is not True and jumps is not False]
+        masks = [jumps for jumps in flags if isinstance(jumps, np.ndarray)]
         assert masks and all(0 < mask.sum() < 8 for mask in masks)
-        assert any(jumps is False for jumps in flags)
+        assert any(jumps is None for jumps in flags)
         self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
 
     @staticmethod
@@ -914,7 +988,7 @@ class TestBlockKernel:
         config = block_config(dim, kind, graph, sigma=sigma)
         if kind == "poisson":
             flags = self.jump_flags(config, range(8))
-            assert any(jumps is not True and jumps is not False for jumps in flags)
+            assert any(isinstance(jumps, np.ndarray) for jumps in flags)
         self.assert_rows_are_single_nodal_kick_paths(config, (1e-1, 1e-2, 1e-3), monkeypatch)
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener")])
@@ -970,7 +1044,7 @@ class TestBlockKernel:
                         res = graph.resolvent(lam, grid.to_nodes(filt * u))
                         sums[eps] += config.dt * grid.weight * float(np.vdot(res, grid.to_nodes(filt * beta)))
 
-                result = simulate_path(replace(config, lam=lam), p, observe)
+                result = simulate_path(replace(config, lam=lam, record=frozenset({"functionals"})), p, observe)
                 singles[p, lam] = {**sums, 0.0: result.pairing}
         stacks = []
         cold = PowerLawGraph._resolvent_impl

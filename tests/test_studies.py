@@ -467,7 +467,7 @@ class TestPairingStudy:
             config = replace(spec.base, lam=lam)
             per_path = []
             for p in range(spec.n_paths):
-                result = record_path(config, p)
+                result = record_path(replace(config, record=frozenset({"functionals"})), p)
                 sums = {0.0: result.pairing}
                 for eps in (1e-2, 1e-3):
                     filt, acc = grid.smoother(eps), 0.0
