@@ -13,15 +13,15 @@ from .config import apply_overrides, build_solver_config, build_study_spec, load
 from .errors import ConfigError, NumericError
 from .plots import write_line_plot
 from .selftest import run_selftest
-from .solver import simulate_path
+from .solver import SERIES_COLUMNS, simulate_path
 from .studies import (
+    StudyReport,
     energy_study,
     isometry_study,
     lambda_convergence_study,
     pairing_study,
     write_csv,
     write_field_csv,
-    write_path_csv,
 )
 
 STUDIES = ("simulate", "energy", "pairing", "lambda-conv", "isometry", "selftest")
@@ -71,7 +71,11 @@ def _gather_values(args):
 
 def _plot_report(report, outdir):
     path = os.path.join(outdir, f"{report.name}.svg")
-    if report.name == "energy":
+    if report.name == "simulate":
+        ts = [r[0] for r in report.rows]
+        series = [(label, ts, [r[k] for r in report.rows]) for k, label in ((1, "energy"), (2, "lyapunov"))]
+        write_line_plot(path, "single-path functionals", "t", "value", series)
+    elif report.name == "energy":
         xs = [r[0] for r in report.rows]
         ys = [r[1] for r in report.rows]
         write_line_plot(path, "sup-energy vs regularization", "lambda", "estimate",
@@ -115,30 +119,17 @@ def cli_main(argv) -> int:
             if "functionals" not in config.record:
                 raise ConfigError("simulate writes the functional series; add 'functionals' to solver.record")
             result = simulate_path(config, 0)
-            csv_path = os.path.join(args.outdir, "simulate.csv")
-            write_path_csv(result, csv_path)
             write_field_csv(config.grid, result.u_final, os.path.join(args.outdir, "final_u.csv"))
-            series = [
-                ("energy", result.times.tolist(), result.series[:, 0].tolist()),
-                ("lyapunov", result.times.tolist(), result.series[:, 1].tolist()),
-            ]
-            write_line_plot(
-                os.path.join(args.outdir, "simulate.svg"),
-                "single-path functionals",
-                "t",
-                "value",
-                series,
-            )
-            print(f"wrote {csv_path}")
-            return 0
-        spec = build_study_spec(values)
-        runner = {
-            "energy": energy_study,
-            "pairing": pairing_study,
-            "lambda-conv": lambda_convergence_study,
-            "isometry": isometry_study,
-        }[args.command]
-        report = runner(spec)
+            rows = list(zip(result.times.tolist(), *result.series.T.tolist()))
+            report = StudyReport("simulate", SERIES_COLUMNS, rows)
+        else:
+            runner = {
+                "energy": energy_study,
+                "pairing": pairing_study,
+                "lambda-conv": lambda_convergence_study,
+                "isometry": isometry_study,
+            }[args.command]
+            report = runner(build_study_spec(values))
         csv_path = os.path.join(args.outdir, f"{report.name}.csv")
         write_csv(report, csv_path)
         _plot_report(report, args.outdir)

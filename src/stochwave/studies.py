@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from .errors import NumericError
 from .noise import _mean_se, _path_sums, path_rng
 from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _row_dots, _run, ibp_residual
 
@@ -93,14 +94,11 @@ def write_csv(report: StudyReport, path) -> None:
 
 
 def write_path_csv(result: PathResult, path) -> None:
-    """Per-step functional trace: t,energy,lyapunov,l2_u,h1_u,l2_v,pairing_running."""
+    """Per-step functional trace, one row per time: t,energy,lyapunov,l2_u,h1_u,l2_v,pairing_running."""
     if result.series is None:
         raise ValueError("path has no functional series; add 'functionals' to solver.record (SolverConfig.record)")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(SERIES_COLUMNS) + "\n")
-        for t, row in zip(result.times, result.series):
-            cells = [repr(float(t))] + [repr(float(v)) for v in row]
-            f.write(",".join(cells) + "\n")
+    rows = list(zip(result.times.tolist(), *result.series.T.tolist()))
+    write_csv(StudyReport("simulate", SERIES_COLUMNS, rows), path)
 
 
 def write_field_csv(grid, coeffs, path) -> None:
@@ -108,12 +106,9 @@ def write_field_csv(grid, coeffs, path) -> None:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != grid.shape:
         raise ValueError(f"field has shape {coeffs.shape}, expected {grid.shape}")
-    header = "k1,coeff" if grid.dim == 1 else "k1,k2,coeff"
-    flat = coeffs.ravel()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for indices, value in zip(grid.mode_indices, flat):
-            f.write(",".join(str(int(k)) for k in indices) + f",{float(value)!r}\n")
+    columns = ("k1", "coeff") if grid.dim == 1 else ("k1", "k2", "coeff")
+    rows = [(*k, value) for k, value in zip(grid.mode_indices.tolist(), coeffs.ravel().tolist())]
+    write_csv(StudyReport("field", columns, rows), path)
 
 
 def _usable_cpus():
@@ -238,61 +233,59 @@ _BLOCK_PATHS = 8
 
 
 def _map_blocks(spec: StudySpec, job):
-    """[job(paths) for paths in the study's blocks of path indices], on ``_map_ordered``'s processes."""
+    """The arrays ``job(paths)`` returns for the study's blocks of path indices, each concatenated over the blocks.
+
+    The blocks run on ``_map_ordered``'s processes.  Each array a job
+    returns has its block's paths on the first axis, so each result holds
+    every path of the study, in path order, on its first axis.
+    """
     procs = min(spec.workers, _usable_cpus())
     size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
     blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
-    return _map_ordered(job, blocks, procs)
-
-
-def _drop_blown(values, blown):
-    """Per path, its values per lambda, with None where the (path, lambda) row blew up."""
-    return [[None if b >= 0 else v for v, b in zip(row, steps)] for row, steps in zip(values, blown.tolist())]
+    return [np.concatenate(arrays) for arrays in zip(*_map_ordered(job, blocks, procs))]
 
 
 def _energy_job(base, lambdas, paths):
-    """sup_t energy of every (path, lambda) of a block."""
+    """sup_t energy of every (path, lambda) of a block, as (paths, lambdas, 1) values, and the blow-up steps."""
     result, blown = _run(base, paths, lambdas)
-    return result.sup_energy.tolist(), blown
+    return result.sup_energy[..., None], blown
 
 
 def _sweep(spec: StudySpec, job):
     """Map ``job(base, lambdas, paths)`` over blocks of paths on the worker processes; blow-ups are not fatal.
 
     A job gets a block of ``_map_blocks``, steps it at every lambda in one
-    ``_run`` call, and returns, per path, its values per lambda, plus the
-    (paths, lambdas) array of blow-up steps; a blown-up row's value is
-    dropped here (``_drop_blown``).
-    Returns, per lambda in grid order, the values of the finished paths in
-    path order, and the report meta: {lambda: blown-up path count} and
-    {lambda: blow-up steps in path order}, for the lambdas that had any.
+    ``_run`` call, and returns its (paths, lambdas or pairs, values) array
+    and its (paths, lambdas) array of blow-up steps (-1 where a row finished).
+    Returns the values of every path in path order, the (paths, lambdas)
+    mask ``ok`` of the rows that finished, and the report meta: {lambda:
+    blown-up path count} and {lambda: blow-up steps in path order}, for the
+    lambdas that had any.  A study reduces ``values[ok[:, j], j, k]``.
     Studies reduce paths while they step, so nothing is recorded.
     """
     base = replace(spec.base, record=frozenset())
-    per_block = _map_blocks(spec, partial(job, base, spec.lambdas))
-    per_path = [values for block, steps in per_block for values in _drop_blown(block, steps)]
-    columns = [[v for v in column if v is not None] for column in zip(*per_path)]
-    blown = np.concatenate([steps for _, steps in per_block]).T
-    steps = {lam: row[row >= 0].tolist() for lam, row in zip(spec.lambdas, blown) if (row >= 0).any()}
-    return columns, {"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps}
+    values, blown = _map_blocks(spec, partial(job, base, spec.lambdas))
+    steps = {lam: column[column >= 0].tolist() for lam, column in zip(spec.lambdas, blown.T) if (column >= 0).any()}
+    return values, blown < 0, {"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps}
 
 
 def energy_study(spec: StudySpec) -> StudyReport:
     """E sup_t (|u|_{H10}^2 + |v|_{L2}^2) per lambda; blow-ups flagged, not fatal."""
-    columns, meta = _sweep(spec, _energy_job)
+    values, ok, meta = _sweep(spec, _energy_job)
     return StudyReport(
         name="energy",
         columns=("lambda", "estimate", "std_error", "n_paths"),
-        rows=[(lam, *_mean_se(ok), len(ok)) for lam, ok in zip(spec.lambdas, columns)],
+        rows=[(lam, *_mean_se(values[ok[:, j], j, 0]), int(ok[:, j].sum())) for j, lam in enumerate(spec.lambdas)],
         meta=meta,
     )
 
 
 def _pairing_job(base, lambdas, paths, eps_values):
-    """{eps: int <resolvent(u_eps), beta_eps> dt} of every (path, lambda) of a block.
+    """int <resolvent(u_eps), beta_eps> dt of every (path, lambda, eps) of a block, and the blow-up steps.
 
-    u_eps and beta_eps are smoothed mode-wise; eps = 0 is the kernel's own
-    unsmoothed pairing.  eps is one more stack axis, so one resolvent call
+    The values are (paths, lambdas, eps) in ``eps_values`` order.  u_eps and
+    beta_eps are smoothed mode-wise; eps = 0 is the kernel's own unsmoothed
+    pairing.  eps is one more stack axis, so one resolvent call
     per step serves every eps, lambda and path.  The resolver is built once
     per block and called without a hint, so it is the closed form or the
     cold solver: both work entry by entry, so each field keeps the bits it
@@ -319,11 +312,8 @@ def _pairing_job(base, lambdas, paths, eps_values):
             sums[...] += scale * _row_dots(resolve(u_eps, None), beta_eps, 3)
 
     result, blown = _run(base, paths, lambdas, observe, pairing=True)
-    values = [
-        [{**dict(zip(smoothed, by_eps)), 0.0: pairing} for by_eps, pairing in zip(path_sums, path_pairing)]
-        for path_sums, path_pairing in zip(np.moveaxis(sums, 0, -1).tolist(), result.pairing.tolist())
-    ]
-    return values, blown
+    by_eps = {**dict(zip(smoothed, sums)), 0.0: result.pairing}
+    return np.stack([by_eps[eps] for eps in eps_values], axis=-1), blown
 
 
 def pairing_study(spec: StudySpec) -> StudyReport:
@@ -335,11 +325,11 @@ def pairing_study(spec: StudySpec) -> StudyReport:
     eps_values = tuple(spec.eps_grid)
     if 0.0 not in eps_values:
         eps_values = eps_values + (0.0,)
-    columns, meta = _sweep(spec, partial(_pairing_job, eps_values=eps_values))
+    values, ok, meta = _sweep(spec, partial(_pairing_job, eps_values=eps_values))
     rows = [
-        (lam, eps, *_mean_se([d[eps] for d in ok]), len(ok))
-        for lam, ok in zip(spec.lambdas, columns)
-        for eps in eps_values
+        (lam, eps, *_mean_se(values[ok[:, j], j, k]), int(ok[:, j].sum()))
+        for j, lam in enumerate(spec.lambdas)
+        for k, eps in enumerate(eps_values)
     ]
     return StudyReport(
         name="pairing",
@@ -350,10 +340,11 @@ def pairing_study(spec: StudySpec) -> StudyReport:
 
 
 def _gaps_job(base, lambdas, paths):
-    """(u, beta L1, beta H^-2, beta H^-3) gaps of every (path, lambda) of a block to its previous lambda.
+    """(u, beta L1, beta H^-2, beta H^-3) gaps of every (path, lambda pair) of a block, and the blow-up steps.
 
-    () for the first lambda, and where the previous lambda's row blew up.
-    The gaps at a step are differences of adjacent lambda rows, so no state
+    The values are (paths, lambdas - 1, 4): pair j is lambda j against
+    lambda j + 1, and a study counts it only where both rows finished.  The
+    gaps at a step are differences of adjacent lambda rows, so no state
     outlives its step.  The L1 gap is taken of the kernel's nodal Yosida
     values, so no field is transformed here.  Each per-step squared norm is
     one BLAS dot per field, like the solver's inner products; the squares
@@ -383,12 +374,7 @@ def _gaps_job(base, lambdas, paths):
     result, blown = _run(base, paths, lambdas, observe)
     u_gap(n, result.u_final)
     hm2, hm3 = dt * np.sqrt(hm_sq).sum(axis=-1)
-    gaps = np.stack((np.sqrt(u_sq.max(axis=-1)), l1 * dt, hm2, hm3), axis=-1)
-    values = [
-        [()] + [tuple(gap) if prev_ok else () for gap, prev_ok in zip(path_gaps, path_ok)]
-        for path_gaps, path_ok in zip(gaps.tolist(), (blown < 0).tolist())
-    ]
-    return values, blown
+    return np.stack((np.sqrt(u_sq.max(axis=-1)), l1 * dt, hm2, hm3), axis=-1), blown
 
 
 def lambda_convergence_study(spec: StudySpec) -> StudyReport:
@@ -399,12 +385,12 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     """
     if len(spec.lambdas) < 3:
         raise ValueError("lambda convergence needs a grid of at least 3 values")
-    columns, meta = _sweep(spec, _gaps_job)
+    values, ok, meta = _sweep(spec, _gaps_job)
+    both = ok[:, 1:] & ok[:, :-1]
     rows = []
-    for hi, lo, column in zip(spec.lambdas, spec.lambdas[1:], columns[1:]):
-        gaps = [g for g in column if g]
-        stats = [_mean_se([g[k] for g in gaps]) for k in range(4)]
-        rows.append((hi, lo, *stats[0], *stats[1], stats[2][0], stats[3][0], len(gaps)))
+    for j, (hi, lo) in enumerate(zip(spec.lambdas, spec.lambdas[1:])):
+        stats = [_mean_se(values[both[:, j], j, k]) for k in range(4)]
+        rows.append((hi, lo, *stats[0], *stats[1], stats[2][0], stats[3][0], int(both[:, j].sum())))
     return StudyReport(
         name="lambda-conv",
         columns=(
@@ -424,7 +410,7 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
 
 
 def _isometry_job(base, paths):
-    """Per path of a block, |M(T)|^2 and the discrete quadratic variation sum_k |dM_k|^2.
+    """|M(T)|^2 and the discrete quadratic variation sum_k |dM_k|^2, each a (paths,) array over a block.
 
     M(T) is one draw over t_final, and the variation sums n_steps draws over
     dt; each starts from a fresh ``path_rng`` stream of the path.
@@ -433,7 +419,7 @@ def _isometry_job(base, paths):
     ends = _path_sums(driver, base.t_final, 1, seed, paths, lambda block: block)
     axes = tuple(range(1, 1 + base.grid.dim))  # a block's mode axes; each block is squared in place
     qv = _path_sums(driver, base.dt, base.n_steps, seed, paths, lambda block: np.square(block, out=block).sum(axes))
-    return [np.sum(end**2) for end in ends], qv
+    return np.array([np.sum(end**2) for end in ends]), np.array(qv)
 
 
 def isometry_study(spec: StudySpec) -> StudyReport:
@@ -441,29 +427,38 @@ def isometry_study(spec: StudySpec) -> StudyReport:
     integration-by-parts defect, all for the configured driver.
 
     The driver paths are mapped in blocks like a lambda study's; the one
-    integration-by-parts path runs in this process.
+    integration-by-parts path runs in this process at the first lambda.  If
+    it hits the blow-up guard, its row is nan over 0 paths and the meta
+    flags it, as a lambda study's; a failure without a step is raised.
     """
     base = spec.base
     if base.driver is None:
         raise ValueError("isometry study needs a noise driver in the base config")
     target = base.t_final * base.driver.covariance.trace
-    per_block = _map_blocks(spec, partial(_isometry_job, base))
+    sq, qv = _map_blocks(spec, partial(_isometry_job, base))
     rows = []
-    for check, k in ((f"ito_isometry_{base.driver.kind}", 0), ("quadratic_variation", 1)):
-        mean, se = _mean_se([v for block in per_block for v in block[k]])
+    for check, values in ((f"ito_isometry_{base.driver.kind}", sq), ("quadratic_variation", qv)):
+        mean, se = _mean_se(values)
         rows.append((check, mean, target, se, spec.n_paths))
 
-    grid = base.grid
+    grid, lam = base.grid, spec.lambdas[0]
     probe_rng = path_rng(base.seed, 2**31)
     probes = [
         (grid.basis_field(*grid.mode_indices[0]), grid.basis_field(*grid.mode_indices[-1])),
         (probe_rng.standard_normal(grid.shape), probe_rng.standard_normal(grid.shape)),
     ]
-    worst = ibp_residual(replace(base, lam=spec.lambdas[0]), probes)
-    rows.append(("integration_by_parts", worst, 0.0, 0.0, 1))
+    steps = {}
+    try:
+        worst, finished = ibp_residual(replace(base, lam=lam), probes), 1
+    except NumericError as exc:
+        if exc.step is None:
+            raise
+        worst, finished, steps[lam] = math.nan, 0, [exc.step]
+    rows.append(("integration_by_parts", worst, 0.0, 0.0, finished))
 
     return StudyReport(
         name="isometry",
         columns=("check", "estimate", "target", "std_error", "n_paths"),
         rows=rows,
+        meta={"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps},
     )

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from stochwave import ConfigError, CubicGraph, SignGraph
-from stochwave import cli, selftest
+from stochwave import ConfigError, CubicGraph, NumericError, SignGraph
+from stochwave import cli, selftest, studies
 from stochwave.cli import cli_main
 from stochwave.config import (
     DEFAULTS,
@@ -376,6 +376,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "warning: lambda=1e-09: 3 path(s) hit the blow-up guard (first at step 1)\n" in err
         assert (tmp_path / "lambda-conv.csv").exists()
+
+    def test_isometry_flags_a_blown_up_integration_by_parts_path(self, config_file, tmp_path, capsys):
+        # the path that stops simulate at step 1 is isometry's integration-by-parts path at its first lambda
+        code = cli_main(
+            ["isometry", "--config", config_file, "--set", "graph.kind=linear:1e9", "--lambda-grid", "1e-9",
+             "--n-paths", "2", "--outdir", str(tmp_path)]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err == "warning: lambda=1e-09: 1 path(s) hit the blow-up guard (first at step 1)\n"
+        lines = (tmp_path / "isometry.csv").read_text().splitlines()
+        assert len(lines) == 4 and lines[3] == "integration_by_parts,nan,0.0,0.0,0"
+        assert all(line.endswith(",2") for line in lines[1:3])
+
+    def test_a_failure_without_a_step_still_aborts_isometry(self, config_file, tmp_path, capsys, monkeypatch):
+        def no_convergence(config, probes):
+            raise NumericError("resolvent iteration failed to converge")
+
+        monkeypatch.setattr(studies, "ibp_residual", no_convergence)
+        code = cli_main(["isometry", "--config", config_file, "--n-paths", "2", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric abort: resolvent iteration failed to converge\n"
+        assert not (tmp_path / "isometry.csv").exists()
 
     def test_importing_the_cli_loads_no_process_pool_machinery(self):
         # the study map forks its workers itself; a process pool would cost every CLI run its import

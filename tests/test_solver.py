@@ -1057,7 +1057,8 @@ class TestBlockKernel:
         for paths in ((4,), (1, 2, 3), tuple(range(8))):
             values, blown = _pairing_job(config, lambdas, paths, eps_values)
             assert (blown < 0).all()
-            assert repr(values) == repr([[singles[p, lam] for lam in lambdas] for p in paths])
+            expected = np.array([[[singles[p, lam][eps] for eps in eps_values] for lam in lambdas] for p in paths])
+            assert values.shape == expected.shape and values.tobytes() == expected.tobytes()
         # one cold call per step serves the whole (eps, path, lambda) stack
         assert (2, 8, 3) in stacks
 

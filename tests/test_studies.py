@@ -16,6 +16,7 @@ from stochwave import (
     MartingaleDriver,
     NuclearCovariance,
     NumericError,
+    PathResult,
     SignGraph,
     SolverConfig,
     SpectralGrid,
@@ -29,10 +30,11 @@ from stochwave import (
     simulate_path,
     write_csv,
     write_field_csv,
+    write_path_csv,
 )
 from stochwave import noise, studies
 from stochwave.solver import _run
-from stochwave.studies import _drop_blown, _energy_job, _gaps_job, _mean_se, _pairing_job
+from stochwave.studies import _energy_job, _gaps_job, _mean_se, _pairing_job
 
 
 @pytest.fixture(scope="module")
@@ -345,10 +347,11 @@ class TestEnergyStudy:
         values, blown = _energy_job(base, lambdas, paths)
         [(result, _)] = runs
         assert (blown < 0).all()
+        assert values.shape == (len(paths), len(lambdas), 1)
         for i, p in enumerate(paths):
             for j, lam in enumerate(lambdas):
                 single = simulate_path(replace(base, lam=lam), p)
-                assert repr(values[i][j]) == repr(single.sup_energy)
+                assert values[i, j, 0].tobytes() == np.float64(single.sup_energy).tobytes()
                 assert result.u_final[i, j].tobytes() == single.u_final.tobytes()
                 assert result.v_final[i, j].tobytes() == single.v_final.tobytes()
 
@@ -519,7 +522,7 @@ class TestLambdaConvergenceStudy:
         # a study grid rejects a repeated lambda, so the block job is run directly
         base = replace(small_stochastic_spec.base, lam=1e-2)
         values, _ = _gaps_job(base, (1e-2, 1e-2, 1e-3), range(2))
-        for _, first, _ in values:
+        for first, _ in values:  # pair 0 is (1e-2, 1e-2)
             assert first[0] == 0.0 and first[1] == 0.0
 
     def test_blow_up_pairs_are_flagged_and_study_continues(self):
@@ -605,9 +608,9 @@ class TestGapObserver:
         assert 1 < err.value.step < base.n_steps
         values, blown = _gaps_job(base, (a.lam, b.lam, c.lam, d.lam), (0,))
         assert blown.tolist() == [[-1, err.value.step, -1, -1]]
-        [values] = _drop_blown(values, blown)  # the rows _sweep keeps
-        assert values[:3] == [(), None, ()]
-        assert values[3] == whole_history_gaps(d, record_path(c), record_path(d))
+        ok = blown < 0  # the mask _sweep returns, and the pairs lambda_convergence_study keeps
+        assert (ok[:, 1:] & ok[:, :-1]).tolist() == [[False, False, True]]
+        assert tuple(values[0, 2].tolist()) == whole_history_gaps(d, record_path(c), record_path(d))
 
     def test_traced_peak_stays_below_half_a_history(self):
         grid = SpectralGrid(2, 16)
@@ -628,6 +631,90 @@ class TestGapObserver:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * history_bytes
+
+
+class TestPartialBlowUp:
+    """A lambda at which some paths blow up and the others finish: each row reduces the finished paths alone.
+
+    Under a noise-driven linear flow at lambda = 2.5e-7 the energy of 3 of
+    the 12 paths would reach 1.15e12 or more and trips the 1e12 guard, and
+    that of the other 9 stays below 7.6e11; every path finishes at the two
+    larger lambdas and blows up at the two smaller ones.
+    """
+
+    LAMBDAS = (1e-1, 2.6e-7, 2.5e-7, 2.4e-7, 1e-7)
+    FINISHED = [12, 12, 9, 0, 0]
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        grid = SpectralGrid(1, 16)
+        base = SolverConfig(
+            grid=grid, graph=LinearGraph(1e12), lam=1e-1, dt=1e-3, t_final=0.1,
+            driver=MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 5e8, 2.0), rate=50.0),
+            diffusion=DiffusionMap.from_name("one"), u0="zero", seed=5, record=frozenset(),
+        )
+        return StudySpec(base=base, lambdas=self.LAMBDAS, eps_grid=(1e-2, 0.0), n_paths=12)
+
+    @pytest.fixture(scope="class")
+    def recorded(self, spec, record_path):
+        """{(path, lambda): the recorded single path with its functionals, or None where it blew up}."""
+        paths = {}
+        for p in range(spec.n_paths):
+            for lam in spec.lambdas:
+                try:
+                    paths[p, lam] = record_path(replace(spec.base, lam=lam, record=frozenset({"functionals"})), p)
+                except NumericError:
+                    paths[p, lam] = None
+        return paths
+
+    @staticmethod
+    def assert_rows(report, expected, counts):
+        assert [row[-1] for row in report.rows] == counts
+        assert np.array(report.rows, dtype=float).tobytes() == np.array(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_energy_rows_reduce_the_finished_paths(self, spec, workers):
+        singles = {lam: [] for lam in spec.lambdas}
+        for lam in spec.lambdas:
+            for p in range(spec.n_paths):
+                try:
+                    singles[lam].append(simulate_path(replace(spec.base, lam=lam), p).sup_energy)
+                except NumericError:
+                    pass
+        report = energy_study(replace(spec, workers=workers))
+        assert report.meta["blowups"] == {2.5e-7: 3, 2.4e-7: 12, 1e-7: 12}
+        expected = [(lam, *_mean_se(singles[lam]), len(singles[lam])) for lam in spec.lambdas]
+        self.assert_rows(report, expected, self.FINISHED)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pairing_rows_reduce_the_finished_paths(self, spec, recorded, workers):
+        grid, graph, filt = spec.base.grid, spec.base.graph, spec.base.grid.smoother(1e-2)
+        expected = []
+        for lam in spec.lambdas:
+            finished = [path for p in range(spec.n_paths) if (path := recorded[p, lam]) is not None]
+            smoothed = []
+            for path in finished:
+                acc = 0.0
+                for k in range(spec.base.n_steps):
+                    res_f = graph.resolvent(lam, grid.to_nodes(filt * path.u[k]))
+                    acc += spec.base.dt * grid.weight * float(np.vdot(res_f, grid.to_nodes(filt * path.beta[k])))
+                smoothed.append(acc)
+            expected.append((lam, 1e-2, *_mean_se(smoothed), len(finished)))
+            expected.append((lam, 0.0, *_mean_se([path.pairing for path in finished]), len(finished)))
+        report = pairing_study(replace(spec, workers=workers))
+        self.assert_rows(report, expected, [n for n in self.FINISHED for _ in range(2)])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lambda_conv_rows_reduce_the_pairs_whose_paths_both_finished(self, spec, recorded, workers):
+        expected = []
+        for hi, lo in zip(spec.lambdas, spec.lambdas[1:]):
+            pairs = [(recorded[p, hi], recorded[p, lo]) for p in range(spec.n_paths)]
+            config = replace(spec.base, lam=lo)
+            gaps = [whole_history_gaps(config, a, b) for a, b in pairs if a is not None and b is not None]
+            stats = [_mean_se([g[k] for g in gaps]) for k in range(4)]
+            expected.append((hi, lo, *stats[0], *stats[1], stats[2][0], stats[3][0], len(gaps)))
+        report = lambda_convergence_study(replace(spec, workers=workers))
+        self.assert_rows(report, expected, [12, 9, 0, 0])
 
 
 class TestTransformCounts:
@@ -757,6 +844,21 @@ class TestCsvOutput:
             write_csv(report, out)
             assert out.read_text().splitlines()[0] == headers[report.name]
 
+
+    def test_path_csv_bytes(self, tmp_path):
+        result = PathResult(
+            times=np.array([0.0, 0.125]), sup_energy=4.0, pairing=9.0, u_final=np.zeros(3), v_final=np.zeros(3),
+            series=np.array([[1.0, 2.5e20, 1 / 3, -0.0, 1e-300, 0.1], [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]]),
+        )
+        out = tmp_path / "path.csv"
+        write_path_csv(result, out)
+        assert out.read_bytes() == (
+            b"t,energy,lyapunov,l2_u,h1_u,l2_v,pairing_running\n"
+            b"0.0,1.0,2.5e+20,0.3333333333333333,-0.0,1e-300,0.1\n"
+            b"0.125,4.0,5.0,6.0,7.0,8.0,9.0\n"
+        )
+        with pytest.raises(ValueError, match="functionals"):
+            write_path_csv(replace(result, series=None), tmp_path / "none.csv")
 
     def test_field_dump_schemas(self, tmp_path):
         grid1 = SpectralGrid(1, 3)
