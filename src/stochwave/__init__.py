@@ -31,6 +31,7 @@ from .solver import (
     chain_rule_check,
     duhamel_residual,
     energy,
+    functional_series,
     ibp_residual,
     lyapunov,
     simulate_path,
@@ -45,7 +46,6 @@ from .studies import (
     pairing_study,
     write_csv,
     write_field_csv,
-    write_path_csv,
 )
 
 __version__ = "0.1.0"
@@ -70,6 +70,7 @@ __all__ = [
     "SolverConfig",
     "PathResult",
     "simulate_path",
+    "functional_series",
     "duhamel_residual",
     "chain_rule_check",
     "energy",
@@ -84,6 +85,5 @@ __all__ = [
     "isometry_study",
     "write_csv",
     "write_field_csv",
-    "write_path_csv",
     "__version__",
 ]

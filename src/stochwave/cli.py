@@ -9,11 +9,11 @@ import argparse
 import os
 import sys
 
-from .config import apply_overrides, build_solver_config, build_study_spec, load_config
+from .config import _record_flags, apply_overrides, build_study_spec, load_config
 from .errors import ConfigError, NumericError
 from .plots import write_line_plot
 from .selftest import run_selftest
-from .solver import SERIES_COLUMNS, simulate_path
+from .solver import SERIES_COLUMNS, _series_path
 from .studies import (
     StudyReport,
     energy_study,
@@ -114,14 +114,13 @@ def cli_main(argv) -> int:
     try:
         values = _gather_values(args)
         os.makedirs(args.outdir, exist_ok=True)
+        spec = build_study_spec(values)  # simulate runs its base config's one path
         if args.command == "simulate":
-            config = build_solver_config(values)
-            if "functionals" not in config.record:
+            if "functionals" not in _record_flags(values):
                 raise ConfigError("simulate writes the functional series; add 'functionals' to solver.record")
-            result = simulate_path(config, 0)
-            write_field_csv(config.grid, result.u_final, os.path.join(args.outdir, "final_u.csv"))
-            rows = list(zip(result.times.tolist(), *result.series.T.tolist()))
-            report = StudyReport("simulate", SERIES_COLUMNS, rows)
+            series, result = _series_path(spec.base, 0)
+            write_field_csv(spec.base.grid, result.u_final, os.path.join(args.outdir, "final_u.csv"))
+            report = StudyReport("simulate", SERIES_COLUMNS, series.tolist())
         else:
             runner = {
                 "energy": energy_study,
@@ -129,7 +128,7 @@ def cli_main(argv) -> int:
                 "lambda-conv": lambda_convergence_study,
                 "isometry": isometry_study,
             }[args.command]
-            report = runner(build_study_spec(values))
+            report = runner(spec)
         csv_path = os.path.join(args.outdir, f"{report.name}.csv")
         write_csv(report, csv_path)
         _plot_report(report, args.outdir)

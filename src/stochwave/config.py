@@ -126,7 +126,17 @@ def _parse_float_grid(key, raw):
     return grid
 
 
+def _record_flags(values: dict) -> frozenset:
+    """The solver.record flags: 'functionals', which ``simulate`` needs, or none; the kernel records nothing."""
+    raw = values["solver.record"]  # empty records nothing; an empty entry is no name
+    flags = frozenset(tok.strip() for tok in raw.split(",")) if raw.strip() else frozenset()
+    if flags - {"functionals"}:
+        raise ConfigError(f"solver.record accepts only 'functionals', got {sorted(flags - {'functionals'})}")
+    return flags
+
+
 def build_solver_config(values: dict) -> SolverConfig:
+    _record_flags(values)
     try:
         grid = SpectralGrid(values["domain.dim"], values["domain.n_modes"])
         graph = parse_graph(values["graph.kind"])
@@ -137,8 +147,6 @@ def build_solver_config(values: dict) -> SolverConfig:
             cov = NuclearCovariance.from_grid(grid, values["noise.q0"], values["noise.r"])
             driver = MartingaleDriver(kind=kind, covariance=cov, rate=values["noise.rate"])
         diffusion = DiffusionMap.from_name(values["noise.sigma"])
-        raw = values["solver.record"]  # empty records nothing; an empty entry is no name
-        record = frozenset(tok.strip() for tok in raw.split(",")) if raw.strip() else frozenset()
         return SolverConfig(
             grid=grid,
             graph=graph,
@@ -149,11 +157,8 @@ def build_solver_config(values: dict) -> SolverConfig:
             diffusion=diffusion,
             u0=values["solver.u0"],
             seed=values["study.seed"],
-            record=record,
         )
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from None
 
 

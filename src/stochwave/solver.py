@@ -9,7 +9,7 @@ identities (energy conservation, Duhamel re-summation) hold at round-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ __all__ = [
     "SolverConfig",
     "PathResult",
     "simulate_path",
+    "functional_series",
     "duhamel_residual",
     "chain_rule_check",
     "energy",
@@ -91,7 +92,6 @@ class SolverConfig:
     diffusion: DiffusionMap = field(default_factory=lambda: DiffusionMap.from_name("one"))
     u0: str = "smooth:8"
     seed: int = 0
-    record: frozenset = frozenset({"functionals"})
 
     def __post_init__(self):
         for key, name in (("solver.lambda", "lam"), ("solver.dt", "dt"), ("solver.t_final", "t_final")):
@@ -129,9 +129,6 @@ class SolverConfig:
             _parse_initial_spec(self.grid, self.u0)
         except ValueError as exc:
             raise ValueError(f"solver.u0 (SolverConfig.u0) {self.u0!r}: {exc}") from None
-        unknown = set(self.record) - {"functionals"}
-        if unknown:
-            raise ValueError(f"solver.record (SolverConfig.record) accepts only 'functionals', got {sorted(unknown)}")
 
     @property
     def n_steps(self) -> int:
@@ -140,21 +137,18 @@ class SolverConfig:
 
 @dataclass
 class PathResult:
-    """One simulated trajectory plus the functionals accumulated along it.
+    """One simulated trajectory: its sums and its final state.
 
     ``simulate_path``'s has floats and grid-shaped fields, ``_run``'s a
     block's (P, L) and (P, L, *grid.shape) arrays.  ``pairing`` is None
-    where the kernel was not asked for it, as on a ``simulate_path`` path
-    recorded without 'functionals'.  The state before the first
-    step is ``build_initial_state``'s, or an observer's at k = 0.
+    where the kernel was not asked for it, as on every ``simulate_path``
+    path.  Anything before the end is read through an observer.
     """
 
-    times: np.ndarray
     sup_energy: float
-    pairing: float
+    pairing: Optional[float]
     u_final: np.ndarray
     v_final: np.ndarray
-    series: Optional[np.ndarray] = None  # columns per SERIES_COLUMNS, minus t; needs 'functionals'
 
 
 def _parse_initial_spec(grid: SpectralGrid, spec: str):
@@ -299,9 +293,8 @@ def simulate_path(
     handed out, so an observer may keep it.  The path is ``_run``'s 1 x 1
     block of (path_index, config.lam), read at [0, 0]: observe gets
     grid-shaped views, and the result has float sums and grid-shaped
-    fields.  It sums the pairing only with the series (``record``).  An
-    observer reads the drift modes, so the kick's form (see ``_run``) is
-    that of an observed block.
+    fields.  It sums no pairing.  An observer reads the drift modes, so
+    the kick's form (see ``_run``) is that of an observed block.
     """
 
     def block_observe(k, u, v, beta_modes, dm, beta_nodes):
@@ -313,9 +306,44 @@ def simulate_path(
         raise NumericError(
             f"energy blow-up at step {step} (lambda={config.lam:g}, energy={result.sup_energy[0, 0]:.3e})", step=step
         )
-    sums = {name: float(x[0, 0]) for name in ("sup_energy", "pairing") if (x := getattr(result, name)) is not None}
-    fields = {name: getattr(result, name)[0, 0] for name in ("u_final", "v_final")}
-    return replace(result, **sums, **fields)
+    return PathResult(float(result.sup_energy[0, 0]), None, result.u_final[0, 0], result.v_final[0, 0])
+
+
+def functional_series(config: SolverConfig, path_index: int = 0) -> np.ndarray:
+    """The (n+1, 7) per-step functionals of one path, in ``SERIES_COLUMNS`` order.
+
+    Row k holds t_k, the energy, the Lyapunov functional, |u|, |grad u|,
+    |v| and the pairing summed before step k, with the kernel's operations.
+    An observer reads the nodal drift and resolves with its previous
+    resolvent as the hint, the kernel's hint sequence, so warm-Newton graphs
+    keep their bits; the last row is read from u_final/v_final.  The
+    observed path takes the modal kick (see ``_run``).
+    """
+    return _series_path(config, path_index)[0]
+
+
+def _series_path(config: SolverConfig, path_index: int):
+    """(``functional_series``, ``simulate_path`` result) of one path: the series and its path's ends."""
+    grid, graph, lam, dt, n = config.grid, config.graph, config.lam, config.dt, config.n_steps
+    yosida, resolve = graph._yosida_at(lam), graph._resolvent_at(lam)
+    series = np.empty((n + 1, len(SERIES_COLUMNS)))
+    series[:, 0] = dt * np.arange(n + 1)
+    warm, pairing = None, 0.0
+
+    def observe(k, u, v, beta_modes=None, dm=None, beta_nodes=None):
+        nonlocal warm, pairing
+        u_nodes = grid._nodes(u)
+        yos = yosida(u_nodes, warm)[0] if beta_nodes is None else beta_nodes  # None after the last step
+        warm = resolve(u_nodes, warm)
+        grad2, kin2 = _energy_terms(grid.mu, u, v)
+        quad = grad2 + kin2
+        mass = _envelope_mass(grid.weight, graph, lam, warm, yos)
+        series[k, 1:] = quad, quad + 2.0 * mass, math.sqrt(np.vdot(u, u)), math.sqrt(grad2), math.sqrt(kin2), pairing
+        pairing = pairing + dt * grid.weight * np.vdot(yos, warm)
+
+    result = simulate_path(config, path_index, observe)
+    observe(n, result.u_final, result.v_final)
+    return series, result
 
 
 def _increments(draw, rngs, n: int, size: int, nodes=None):
@@ -369,21 +397,21 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     gets alone (see ``SpectralGrid._transform`` and ``_row_dots``), so it
     holds that path's bits whatever its block-mates.  Each path draws
     once per step from its own stream (see ``_increments``), and its lambdas
-    share the draw.  Only a 1 x 1 block records the functional series
-    (``record``).
+    share the draw.  Nothing is recorded: the result holds the sums, the
+    final state and the blow-up steps, and an observer reads the rest.
 
     Work that is the same at every step is done once per call: the group
     tables, mu and the lambda table at the state's shape, the Yosida map's
     and the resolvent's lambda constants, the scratch arrays; the jump-free
     test and the nodal transform of the increments once per drawn block.
     The pairing is accumulated only with ``pairing`` (which only
-    ``_pairing_job`` passes) or the series, else it is None in the result.
+    ``_pairing_job`` passes), else it is None in the result.
     ``sup_energy`` is always there: the blow-up
     guard needs the energy anyway.  The drift is the graph's ``_yosida_at``
-    map; where that takes no resolvent (the sign graph), one is computed
-    only for the pairing and the series.  The drift after the last step is
-    computed only for the series.  The drift modes are computed only where
-    read: by an observer, and by a kick that adds modal noise or none.
+    map, computed once per step; where that takes no resolvent (the sign
+    graph), one is computed only for the pairing.  The drift modes are
+    computed only where read: by an observer, and by a kick that adds
+    modal noise or none.
     Where sigma multiplies at the nodes under a driver and no observer reads
     them, the kick is summed at the nodes (see ``_kick_rotate``): one
     transform per step fewer, and the state moves at round-off from the
@@ -411,19 +439,15 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     driver, diffusion = config.driver, config.diffusion
     nodes = grid._nodes if driver is not None and diffusion.multiplies else None
 
-    rec_series = "functionals" in config.record
-    times = dt * np.arange(n + 1)
-    series = np.empty((n + 1, 6)) if rec_series else None
-    pair = pairing or rec_series
     yosida = graph._yosida_at(lam, len(batch))
-    # the pairing and the series read the resolvent; nothing else does
-    resolve = graph._resolvent_at(lam, len(batch)) if pair else None
+    # the pairing reads the resolvent; nothing else does
+    resolve = graph._resolvent_at(lam, len(batch)) if pairing else None
     # the observer reads the drift modes, and so does a kick that adds modal
     # noise or none; any other kick is summed at the nodes
     modes = observe is not None or nodes is None
 
     sup_energy = -np.inf
-    pairing = 0.0 if pair else None
+    pairing = 0.0 if pairing else None
     blown = np.full(batch, -1)
     warm = None
     increments = None
@@ -443,25 +467,12 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
             u[trip] = v[trip] = quad[trip] = 0.0
             if warm is not None:
                 warm[trip] = 0.0
-        if step_idx == n and not rec_series:
+        if step_idx == n:
             break
         yos_out = w if observe is None else np.empty(u.shape)
         u_nodes, res, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, resolve, modes)
         warm = res
-
-        if rec_series:
-            series[step_idx] = (
-                quad,
-                quad + 2.0 * _envelope_mass(weight, graph, lams[0], res, yos),
-                math.sqrt(np.vdot(u, u)),
-                math.sqrt(grad2),
-                math.sqrt(kin2),
-                pairing,
-            )
-        if step_idx == n:
-            break
-
-        if pair:
+        if pairing is not None:
             pairing = pairing + dt * weight * dot(yos, res)
         dm, jumps, dm_nodes = next(increments) if increments is not None else (None, None, None)
         if observe is not None:
@@ -469,8 +480,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
 
     sup_energy, pairing = (None if x is None else np.broadcast_to(x, batch) for x in (sup_energy, pairing))
-    result = PathResult(times=times, sup_energy=sup_energy, pairing=pairing, u_final=u, v_final=v, series=series)
-    return result, blown
+    return PathResult(sup_energy=sup_energy, pairing=pairing, u_final=u, v_final=v), blown
 
 
 def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
@@ -510,7 +520,7 @@ def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
         acc_cos += np.cos(times[k] * om) * forcing
         acc_sin += np.sin(times[k] * om) * forcing
 
-    result = simulate_path(replace(config, record=frozenset()), path_index, observe)
+    result = simulate_path(config, path_index, observe)
     check(n, result.u_final)
     return worst
 
@@ -532,7 +542,7 @@ def chain_rule_check(config: SolverConfig, path_index: int = 0) -> dict:
             start.append(u)
         lhs = lhs + dt * np.vdot(beta_modes, v)
 
-    result = simulate_path(replace(config, record=frozenset()), path_index, observe)
+    result = simulate_path(config, path_index, observe)
     rhs = _cold_envelope_mass(grid, graph, lam, result.u_final) - _cold_envelope_mass(grid, graph, lam, start[0])
     lhs = float(lhs)
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
@@ -554,7 +564,7 @@ def ibp_residual(config: SolverConfig, probes, path_index: int = 0) -> float:
         (u * phi).sum(axis=axes, out=z1[:, k])
         (v * psi).sum(axis=axes, out=z2[:, k])
 
-    result = simulate_path(replace(config, record=frozenset()), path_index, observe)
+    result = simulate_path(config, path_index, observe)
     observe(config.n_steps, result.u_final, result.v_final)
     worst = 0.0
     for a, b in zip(z1, z2):

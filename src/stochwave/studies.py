@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError
 from .noise import _mean_se, _path_sums, path_rng
-from .solver import SERIES_COLUMNS, PathResult, SolverConfig, _row_dots, _run, ibp_residual
+from .solver import SolverConfig, _row_dots, _run, ibp_residual
 
 __all__ = [
     "StudySpec",
@@ -32,7 +32,6 @@ __all__ = [
     "lambda_convergence_study",
     "isometry_study",
     "write_csv",
-    "write_path_csv",
     "write_field_csv",
 ]
 
@@ -42,7 +41,7 @@ class StudySpec:
     """A base solver setup plus the parameter grids a study sweeps over.
 
     The base config owns every setting a path needs, the seed included; a
-    study varies only lambda and what is recorded.
+    study varies only lambda.  ``simulate`` runs the base config alone.
     """
 
     base: SolverConfig
@@ -91,14 +90,6 @@ def write_csv(report: StudyReport, path) -> None:
         f.write(",".join(report.columns) + "\n")
         for row in report.rows:
             f.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def write_path_csv(result: PathResult, path) -> None:
-    """Per-step functional trace, one row per time: t,energy,lyapunov,l2_u,h1_u,l2_v,pairing_running."""
-    if result.series is None:
-        raise ValueError("path has no functional series; add 'functionals' to solver.record (SolverConfig.record)")
-    rows = list(zip(result.times.tolist(), *result.series.T.tolist()))
-    write_csv(StudyReport("simulate", SERIES_COLUMNS, rows), path)
 
 
 def write_field_csv(grid, coeffs, path) -> None:
@@ -261,10 +252,8 @@ def _sweep(spec: StudySpec, job):
     mask ``ok`` of the rows that finished, and the report meta: {lambda:
     blown-up path count} and {lambda: blow-up steps in path order}, for the
     lambdas that had any.  A study reduces ``values[ok[:, j], j, k]``.
-    Studies reduce paths while they step, so nothing is recorded.
     """
-    base = replace(spec.base, record=frozenset())
-    values, blown = _map_blocks(spec, partial(job, base, spec.lambdas))
+    values, blown = _map_blocks(spec, partial(job, spec.base, spec.lambdas))
     steps = {lam: column[column >= 0].tolist() for lam, column in zip(spec.lambdas, blown.T) if (column >= 0).any()}
     return values, blown < 0, {"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps}
 

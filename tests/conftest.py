@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochwave import simulate_path
-from stochwave.solver import _drift, _kick_rotate
+from stochwave.solver import _drift, _kick_rotate, _run
 
 
 def _record_path(config, path_index=0):
@@ -33,6 +33,21 @@ def _record_path(config, path_index=0):
 @pytest.fixture(scope="session")
 def record_path():
     return _record_path
+
+
+def _path_pairing(config, path_index=0):
+    """The kernel's pairing of one path: ``_run``'s 1 x 1 block with ``pairing``, read at [0, 0].
+
+    A no-op observer gives it the modal kick of every observed path, so it
+    is ``record_path``'s and ``functional_series``'s path.
+    """
+    result, _ = _run(config, (path_index,), (config.lam,), lambda *step: None, pairing=True)
+    return float(result.pairing[0, 0])
+
+
+@pytest.fixture(scope="session")
+def path_pairing():
+    return _path_pairing
 
 
 def _kernel_step(cache, u, v, graph, lam, diffusion, dm):

@@ -65,7 +65,6 @@ def default_profile(grid64):
         diffusion=DiffusionMap.from_name("clip"),
         u0="smooth:8",
         seed=42,
-        record=frozenset(),
     )
 
 
@@ -116,7 +115,7 @@ def test_criterion_3_exact_linear_propagation(grid64, kernel_step):
     with criterion(3, "free wave group: energy constant, periods return"):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(0.0), lam=1.0, dt=1e-3, t_final=10.0,
-            driver=None, u0="smooth:8", record=frozenset({"functionals"}),
+            driver=None, u0="smooth:8",
         )
         assert config.n_steps == 10_000
         assert free_wave_energy_drift(config) <= 1e-12
@@ -219,7 +218,7 @@ def test_criterion_9_integration_by_parts(default_profile, grid64):
                 grid=grid2, graph=CubicGraph(), lam=1e-2, dt=2e-3, t_final=0.25,
                 driver=MartingaleDriver("wiener", cov2),
                 diffusion=DiffusionMap.from_name("clip"),
-                u0="smooth:3", seed=42, record=frozenset(),
+                u0="smooth:3", seed=42,
             ),
         ]
         rng = np.random.default_rng(99)

@@ -267,17 +267,18 @@ class TestCli:
             (["--set", "graph.kind=bogus"], "graph.kind"),
         ],
     )
-    def test_config_errors_name_their_key(self, config_file, tmp_path, capsys, extra, key):
-        code = cli_main(["energy", "--config", config_file, "--outdir", str(tmp_path)] + extra)
+    @pytest.mark.parametrize("command", ["energy", "simulate"])
+    def test_config_errors_name_their_key(self, config_file, tmp_path, capsys, command, extra, key):
+        code = cli_main([command, "--config", config_file, "--outdir", str(tmp_path)] + extra)
         assert code == 2
         assert key in capsys.readouterr().err
-        assert not (tmp_path / "energy.csv").exists()
+        assert not (tmp_path / f"{command}.csv").exists()
 
     def test_simulate_without_functionals_fails_before_the_path(self, config_file, tmp_path, capsys, monkeypatch):
         def no_path(*args, **kwargs):
-            raise AssertionError("simulate_path ran")
+            raise AssertionError("the functional series ran")
 
-        monkeypatch.setattr(cli, "simulate_path", no_path)
+        monkeypatch.setattr(cli, "_series_path", no_path)
         code = cli_main(["simulate", "--config", config_file, "--set", "solver.record=", "--outdir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err

@@ -22,11 +22,14 @@ from stochwave import (
     chain_rule_check,
     duhamel_residual,
     energy,
+    functional_series,
     ibp_residual,
     lyapunov,
     parse_graph,
     simulate_path,
 )
+from stochwave.config import DEFAULTS, build_solver_config
+from stochwave.errors import ConfigError
 from stochwave.noise import path_rng
 from stochwave.selftest import GRAPHS
 from stochwave.solver import MAX_STEP_ENTRIES, _increments, _row_dots, _run
@@ -51,7 +54,6 @@ def stochastic_config(grid64):
         diffusion=DiffusionMap.from_name("clip"),
         u0="smooth:8",
         seed=7,
-        record=frozenset({"functionals"}),
     )
 
 
@@ -96,7 +98,6 @@ def mode_one_path(grid, graph, dt, n_steps):
     """(u_final, v_final) of a noise-free path from u0 = smooth:1, which is mode 1 in 1-D, at lam = 1."""
     config = SolverConfig(
         grid=grid, graph=graph, lam=1.0, dt=dt, t_final=n_steps * dt, driver=None, u0="smooth:1",
-        record=frozenset(),
     )
     result = simulate_path(config, 0)
     return result.u_final, result.v_final
@@ -145,7 +146,7 @@ class TestStep:
     def test_step_replays_simulate_path(self, stochastic_config, graph, record_path, kernel_step):
         # both share the kernel's step pieces: feeding them the recorded
         # increments must reproduce the path bit for bit
-        config = replace(stochastic_config, graph=graph, t_final=0.2, record=frozenset())
+        config = replace(stochastic_config, graph=graph, t_final=0.2)
         result = record_path(config, 3)
         grid = config.grid
         cache = GroupCache(grid, config.dt)
@@ -174,16 +175,18 @@ class TestEnergyFunctionals:
         assert lyapunov(grid64, u, v, graph, lam) == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
-    def _lyapunov_and_series(grid, spec, seed, record_path):
-        config = SolverConfig(
+    def _series_config(grid, spec, seed):
+        return SolverConfig(
             grid=grid, graph=parse_graph(spec), lam=1e-2, dt=1e-3, t_final=0.1,
             driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
             diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=seed,
-            record=frozenset({"functionals"}),
         )
+
+    def _lyapunov_and_series(self, grid, spec, seed, record_path):
+        config = self._series_config(grid, spec, seed)
         r = record_path(config, 0)
         values = [lyapunov(grid, u, v, config.graph, config.lam) for u, v in zip(r.u, r.v)]
-        return np.array(values), r.series[:, 1]
+        return np.array(values), functional_series(config, 0)[:, 2]
 
     @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "jump:2", "linear:1"])
     @pytest.mark.parametrize("seed", range(3))
@@ -197,6 +200,16 @@ class TestEnergyFunctionals:
         # no closed form: cold safeguarded Newton against warm plain Newton
         values, series = self._lyapunov_and_series(grid64, "power:2.5", seed, record_path)
         np.testing.assert_allclose(values, series, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "power:2.5", "jump:2", "linear:1"])
+    def test_the_series_pairing_is_the_kernel_pairing(self, grid64, spec):
+        # the observer resolves with the kernel's own hint sequence, so warm Newton keeps its bits too;
+        # both paths are observed, so both take the modal kick.  At lambda = 10 and dt = 1e-2 a cold
+        # resolve in the observer moves the power:2.5 pairing.
+        newton = replace(block_config(1, "wiener", spec, dt=1e-2, u0="random:4"), lam=10.0)
+        for config in (self._series_config(grid64, spec, 0), newton):
+            kernel, _ = _run(config, (0,), (config.lam,), lambda *step: None, pairing=True)
+            assert functional_series(config, 0)[-1, 6].tobytes() == kernel.pairing[0, 0].tobytes()
 
 
 class TestInitialData:
@@ -284,48 +297,43 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match="solver.u0"):
             SolverConfig(grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0, u0=u0)
 
-    def test_unknown_record_flag(self, grid64):
+    def test_unknown_record_flag(self):
+        # only the config parses solver.record; SolverConfig has no record
         with pytest.raises(ValueError):
-            SolverConfig(
-                grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0,
-                record=frozenset({"everything"}),
-            )
+            build_solver_config(dict(DEFAULTS, **{"solver.record": "everything"}))
 
     @pytest.mark.parametrize("flag", ["states", "increments"])
-    def test_history_record_flags_are_rejected(self, grid64, flag):
+    def test_history_record_flags_are_rejected(self, flag):
         # whole histories are read through simulate_path's observer
-        with pytest.raises(ValueError, match="solver.record .*'functionals'"):
-            SolverConfig(
-                grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0,
-                record=frozenset({flag, "functionals"}),
-            )
+        with pytest.raises(ConfigError, match="solver.record .*'functionals'"):
+            build_solver_config(dict(DEFAULTS, **{"solver.record": f"{flag},functionals"}))
 
 
 class TestSimulatePath:
     def test_linear_energy_conserved(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(0.0), lam=1.0, dt=1e-3, t_final=1.0,
-            driver=None, u0="smooth:8", record=frozenset({"functionals"}),
+            driver=None, u0="smooth:8",
         )
-        result = simulate_path(config, 0)
-        e = result.series[:, 0]
+        e = functional_series(config, 0)[:, 1]
         assert np.max(np.abs(e - e[0])) <= 1e-12 * e[0]
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
-    def test_a_path_recorded_without_its_series_sums_no_pairing(self, stochastic_config, graph):
+    def test_summing_the_pairing_changes_no_bit_of_the_path(self, stochastic_config, graph):
+        # simulate_path sums no pairing; _run sums it where asked, on the same path
         config = replace(stochastic_config, graph=graph, t_final=0.1)
-        recorded = simulate_path(config, 2)
-        plain = simulate_path(replace(config, record=frozenset()), 2)
-        assert plain.pairing is None and plain.series is None
-        assert recorded.pairing >= 0.0
-        assert plain.sup_energy == recorded.sup_energy
-        assert plain.u_final.tobytes() == recorded.u_final.tobytes()
-        assert plain.v_final.tobytes() == recorded.v_final.tobytes()
+        paired, _ = _run(config, (2,), (config.lam,), pairing=True)
+        plain = simulate_path(config, 2)
+        assert plain.pairing is None
+        assert paired.pairing[0, 0] >= 0.0
+        assert plain.sup_energy == paired.sup_energy[0, 0]
+        assert plain.u_final.tobytes() == paired.u_final[0, 0].tobytes()
+        assert plain.v_final.tobytes() == paired.v_final[0, 0].tobytes()
 
     def test_zero_initial_data_stays_zero(self, grid64, record_path):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
-            driver=None, u0="zero", record=frozenset({"functionals"}),
+            driver=None, u0="zero",
         )
         result = record_path(config, 0)
         assert result.sup_energy == 0.0
@@ -336,7 +344,7 @@ class TestSimulatePath:
         b = record_path(stochastic_config, 4)
         assert np.array_equal(a.increments, b.increments)
         np.testing.assert_array_equal(a.u_final, b.u_final)
-        np.testing.assert_array_equal(a.series, b.series)
+        np.testing.assert_array_equal(functional_series(stochastic_config, 4), functional_series(stochastic_config, 4))
 
     def test_coupled_lambdas_share_noise(self, stochastic_config, record_path):
         a = record_path(replace(stochastic_config, lam=1e-1), 2)
@@ -369,7 +377,7 @@ class TestSimulatePath:
     def test_noise_free_path_records_zero_increments(self, grid64, record_path):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
-            driver=None, u0="smooth:8", record=frozenset(),
+            driver=None, u0="smooth:8",
         )
         result = record_path(config, 0)
         assert result.increments.shape == (config.n_steps, 64)
@@ -378,7 +386,7 @@ class TestSimulatePath:
     def test_blow_up_guard_reports_step(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(1e9), lam=1e-9, dt=1e-3, t_final=1.0,
-            driver=None, u0="smooth:8", record=frozenset(),
+            driver=None, u0="smooth:8",
         )
         with pytest.raises(NumericError) as err:
             simulate_path(config, 0)
@@ -388,19 +396,19 @@ class TestSimulatePath:
     def test_sup_energy_includes_initial_time(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(0.0), lam=1.0, dt=1e-2, t_final=0.1,
-            driver=None, u0="smooth:8", record=frozenset(),
+            driver=None, u0="smooth:8",
         )
         result = simulate_path(config, 0)
         u0, v0 = build_initial_state(grid64, "smooth:8")
         assert result.sup_energy >= energy(grid64, u0, v0) - 1e-14
 
-    def test_pairing_positive_for_monotone_graphs(self, stochastic_config, record_path):
+    def test_pairing_positive_for_monotone_graphs(self, stochastic_config, record_path, path_pairing):
         for graph in (SignGraph(), JumpGraph(2.0)):
             config = replace(stochastic_config, graph=graph)
             result = record_path(config, 1)
-            assert result.pairing >= 0.0
+            assert path_pairing(config, 1) >= 0.0
             # pointwise positivity of <yosida(u), u> at every recorded state
-            for n in range(0, len(result.times), 100):
+            for n in range(0, len(result.u), 100):
                 u_nodes = config.grid.to_nodes(result.u[n])
                 pair = config.grid.weight * np.sum(
                     graph.yosida(config.lam, u_nodes) * u_nodes
@@ -413,9 +421,9 @@ class TestSimulatePath:
             for dt in (2e-3, 1e-3):
                 config = SolverConfig(
                     grid=grid64, graph=CubicGraph(), lam=lam, dt=dt, t_final=1.0,
-                    driver=None, u0="smooth:8", record=frozenset({"functionals"}),
+                    driver=None, u0="smooth:8",
                 )
-                lyap = simulate_path(config, 0).series[:, 1]
+                lyap = functional_series(config, 0)[:, 2]
                 assert np.max(lyap) <= lyap[0] * (1.0 + 1.0 * dt)
 
     def test_lyapunov_drift_small_and_first_order(self, grid64):
@@ -425,9 +433,9 @@ class TestSimulatePath:
         for dt in (2e-4, 1e-4):
             config = SolverConfig(
                 grid=grid64, graph=CubicGraph(), lam=1e-2, dt=dt, t_final=1.0,
-                driver=None, u0="smooth:8", record=frozenset({"functionals"}),
+                driver=None, u0="smooth:8",
             )
-            lyap = simulate_path(config, 0).series[:, 1]
+            lyap = functional_series(config, 0)[:, 2]
             drifts[dt] = np.max(np.abs(lyap - lyap[0]))
             if dt == 1e-4:
                 assert drifts[dt] <= 1e-3 * lyap[0]
@@ -549,7 +557,6 @@ def poisson_config(dim, sigma):
         grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.2,
         driver=MartingaleDriver("poisson", cov, rate=50.0),
         diffusion=DiffusionMap.from_name(sigma), u0="smooth:3", seed=5,
-        record=frozenset(),
     )
 
 
@@ -617,21 +624,19 @@ class TestDotReductions:
     """The kernel's BLAS-dot reductions against pairwise .sum() ones."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_path_functionals_match_summed_products(self, dim, record_path):
+    def test_path_functionals_match_summed_products(self, dim, record_path, path_pairing):
         if dim == 1:
             grid = SpectralGrid(1, 64)
             config = SolverConfig(
                 grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.2,
                 driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
                 diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=3,
-                record=frozenset(),
             )
         else:
             config = poisson_config(2, "sin")
-        # a path recorded without its series sums no pairing
-        result = record_path(replace(config, record=frozenset({"functionals"})), 1)
+        result = record_path(config, 1)
         expected = summed_reductions(config, result)
-        actual = (result.sup_energy, chain_rule_check(config, 1)["lhs"], result.pairing)
+        actual = (result.sup_energy, chain_rule_check(config, 1)["lhs"], path_pairing(config, 1))
         np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("dim, n_modes", [(1, 64), (2, 32)])
@@ -647,22 +652,22 @@ class TestDotReductions:
             grid=grid64, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=0.1,
             driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid64, 1.0, 2.0)),
             diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=seed,
-            record=frozenset({"functionals"}),
         )
         result = record_path(config, 0)
+        series = functional_series(config, 0)
         energies = [energy(grid64, u, v) for u, v in zip(result.u, result.v)]
-        assert energies == result.series[:, 0].tolist()
+        assert energies == series[:, 1].tolist()
         assert result.sup_energy == max(energies)
-        assert [grid64.norm(u) for u in result.u] == result.series[:, 2].tolist()
-        assert [grid64.grad_seminorm(u) for u in result.u] == result.series[:, 3].tolist()
-        assert [grid64.norm(v) for v in result.v] == result.series[:, 4].tolist()
+        assert [grid64.norm(u) for u in result.u] == series[:, 3].tolist()
+        assert [grid64.grad_seminorm(u) for u in result.u] == series[:, 4].tolist()
+        assert [grid64.norm(v) for v in result.v] == series[:, 5].tolist()
 
 
 class TestDuhamelResidual:
     def test_linear_flow_is_exact(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(0.0), lam=1.0, dt=1e-3, t_final=0.5,
-            driver=None, u0="smooth:8", record=frozenset({"functionals"}),
+            driver=None, u0="smooth:8",
         )
         assert duhamel_residual(config, 0) <= 1e-10
 
@@ -670,7 +675,7 @@ class TestDuhamelResidual:
         grid = SpectralGrid(1, 32)
         config = SolverConfig(
             grid=grid, graph=CubicGraph(), lam=0.1, dt=1e-3, t_final=1.0,
-            driver=None, u0="smooth:8", record=frozenset({"functionals"}),
+            driver=None, u0="smooth:8",
         )
         assert duhamel_residual(config, 0) <= 1e-9
 
@@ -685,14 +690,13 @@ class TestDuhamelResidual:
             driver=MartingaleDriver("wiener", cov),
             diffusion=DiffusionMap.from_name("sin"),
             u0="smooth:3", seed=5,
-            record=frozenset({"functionals"}),
         )
         assert duhamel_residual(config, 0) <= 1e-9
         lin = replace(config, graph=LinearGraph(0.0), driver=None)
-        e = simulate_path(lin, 0).series[:, 0]
+        e = functional_series(lin, 0)[:, 1]
         assert np.max(np.abs(e - e[0])) <= 1e-12 * e[0]
 
-    def test_poisson_driver_with_random_data(self):
+    def test_poisson_driver_with_random_data(self, path_pairing):
         grid = SpectralGrid(1, 32)
         cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
         config = SolverConfig(
@@ -700,17 +704,16 @@ class TestDuhamelResidual:
             driver=MartingaleDriver("poisson", cov, rate=8.0),
             diffusion=DiffusionMap.from_name("clip"),
             u0="random:6", seed=11,
-            record=frozenset({"functionals"}),
         )
         assert duhamel_residual(config, 0) <= 1e-9
-        assert simulate_path(config, 0).pairing >= 0.0
+        assert path_pairing(config, 0) >= 0.0
 
 
 class TestChainRule:
     def test_zero_path(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=CubicGraph(), lam=0.1, dt=1e-2, t_final=0.5,
-            driver=None, u0="zero", record=frozenset(),
+            driver=None, u0="zero",
         )
         out = chain_rule_check(config, 0)
         assert out == {"lhs": 0.0, "rhs": 0.0, "gap": 0.0}
@@ -720,7 +723,7 @@ class TestChainRule:
         lam, dt, n = 0.5, 1e-3, 1000
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(1.0), lam=lam, dt=dt, t_final=1.0,
-            driver=None, u0="smooth:1", record=frozenset(),
+            driver=None, u0="smooth:1",
         )
         out = chain_rule_check(config, 0)
         rate = 1.0 / (1.0 + lam)
@@ -740,7 +743,7 @@ class TestChainRule:
         for dt in (4e-3, 2e-3, 1e-3):
             config = SolverConfig(
                 grid=grid64, graph=CubicGraph(), lam=1e-2, dt=dt, t_final=1.0,
-                driver=None, u0="smooth:8", record=frozenset(),
+                driver=None, u0="smooth:8",
             )
             gaps.append(chain_rule_check(config, 0)["gap"])
         assert gaps[0] / gaps[1] >= 1.4
@@ -749,7 +752,7 @@ class TestChainRule:
     def test_stochastic_gap_halves_within_band(self, stochastic_config):
         gaps = []
         for dt in (4e-3, 2e-3, 1e-3):
-            config = replace(stochastic_config, dt=dt, record=frozenset())
+            config = replace(stochastic_config, dt=dt)
             gaps.append(chain_rule_check(config, 0)["gap"])
         for ratio in (gaps[0] / gaps[1], gaps[1] / gaps[2]):
             assert 1.4 <= ratio <= 3.0
@@ -770,13 +773,13 @@ class TestIntegrationByParts:
         configs = [
             SolverConfig(
                 grid=grid64, graph=SignGraph(), lam=0.05, dt=2e-3, t_final=0.5,
-                driver=None, u0="smooth:4", record=frozenset(),
+                driver=None, u0="smooth:4",
             ),
             SolverConfig(
                 grid=grid64, graph=CubicGraph(), lam=1e-2, dt=2e-3, t_final=0.5,
                 driver=MartingaleDriver("poisson", cov, rate=5.0),
                 diffusion=DiffusionMap.from_name("sin"),
-                u0="smooth:4", seed=3, record=frozenset(),
+                u0="smooth:4", seed=3,
             ),
         ]
         rng = np.random.default_rng(1)
@@ -814,9 +817,9 @@ class TestSinglePathChecks:
         assert np.isfinite(chain_rule_check(config, 1)["gap"])
         assert ibp_residual(config, probes, 1) <= 1e-12
         assert calls == []
-        # a path that records its series sums the pairing, which reads the resolvent at every step
-        simulate_path(replace(config, record=frozenset({"functionals"})), 1)
-        assert calls == [(1, 1) + grid.shape] * (config.n_steps + 1)
+        # the functional series sums the pairing, which reads the resolvent at every step and at the end
+        functional_series(config, 1)
+        assert calls == [grid.shape] * (config.n_steps + 1)
 
 
 def block_config(dim, kind, graph, dt=1e-3, sigma="clip", u0="smooth:4"):
@@ -825,7 +828,7 @@ def block_config(dim, kind, graph, dt=1e-3, sigma="clip", u0="smooth:4"):
     return SolverConfig(
         grid=grid, graph=parse_graph(graph), lam=1e-2, dt=dt, t_final=100 * dt,
         driver=MartingaleDriver(kind, cov, rate=50.0), diffusion=DiffusionMap.from_name(sigma),
-        u0=u0, seed=11, record=frozenset(),
+        u0=u0, seed=11,
     )
 
 
@@ -844,18 +847,19 @@ class TestBlockKernel:
 
         An observer reads the drift modes, so these rows take the modal
         kick; it sums each row's dt * <beta_modes, v> with _row_dots.  The
-        single paths record their series, so that they sum the pairing.
+        single paths are observed 1 x 1 blocks that sum the pairing, read at
+        [0, 0], or their blow-up steps.
         """
         singles, chains = {}, {}
         for p in range(8):
             for lam in lambdas:
                 single = replace(config, lam=lam)
-                try:
-                    recorded = replace(single, record=frozenset({"functionals"}))
-                    singles[p, lam] = simulate_path(recorded, p, lambda *step: None)
-                    chains[p, lam] = chain_rule_check(single, p)["lhs"]
-                except NumericError as err:
-                    singles[p, lam] = err.step
+                result, blown = _run(single, (p,), (lam,), lambda *step: None, pairing=True)
+                if blown[0, 0] >= 0:
+                    singles[p, lam] = int(blown[0, 0])
+                    continue
+                singles[p, lam] = replace(result, **{name: getattr(result, name)[0, 0] for name in vars(result)})
+                chains[p, lam] = chain_rule_check(single, p)["lhs"]
         for paths in ((4,), (1, 2, 3), tuple(range(8))):
             chain = np.zeros((len(paths), len(lambdas)))
 
@@ -991,6 +995,26 @@ class TestBlockKernel:
             assert any(isinstance(jumps, np.ndarray) for jumps in flags)
         self.assert_rows_are_single_nodal_kick_paths(config, (1e-1, 1e-2, 1e-3), monkeypatch)
 
+    def test_the_yosida_map_runs_once_per_step(self, monkeypatch):
+        # the kernel records nothing, so it computes no drift after the last step
+        config = block_config(1, "wiener", "cubic")
+        yosida_at, calls = config.graph._yosida_at, []
+
+        def spy(lam, batch_ndim=0):
+            yosida = yosida_at(lam, batch_ndim)
+
+            def counted(x, y0, out=None):
+                calls.append(x.shape[:2])
+                return yosida(x, y0, out)
+
+            return counted
+
+        monkeypatch.setattr(config.graph, "_yosida_at", spy)
+        for paths, lambdas in (((0,), (1e-2,)), ((0, 1), (1e-1, 1e-2))):
+            del calls[:]
+            _run(config, paths, lambdas)
+            assert calls == [(len(paths), len(lambdas))] * config.n_steps
+
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener")])
     def test_newton_rows_fall_back_one_by_one(self, dim, kind, monkeypatch):
         cold_rows = []
@@ -1030,7 +1054,7 @@ class TestBlockKernel:
         assert paths == [] and sum(nodal_paths) == jumps
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (2, "poisson")])
-    def test_smoothed_pairings_of_a_newton_block_are_single_path_pairings(self, dim, kind, monkeypatch):
+    def test_smoothed_pairings_of_a_newton_block_are_single_path_pairings(self, dim, kind, monkeypatch, path_pairing):
         config = block_config(dim, kind, "power:2.5", dt=1e-2, u0="random:4")
         grid, graph, lambdas, eps_values = config.grid, config.graph, (10.0, 1.0, 0.1), (1e-2, 1e-3, 0.0)
         singles = {}
@@ -1044,8 +1068,8 @@ class TestBlockKernel:
                         res = graph.resolvent(lam, grid.to_nodes(filt * u))
                         sums[eps] += config.dt * grid.weight * float(np.vdot(res, grid.to_nodes(filt * beta)))
 
-                result = simulate_path(replace(config, lam=lam, record=frozenset({"functionals"})), p, observe)
-                singles[p, lam] = {**sums, 0.0: result.pairing}
+                simulate_path(replace(config, lam=lam), p, observe)
+                singles[p, lam] = {**sums, 0.0: path_pairing(replace(config, lam=lam), p)}
         stacks = []
         cold = PowerLawGraph._resolvent_impl
 
@@ -1065,7 +1089,6 @@ class TestBlockKernel:
     def test_a_blown_up_row_leaves_and_its_neighbour_goes_on(self, grid64):
         config = SolverConfig(
             grid=grid64, graph=LinearGraph(1e12), lam=1e-2, dt=1e-3, t_final=0.1, u0="smooth:8",
-            record=frozenset(),
         )
         singles = self.assert_rows_are_single_paths(config, (2.6e-7, 2.4e-7))
         assert all(singles[p, 2.4e-7] == 13 for p in range(8))

@@ -16,10 +16,10 @@ from stochwave import (
     MartingaleDriver,
     NuclearCovariance,
     NumericError,
-    PathResult,
     SignGraph,
     SolverConfig,
     SpectralGrid,
+    StudyReport,
     StudySpec,
     energy_study,
     isometry_study,
@@ -30,10 +30,9 @@ from stochwave import (
     simulate_path,
     write_csv,
     write_field_csv,
-    write_path_csv,
 )
 from stochwave import noise, studies
-from stochwave.solver import _run
+from stochwave.solver import SERIES_COLUMNS, _run
 from stochwave.studies import _energy_job, _gaps_job, _mean_se, _pairing_job
 
 
@@ -45,7 +44,7 @@ def small_stochastic_spec():
         grid=grid, graph=CubicGraph(), lam=1e-2, dt=2e-3, t_final=0.25,
         driver=MartingaleDriver("wiener", cov),
         diffusion=DiffusionMap.from_name("clip"),
-        u0="smooth:4", seed=9, record=frozenset(),
+        u0="smooth:4", seed=9,
     )
     return StudySpec(base=base, lambdas=(1e-1, 1e-2, 1e-3), n_paths=8, workers=1)
 
@@ -313,7 +312,7 @@ class TestEnergyStudy:
         grid = SpectralGrid(1, 16)
         base = SolverConfig(
             grid=grid, graph=LinearGraph(0.0), lam=1.0, dt=2e-3, t_final=0.25,
-            driver=None, u0="smooth:4", record=frozenset(),
+            driver=None, u0="smooth:4",
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-2), n_paths=5)
         report = energy_study(spec)
@@ -334,7 +333,7 @@ class TestEnergyStudy:
         base = SolverConfig(
             grid=grid, graph=parse_graph(graph), lam=1e-2, dt=1e-3, t_final=0.2,
             driver=MartingaleDriver(kind, NuclearCovariance.from_grid(grid, 1.0, dim + 1.0), rate=50.0),
-            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", seed=11, record=frozenset(),
+            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", seed=11,
         )
         runs = []
 
@@ -375,7 +374,7 @@ class TestEnergyStudy:
         grid = SpectralGrid(1, 16)
         base = SolverConfig(
             grid=grid, graph=LinearGraph(1e9), lam=1e-1, dt=1e-3, t_final=0.1,
-            driver=None, u0="smooth:4", seed=1, record=frozenset(),
+            driver=None, u0="smooth:4", seed=1,
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-9), n_paths=3)
         report = energy_study(spec)
@@ -398,7 +397,7 @@ class TestPairingStudy:
         grid = SpectralGrid(1, 16)
         base = SolverConfig(
             grid=grid, graph=LinearGraph(1.0), lam=lam, dt=dt, t_final=1.0,
-            driver=None, u0="smooth:1", record=frozenset(),
+            driver=None, u0="smooth:1",
         )
         spec = StudySpec(base=base, lambdas=(lam,), n_paths=1)
         est = pairing_study(replace(spec, eps_grid=(0.0,))).rows[0][2]
@@ -455,14 +454,14 @@ class TestPairingStudy:
     # power:3 has a closed form; the others do not, so every graph class's resolver is pinned
     @pytest.mark.parametrize("spec", ["power:3", "power:2.5", "jump:0.5", "linear:2"])
     @pytest.mark.parametrize("seed", [42, 7])
-    def test_rows_match_a_per_step_reference(self, seed, spec, record_path):
+    def test_rows_match_a_per_step_reference(self, seed, spec, record_path, path_pairing):
         grid = SpectralGrid(1, 16)
         cov = NuclearCovariance.from_grid(grid, 1.0, 2.0)
         graph = parse_graph(spec)
         base = SolverConfig(
             grid=grid, graph=graph, lam=1e-2, dt=2e-3, t_final=0.25,
             driver=MartingaleDriver("poisson", cov, rate=5.0),
-            u0="smooth:4", seed=seed, record=frozenset(),
+            u0="smooth:4", seed=seed,
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-3), eps_grid=(1e-2, 1e-3, 0.0), n_paths=2)
         expected = []
@@ -470,8 +469,8 @@ class TestPairingStudy:
             config = replace(spec.base, lam=lam)
             per_path = []
             for p in range(spec.n_paths):
-                result = record_path(replace(config, record=frozenset({"functionals"})), p)
-                sums = {0.0: result.pairing}
+                result = record_path(config, p)
+                sums = {0.0: path_pairing(config, p)}
                 for eps in (1e-2, 1e-3):
                     filt, acc = grid.smoother(eps), 0.0
                     for k in range(config.n_steps):
@@ -504,7 +503,7 @@ class TestLambdaConvergenceStudy:
         grid = SpectralGrid(1, 16)
         base = SolverConfig(
             grid=grid, graph=LinearGraph(1.0), lam=0.1, dt=dt, t_final=1.0,
-            driver=None, u0="smooth:1", record=frozenset(),
+            driver=None, u0="smooth:1",
         )
         spec = StudySpec(base=base, lambdas=lams, n_paths=1)
         report = lambda_convergence_study(spec)
@@ -529,7 +528,7 @@ class TestLambdaConvergenceStudy:
         grid = SpectralGrid(1, 16)
         base = SolverConfig(
             grid=grid, graph=LinearGraph(1e9), lam=1e-1, dt=1e-3, t_final=0.1,
-            driver=None, u0="smooth:4", seed=1, record=frozenset(),
+            driver=None, u0="smooth:4", seed=1,
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 5e-2, 1e-9), n_paths=3)
         with warnings.catch_warnings():
@@ -575,7 +574,7 @@ class TestGapObserver:
             graph, driver, sigma = SignGraph(), MartingaleDriver("poisson", cov, rate=5.0), "sin"
         base = SolverConfig(
             grid=grid, graph=graph, lam=1e-2, dt=2e-3, t_final=0.25, driver=driver,
-            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", seed=42, record=frozenset(),
+            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", seed=42,
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-2, 1e-3, 1e-4), n_paths=3)
         columns = [[] for _ in spec.lambdas]
@@ -599,7 +598,7 @@ class TestGapObserver:
         base = SolverConfig(
             grid=grid, graph=LinearGraph(1e9), lam=1e-1, dt=1e-3, t_final=0.1,
             driver=MartingaleDriver("wiener", cov), diffusion=DiffusionMap.from_name("clip"),
-            u0="smooth:4", seed=3, record=frozenset(),
+            u0="smooth:4", seed=3,
         )
         a, b, c, d = (replace(base, lam=lam) for lam in (1e-1, lam_blowup, 5e-2, 2.5e-2))
         # b blows up part way, so the (a, b) and (b, c) pairs do not count but (c, d) does
@@ -618,7 +617,7 @@ class TestGapObserver:
         base = SolverConfig(
             grid=grid, graph=SignGraph(), lam=1e-2, dt=1e-3, t_final=0.25,
             driver=MartingaleDriver("poisson", cov, rate=5.0),
-            diffusion=DiffusionMap.from_name("sin"), u0="smooth:4", seed=42, record=frozenset(),
+            diffusion=DiffusionMap.from_name("sin"), u0="smooth:4", seed=42,
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-2, 1e-3), n_paths=1)
         n, entries = base.n_steps, grid.mu.size
@@ -651,20 +650,23 @@ class TestPartialBlowUp:
         base = SolverConfig(
             grid=grid, graph=LinearGraph(1e12), lam=1e-1, dt=1e-3, t_final=0.1,
             driver=MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 5e8, 2.0), rate=50.0),
-            diffusion=DiffusionMap.from_name("one"), u0="zero", seed=5, record=frozenset(),
+            diffusion=DiffusionMap.from_name("one"), u0="zero", seed=5,
         )
         return StudySpec(base=base, lambdas=self.LAMBDAS, eps_grid=(1e-2, 0.0), n_paths=12)
 
     @pytest.fixture(scope="class")
-    def recorded(self, spec, record_path):
-        """{(path, lambda): the recorded single path with its functionals, or None where it blew up}."""
+    def recorded(self, spec, record_path, path_pairing):
+        """{(path, lambda): the recorded single path with its pairing, or None where it blew up}."""
         paths = {}
         for p in range(spec.n_paths):
             for lam in spec.lambdas:
+                config = replace(spec.base, lam=lam)
                 try:
-                    paths[p, lam] = record_path(replace(spec.base, lam=lam, record=frozenset({"functionals"})), p)
+                    paths[p, lam] = record_path(config, p)
                 except NumericError:
                     paths[p, lam] = None
+                else:
+                    paths[p, lam].pairing = path_pairing(config, p)
         return paths
 
     @staticmethod
@@ -740,7 +742,7 @@ class TestTransformCounts:
         base = SolverConfig(
             grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
             driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
-            diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=42, record=frozenset(),
+            diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=42,
         )
         assert self.count_transforms(monkeypatch, _energy_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(4)) == 2016
 
@@ -752,7 +754,7 @@ class TestTransformCounts:
         base = SolverConfig(
             grid=grid, graph=SignGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
             driver=MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=5.0),
-            diffusion=DiffusionMap.from_name("sin"), u0="smooth:8", seed=42, record=frozenset(),
+            diffusion=DiffusionMap.from_name("sin"), u0="smooth:8", seed=42,
         )
         assert self.count_transforms(monkeypatch, _gaps_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(2)) == 2027
 
@@ -846,19 +848,15 @@ class TestCsvOutput:
 
 
     def test_path_csv_bytes(self, tmp_path):
-        result = PathResult(
-            times=np.array([0.0, 0.125]), sup_energy=4.0, pairing=9.0, u_final=np.zeros(3), v_final=np.zeros(3),
-            series=np.array([[1.0, 2.5e20, 1 / 3, -0.0, 1e-300, 0.1], [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]]),
-        )
+        # the simulate command writes a functional_series array so
+        series = np.array([[0.0, 1.0, 2.5e20, 1 / 3, -0.0, 1e-300, 0.1], [0.125, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]])
         out = tmp_path / "path.csv"
-        write_path_csv(result, out)
+        write_csv(StudyReport("simulate", SERIES_COLUMNS, series.tolist()), out)
         assert out.read_bytes() == (
             b"t,energy,lyapunov,l2_u,h1_u,l2_v,pairing_running\n"
             b"0.0,1.0,2.5e+20,0.3333333333333333,-0.0,1e-300,0.1\n"
             b"0.125,4.0,5.0,6.0,7.0,8.0,9.0\n"
         )
-        with pytest.raises(ValueError, match="functionals"):
-            write_path_csv(replace(result, series=None), tmp_path / "none.csv")
 
     def test_field_dump_schemas(self, tmp_path):
         grid1 = SpectralGrid(1, 3)
