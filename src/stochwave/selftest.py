@@ -159,7 +159,7 @@ def run_selftest(out=print) -> int:
     def coupled_noise_ok():
         draws = {1e-1: [], 1e-3: []}
         for lam, seen in draws.items():
-            simulate_path(replace(config, lam=lam), 3, lambda k, u, v, b, dm, b_nodes: seen.append(dm))
+            simulate_path(replace(config, lam=lam), 3, lambda k, dm, **_: seen.append(dm))
         return np.array_equal(draws[1e-1], draws[1e-3])
 
     checks = [

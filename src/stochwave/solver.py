@@ -137,16 +137,14 @@ class SolverConfig:
 
 @dataclass
 class PathResult:
-    """One simulated trajectory: its sums and its final state.
+    """One simulated trajectory: its sup of the energy and its final state.
 
-    ``simulate_path``'s has floats and grid-shaped fields, ``_run``'s a
-    block's (P, L) and (P, L, *grid.shape) arrays.  ``pairing`` is None
-    where the kernel was not asked for it, as on every ``simulate_path``
-    path.  Anything before the end is read through an observer.
+    ``simulate_path``'s has a float and grid-shaped fields, ``_run``'s a
+    block's (P, L) and (P, L, *grid.shape) arrays.  Anything before the end
+    is read through an observer.
     """
 
     sup_energy: float
-    pairing: Optional[float]
     u_final: np.ndarray
     v_final: np.ndarray
 
@@ -185,21 +183,19 @@ def build_initial_state(grid: SpectralGrid, spec: str, rng=None):
     return u, grid.zero_field()
 
 
-def _drift(grid: SpectralGrid, yosida, u, warm, out, resolve=None, modes=True):
+def _drift(grid: SpectralGrid, yosida, u, warm, out, modes=True):
     """Nodal values, resolvent, Yosida values and drift modes of the state u.
 
     u is a field or a stack of fields; ``yosida(x, y0, out)`` is the graph's
     Yosida map at lam (``MonotoneGraph._yosida_at``).  ``warm`` is the
     previous step's resolvent, used as a Newton start, or None.  ``out``, an
     array of u's shape or None, receives the Yosida values.  The resolvent is
-    the one the Yosida map took, else ``resolve``'s (``_resolvent_at``) if
-    that is given, else None.  The drift modes are None where ``modes`` is
-    false: a kick summed at the nodes reads only the Yosida values.
+    the one the Yosida map took, or None where it takes none (the sign
+    graph).  The drift modes are None where ``modes`` is false: a kick
+    summed at the nodes reads only the Yosida values.
     """
     u_nodes = grid._nodes(u)
     yos, res = yosida(u_nodes, warm, out)
-    if res is None and resolve is not None:
-        res = resolve(u_nodes, warm)
     return u_nodes, res, yos, grid._modes(yos) if modes else None
 
 
@@ -284,21 +280,18 @@ def simulate_path(
 ) -> PathResult:
     """Run one trajectory; raises NumericError with the step index on blow-up.
 
-    ``observe(k, u, v, beta_modes, dm, beta_nodes)``, if given, is called
-    once per step k < n, after the step's increment draw (dm is None without
-    a driver) and before its kick.  ``beta_nodes`` is the Yosida drift at the
-    nodes, whose ``grid.to_modes`` is ``beta_modes`` bit for bit.  It is the
-    only way to read a path between its ends; the state after the last step
-    is ``u_final``/``v_final``.  The kernel never writes to an array it has
-    handed out, so an observer may keep it.  The path is ``_run``'s 1 x 1
-    block of (path_index, config.lam), read at [0, 0]: observe gets
-    grid-shaped views, and the result has float sums and grid-shaped
-    fields.  It sums no pairing.  An observer reads the drift modes, so
-    the kick's form (see ``_run``) is that of an observed block.
+    ``observe(k, **fields)``, if given, is called once per step k < n with
+    the fields ``_run`` hands its observer (u, v, u_nodes, beta_nodes,
+    beta_modes, res, dm), each a grid-shaped view or None.  It is the only
+    way to read a path between its ends; the state after the last step is
+    ``u_final``/``v_final``.  The path is ``_run``'s 1 x 1 block of
+    (path_index, config.lam), read at [0, 0], so the result has a float
+    ``sup_energy`` and grid-shaped fields.  An observer reads the drift
+    modes, so the kick's form (see ``_run``) is that of an observed block.
     """
 
-    def block_observe(k, u, v, beta_modes, dm, beta_nodes):
-        observe(k, u[0, 0], v[0, 0], beta_modes[0, 0], None if dm is None else dm[0, 0], beta_nodes[0, 0])
+    def block_observe(k, **fields):
+        observe(k, **{name: None if a is None else a[0, 0] for name, a in fields.items()})
 
     result, blown = _run(config, (path_index,), (config.lam,), block_observe if observe is not None else None)
     step = int(blown[0, 0])
@@ -306,7 +299,7 @@ def simulate_path(
         raise NumericError(
             f"energy blow-up at step {step} (lambda={config.lam:g}, energy={result.sup_energy[0, 0]:.3e})", step=step
         )
-    return PathResult(float(result.sup_energy[0, 0]), None, result.u_final[0, 0], result.v_final[0, 0])
+    return PathResult(float(result.sup_energy[0, 0]), result.u_final[0, 0], result.v_final[0, 0])
 
 
 def functional_series(config: SolverConfig, path_index: int = 0) -> np.ndarray:
@@ -314,9 +307,10 @@ def functional_series(config: SolverConfig, path_index: int = 0) -> np.ndarray:
 
     Row k holds t_k, the energy, the Lyapunov functional, |u|, |grad u|,
     |v| and the pairing summed before step k, with the kernel's operations.
-    An observer reads the nodal drift and resolves with its previous
-    resolvent as the hint, the kernel's hint sequence, so warm-Newton graphs
-    keep their bits; the last row is read from u_final/v_final.  The
+    An observer reads the kernel's nodal drift and resolvent, and resolves
+    the handed nodal state itself where the Yosida map takes none (sign).
+    The last row is read from u_final/v_final through ``_drift`` with the
+    kernel's last resolvent as the hint, so Newton runs once per step.  The
     observed path takes the modal kick (see ``_run``).
     """
     return _series_path(config, path_index)[0]
@@ -325,24 +319,24 @@ def functional_series(config: SolverConfig, path_index: int = 0) -> np.ndarray:
 def _series_path(config: SolverConfig, path_index: int):
     """(``functional_series``, ``simulate_path`` result) of one path: the series and its path's ends."""
     grid, graph, lam, dt, n = config.grid, config.graph, config.lam, config.dt, config.n_steps
-    yosida, resolve = graph._yosida_at(lam), graph._resolvent_at(lam)
+    resolve = graph._resolvent_at(lam)
     series = np.empty((n + 1, len(SERIES_COLUMNS)))
     series[:, 0] = dt * np.arange(n + 1)
-    warm, pairing = None, 0.0
+    last_res, pairing = None, 0.0
 
-    def observe(k, u, v, beta_modes=None, dm=None, beta_nodes=None):
-        nonlocal warm, pairing
-        u_nodes = grid._nodes(u)
-        yos = yosida(u_nodes, warm)[0] if beta_nodes is None else beta_nodes  # None after the last step
-        warm = resolve(u_nodes, warm)
+    def observe(k, u, v, u_nodes, beta_nodes, res, **_):
+        nonlocal last_res, pairing
+        last_res = res
+        res = resolve(u_nodes, None) if res is None else res
         grad2, kin2 = _energy_terms(grid.mu, u, v)
         quad = grad2 + kin2
-        mass = _envelope_mass(grid.weight, graph, lam, warm, yos)
+        mass = _envelope_mass(grid.weight, graph, lam, res, beta_nodes)
         series[k, 1:] = quad, quad + 2.0 * mass, math.sqrt(np.vdot(u, u)), math.sqrt(grad2), math.sqrt(kin2), pairing
-        pairing = pairing + dt * grid.weight * np.vdot(yos, warm)
+        pairing = pairing + dt * grid.weight * np.vdot(beta_nodes, res)
 
     result = simulate_path(config, path_index, observe)
-    observe(n, result.u_final, result.v_final)
+    u_nodes, res, yos, _ = _drift(grid, graph._yosida_at(lam), result.u_final, last_res, None, False)
+    observe(n, result.u_final, result.v_final, u_nodes, yos, res)
     return series, result
 
 
@@ -383,7 +377,7 @@ def _increments(draw, rngs, n: int, size: int, nodes=None):
         yield from zip(block, jumps, nodal)
 
 
-def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, pairing: bool = False):
+def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     """The stepping loop over a block of P path indices x L lambdas.
 
     Returns (PathResult, blow-up steps).  The state arrays have shape
@@ -397,34 +391,39 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     gets alone (see ``SpectralGrid._transform`` and ``_row_dots``), so it
     holds that path's bits whatever its block-mates.  Each path draws
     once per step from its own stream (see ``_increments``), and its lambdas
-    share the draw.  Nothing is recorded: the result holds the sums, the
-    final state and the blow-up steps, and an observer reads the rest.
+    share the draw.  Nothing is recorded: the result holds the sup of the
+    energy (the blow-up guard needs the energy anyway), the final state and
+    the blow-up steps, and an observer reads the rest.
+
+    ``observe(k, u=, v=, u_nodes=, beta_nodes=, beta_modes=, res=, dm=)``,
+    if given, is called once per step k < n, after the step's increment
+    draw and before its kick, with all the step computed: the state, its
+    nodal values, the Yosida drift at the nodes and in the modes (the
+    ``grid._modes`` of beta_nodes, bit for bit), the resolvent the graph's
+    Yosida map took (None for the sign graph, whose map takes none) and the
+    increment, one (1, *grid.shape) row per path that its lambdas share
+    (None without a driver).  An observer names the fields it reads and
+    takes ``**_`` for the rest.  The kernel never writes to an array it has
+    handed out, so an observer may keep it.
 
     Work that is the same at every step is done once per call: the group
     tables, mu and the lambda table at the state's shape, the Yosida map's
-    and the resolvent's lambda constants, the scratch arrays; the jump-free
-    test and the nodal transform of the increments once per drawn block.
-    The pairing is accumulated only with ``pairing`` (which only
-    ``_pairing_job`` passes), else it is None in the result.
-    ``sup_energy`` is always there: the blow-up
-    guard needs the energy anyway.  The drift is the graph's ``_yosida_at``
-    map, computed once per step; where that takes no resolvent (the sign
-    graph), one is computed only for the pairing.  The drift modes are
-    computed only where read: by an observer, and by a kick that adds
-    modal noise or none.
-    Where sigma multiplies at the nodes under a driver and no observer reads
-    them, the kick is summed at the nodes (see ``_kick_rotate``): one
-    transform per step fewer, and the state moves at round-off from the
-    modal kick's.
+    lambda constants, the scratch arrays; the jump-free test and the nodal
+    transform of the increments once per drawn block.  The drift is the
+    graph's ``_yosida_at`` map, computed once per step.  The drift modes are
+    computed only where read: by an observer, and by a kick that adds modal
+    noise or none.  Where sigma multiplies at the nodes under a driver and
+    no observer reads them, the kick is summed at the nodes (see
+    ``_kick_rotate``): one transform per step fewer, and the state moves at
+    round-off from the modal kick's.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
-    weight, dim = grid.weight, grid.dim
     rngs = [path_rng(config.seed, p) for p in paths]
     batch = (len(rngs), len(lams))
     # numpy's reductions and ufuncs would cost more than the arithmetic on the
     # floats of a 1 x 1 block; max(quad, sup) keeps a nan quad, as np.maximum does
     dot, every, top = (np.vdot, bool, max) if batch == (1, 1) else (_row_dots, np.ndarray.all, np.maximum)
-    lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * dim)
+    lam = np.reshape(np.array(lams, dtype=float), (len(lams),) + (1,) * grid.dim)
     lam = np.broadcast_to(lam, batch + grid.shape).copy()
     u = np.empty(batch + grid.shape)
     u[:] = np.array([build_initial_state(grid, config.u0, rng)[0] for rng in rngs])[:, None]
@@ -440,14 +439,11 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
     nodes = grid._nodes if driver is not None and diffusion.multiplies else None
 
     yosida = graph._yosida_at(lam, len(batch))
-    # the pairing reads the resolvent; nothing else does
-    resolve = graph._resolvent_at(lam, len(batch)) if pairing else None
     # the observer reads the drift modes, and so does a kick that adds modal
     # noise or none; any other kick is summed at the nodes
     modes = observe is not None or nodes is None
 
     sup_energy = -np.inf
-    pairing = 0.0 if pairing else None
     blown = np.full(batch, -1)
     warm = None
     increments = None
@@ -466,21 +462,18 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None, 
                 break
             u[trip] = v[trip] = quad[trip] = 0.0
             if warm is not None:
+                warm = warm.copy()  # an observer may keep the hint it was handed
                 warm[trip] = 0.0
         if step_idx == n:
             break
         yos_out = w if observe is None else np.empty(u.shape)
-        u_nodes, res, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, resolve, modes)
-        warm = res
-        if pairing is not None:
-            pairing = pairing + dt * weight * dot(yos, res)
+        u_nodes, warm, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, modes)
         dm, jumps, dm_nodes = next(increments) if increments is not None else (None, None, None)
         if observe is not None:
-            observe(step_idx, u, v, beta_modes, dm, yos)
+            observe(step_idx, u=u, v=v, u_nodes=u_nodes, beta_nodes=yos, beta_modes=beta_modes, res=warm, dm=dm)
         u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
 
-    sup_energy, pairing = (None if x is None else np.broadcast_to(x, batch) for x in (sup_energy, pairing))
-    return PathResult(sup_energy=sup_energy, pairing=pairing, u_final=u, v_final=v), blown
+    return PathResult(sup_energy=np.broadcast_to(sup_energy, batch), u_final=u, v_final=v), blown
 
 
 def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
@@ -509,14 +502,14 @@ def duhamel_residual(config: SolverConfig, path_index: int = 0) -> float:
         if resid > worst:
             worst = resid
 
-    def observe(k, u, v, beta_modes, dm, beta_nodes):
+    def observe(k, u, v, u_nodes, beta_modes, dm, **_):
         nonlocal acc_cos, acc_sin
         if k == 0:
             start.extend((u, v))
         check(k, u)
         forcing = -dt * beta_modes
         if dm is not None:
-            forcing = forcing + diffusion.apply(grid, grid.to_nodes(u), dm)
+            forcing = forcing + diffusion.apply(grid, u_nodes, dm)
         acc_cos += np.cos(times[k] * om) * forcing
         acc_sin += np.sin(times[k] * om) * forcing
 
@@ -536,7 +529,7 @@ def chain_rule_check(config: SolverConfig, path_index: int = 0) -> dict:
     lhs = 0.0
     start = []
 
-    def observe(k, u, v, beta_modes, dm, beta_nodes):
+    def observe(k, u, v, beta_modes, **_):
         nonlocal lhs
         if k == 0:
             start.append(u)
@@ -560,7 +553,7 @@ def ibp_residual(config: SolverConfig, probes, path_index: int = 0) -> float:
     z1 = np.empty((len(phi), config.n_steps + 1))
     z2 = np.empty_like(z1)
 
-    def observe(k, u, v, beta_modes=None, dm=None, beta_nodes=None):
+    def observe(k, u, v, **_):
         (u * phi).sum(axis=axes, out=z1[:, k])
         (v * psi).sum(axis=axes, out=z2[:, k])
 

@@ -250,12 +250,12 @@ def _sweep(spec: StudySpec, job):
     and its (paths, lambdas) array of blow-up steps (-1 where a row finished).
     Returns the values of every path in path order, the (paths, lambdas)
     mask ``ok`` of the rows that finished, and the report meta: {lambda:
-    blown-up path count} and {lambda: blow-up steps in path order}, for the
-    lambdas that had any.  A study reduces ``values[ok[:, j], j, k]``.
+    blow-up steps in path order}, for the lambdas that had any.  A study
+    reduces ``values[ok[:, j], j, k]``.
     """
     values, blown = _map_blocks(spec, partial(job, spec.base, spec.lambdas))
     steps = {lam: column[column >= 0].tolist() for lam, column in zip(spec.lambdas, blown.T) if (column >= 0).any()}
-    return values, blown < 0, {"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps}
+    return values, blown < 0, {"blowup_steps": steps}
 
 
 def energy_study(spec: StudySpec) -> StudyReport:
@@ -273,35 +273,37 @@ def _pairing_job(base, lambdas, paths, eps_values):
     """int <resolvent(u_eps), beta_eps> dt of every (path, lambda, eps) of a block, and the blow-up steps.
 
     The values are (paths, lambdas, eps) in ``eps_values`` order.  u_eps and
-    beta_eps are smoothed mode-wise; eps = 0 is the kernel's own unsmoothed
-    pairing.  eps is one more stack axis, so one resolvent call
-    per step serves every eps, lambda and path.  The resolver is built once
-    per block and called without a hint, so it is the closed form or the
+    beta_eps are smoothed mode-wise; eps = 0 pairs the kernel's handed nodal
+    drift and resolvent.  eps is one more stack axis, so one resolvent call
+    per step serves every eps > 0, lambda and path.  The resolver, built
+    once per block and called without a hint, is the closed form or the
     cold solver: both work entry by entry, so each field keeps the bits it
-    gets alone.  u and beta_modes are smoothed at every eps straight into
-    one stack, so that one transform takes them to the nodes.
+    gets alone.  It also resolves the sign graph's unsmoothed nodal state.
+    u and beta_modes are smoothed at every eps straight into one stack, so
+    that one transform takes them to the nodes.
     """
     grid = base.grid
     smoothed = tuple(e for e in eps_values if e > 0.0)
     block = (len(paths), len(lambdas))
-    sums = np.zeros((len(smoothed),) + block)
-    observe = None
-    if smoothed:
-        filt = np.array([grid.smoother(e) for e in smoothed])[:, None, None]  # (E, 1, 1, *grid.shape)
-        lam = np.reshape(np.array(lambdas, dtype=float), (len(lambdas),) + (1,) * grid.dim)
-        scale = base.dt * grid.weight
-        resolve = base.graph._resolvent_at(lam, 3)
-        smooth = np.empty((2, len(smoothed)) + block + grid.shape)
-        smooth_u, smooth_beta = smooth  # views, so that no step indexes the stack
+    sums = np.zeros((len(smoothed) + 1,) + block)  # the smoothed eps, then eps = 0
+    filt = np.array([grid.smoother(e) for e in smoothed])[:, None, None]  # (E, 1, 1, *grid.shape)
+    lam = np.reshape(np.array(lambdas, dtype=float), (len(lambdas),) + (1,) * grid.dim)
+    scale = base.dt * grid.weight
+    resolve = base.graph._resolvent_at(lam, 3)
+    smooth = np.empty((2, len(smoothed)) + block + grid.shape)
+    smooth_u, smooth_beta = smooth  # views, so that no step indexes the stack
 
-        def observe(k, u, v, beta_modes, dm, beta_nodes):
+    def observe(k, u, u_nodes, beta_nodes, beta_modes, res, **_):
+        res = resolve(u_nodes, None) if res is None else res
+        sums[-1] += scale * _row_dots(beta_nodes, res)
+        if smoothed:
             np.multiply(filt, u, out=smooth_u)
             np.multiply(filt, beta_modes, out=smooth_beta)
             u_eps, beta_eps = grid._nodes(smooth)
-            sums[...] += scale * _row_dots(resolve(u_eps, None), beta_eps, 3)
+            sums[:-1] += scale * _row_dots(resolve(u_eps, None), beta_eps, 3)
 
-    result, blown = _run(base, paths, lambdas, observe, pairing=True)
-    by_eps = {**dict(zip(smoothed, sums)), 0.0: result.pairing}
+    _, blown = _run(base, paths, lambdas, observe)
+    by_eps = dict(zip(smoothed + (0.0,), sums))
     return np.stack([by_eps[eps] for eps in eps_values], axis=-1), blown
 
 
@@ -354,7 +356,7 @@ def _gaps_job(base, lambdas, paths):
         du = u[:, 1:] - u[:, :-1]
         u_sq[..., k] = _row_dots(du, du)
 
-    def observe(k, u, v, beta_modes, dm, beta_nodes):
+    def observe(k, u, beta_nodes, beta_modes, **_):
         u_gap(k, u)
         l1[...] += grid.weight * np.abs(beta_nodes[:, 1:] - beta_nodes[:, :-1]).sum(axis=axes)
         dbeta2 = (beta_modes[:, 1:] - beta_modes[:, :-1]) ** 2
@@ -449,5 +451,5 @@ def isometry_study(spec: StudySpec) -> StudyReport:
         name="isometry",
         columns=("check", "estimate", "target", "std_error", "n_paths"),
         rows=rows,
-        meta={"blowups": {lam: len(found) for lam, found in steps.items()}, "blowup_steps": steps},
+        meta={"blowup_steps": steps},
     )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stochwave import simulate_path
-from stochwave.solver import _drift, _kick_rotate, _run
+from stochwave.solver import _drift, _kick_rotate
+from stochwave.studies import _pairing_job
 
 
 def _record_path(config, path_index=0):
@@ -12,21 +13,28 @@ def _record_path(config, path_index=0):
 
     The returned namespace holds every PathResult field plus ``u`` and ``v``
     (n+1 rows, the last being u_final/v_final), ``beta`` and ``beta_nodes``
-    (n rows, the drift's modes and nodal values) and ``increments`` (n rows,
-    zeros on a noise-free path).  The observer keeps the arrays it is handed
-    without copying them.
+    (n rows, the drift's modes and nodal values), ``res`` (n rows, the
+    kernel's resolvents, or None where the Yosida map takes none) and
+    ``increments`` (n rows, zeros on a noise-free path).  The observer
+    collects the fields by name and keeps the arrays it is handed without
+    copying them.
     """
     seen = []
-    result = simulate_path(config, path_index, lambda k, *arrays: seen.append(arrays))
+    result = simulate_path(config, path_index, lambda k, **fields: seen.append(fields))
     zero = config.grid.zero_field()
-    u, v, beta, increments, beta_nodes = zip(*seen)
+
+    def column(name):
+        return [fields[name] for fields in seen]
+
+    res = column("res")
     return SimpleNamespace(
         **vars(result),
-        u=np.array(u + (result.u_final,)),
-        v=np.array(v + (result.v_final,)),
-        beta=np.array(beta),
-        beta_nodes=np.array(beta_nodes),
-        increments=np.array([zero if dm is None else dm for dm in increments]),
+        u=np.array(column("u") + [result.u_final]),
+        v=np.array(column("v") + [result.v_final]),
+        beta=np.array(column("beta_modes")),
+        beta_nodes=np.array(column("beta_nodes")),
+        res=None if res[0] is None else np.array(res),
+        increments=np.array([zero if dm is None else dm for dm in column("dm")]),
     )
 
 
@@ -36,13 +44,13 @@ def record_path():
 
 
 def _path_pairing(config, path_index=0):
-    """The kernel's pairing of one path: ``_run``'s 1 x 1 block with ``pairing``, read at [0, 0].
+    """The unsmoothed pairing of one path: ``_pairing_job``'s 1 x 1 block at eps = 0, read at [0, 0].
 
-    A no-op observer gives it the modal kick of every observed path, so it
-    is ``record_path``'s and ``functional_series``'s path.
+    Its observer gives it the modal kick of every observed path, so it is
+    ``record_path``'s and ``functional_series``'s path.
     """
-    result, _ = _run(config, (path_index,), (config.lam,), lambda *step: None, pairing=True)
-    return float(result.pairing[0, 0])
+    values, _ = _pairing_job(config, (config.lam,), (path_index,), eps_values=(0.0,))
+    return float(values[0, 0, 0])
 
 
 @pytest.fixture(scope="session")

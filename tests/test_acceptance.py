@@ -168,7 +168,7 @@ def test_criterion_7_uniform_energy_bound(default_profile):
             workers=WORKERS,
         )
         report = energy_study(spec)
-        assert report.meta["blowups"] == {}
+        assert report.meta["blowup_steps"] == {}
         estimates = [row[1] for row in report.rows]
         assert all(np.isfinite(est) for est in estimates)
         assert all(row[3] == 200 for row in report.rows)

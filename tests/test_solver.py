@@ -1,6 +1,7 @@
 from dataclasses import replace
 from functools import partial
 from math import cos, sin
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from stochwave import (
     parse_graph,
     simulate_path,
 )
+from stochwave import studies
 from stochwave.config import DEFAULTS, build_solver_config
 from stochwave.errors import ConfigError
 from stochwave.noise import path_rng
@@ -203,13 +205,13 @@ class TestEnergyFunctionals:
 
     @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "power:2.5", "jump:2", "linear:1"])
     def test_the_series_pairing_is_the_kernel_pairing(self, grid64, spec):
-        # the observer resolves with the kernel's own hint sequence, so warm Newton keeps its bits too;
-        # both paths are observed, so both take the modal kick.  At lambda = 10 and dt = 1e-2 a cold
-        # resolve in the observer moves the power:2.5 pairing.
+        # the series and the pairing job both read the kernel's own resolvent, so warm Newton keeps its
+        # bits too; both paths are observed, so both take the modal kick.  At lambda = 10 and dt = 1e-2
+        # a cold resolve of the series' own would move the power:2.5 pairing.
         newton = replace(block_config(1, "wiener", spec, dt=1e-2, u0="random:4"), lam=10.0)
         for config in (self._series_config(grid64, spec, 0), newton):
-            kernel, _ = _run(config, (0,), (config.lam,), lambda *step: None, pairing=True)
-            assert functional_series(config, 0)[-1, 6].tobytes() == kernel.pairing[0, 0].tobytes()
+            values, _ = _pairing_job(config, (config.lam,), (0,), eps_values=(0.0,))
+            assert functional_series(config, 0)[-1, 6].tobytes() == values[0, 0, 0].tobytes()
 
 
 class TestInitialData:
@@ -319,13 +321,20 @@ class TestSimulatePath:
         assert np.max(np.abs(e - e[0])) <= 1e-12 * e[0]
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
-    def test_summing_the_pairing_changes_no_bit_of_the_path(self, stochastic_config, graph):
-        # simulate_path sums no pairing; _run sums it where asked, on the same path
+    def test_summing_the_pairing_changes_no_bit_of_the_path(self, stochastic_config, graph, monkeypatch):
+        # the pairing job's observer writes nothing it is handed: its path is simulate_path's observed one
         config = replace(stochastic_config, graph=graph, t_final=0.1)
-        paired, _ = _run(config, (2,), (config.lam,), pairing=True)
-        plain = simulate_path(config, 2)
-        assert plain.pairing is None
-        assert paired.pairing[0, 0] >= 0.0
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(studies, "_run", spy)
+        values, _ = _pairing_job(config, (config.lam,), (2,), eps_values=(0.0,))
+        [(paired, _)] = runs
+        plain = simulate_path(config, 2, lambda k, **_: None)
+        assert values[0, 0, 0] >= 0.0
         assert plain.sup_energy == paired.sup_energy[0, 0]
         assert plain.u_final.tobytes() == paired.u_final[0, 0].tobytes()
         assert plain.v_final.tobytes() == paired.v_final[0, 0].tobytes()
@@ -357,7 +366,7 @@ class TestSimulatePath:
         config = replace(stochastic_config, t_final=0.1)
         grid, graph, lam = config.grid, config.graph, config.lam
         seen = []
-        result = simulate_path(config, 3, lambda k, u, v, beta, dm, beta_nodes: seen.append((u, v, beta, dm)))
+        result = simulate_path(config, 3, lambda k, u, v, beta_modes, dm, **_: seen.append((u, v, beta_modes, dm)))
         u0, v0 = build_initial_state(grid, config.u0, path_rng(config.seed, 3))
         np.testing.assert_array_equal(seen[0][0], u0)
         np.testing.assert_array_equal(seen[0][1], v0)
@@ -370,9 +379,9 @@ class TestSimulatePath:
             np.testing.assert_array_equal(kicked[0], u_next)
             np.testing.assert_array_equal(kicked[1], v_next)
         # an observer that keeps nothing steps the same path: keeping the arrays changes no bit
-        plain = simulate_path(config, 3, lambda *step: None)
+        plain = simulate_path(config, 3, lambda k, **_: None)
         np.testing.assert_array_equal(plain.u_final, result.u_final)
-        assert plain.pairing == result.pairing
+        assert plain.sup_energy == result.sup_energy
 
     def test_noise_free_path_records_zero_increments(self, grid64, record_path):
         config = SolverConfig(
@@ -450,7 +459,7 @@ class TestObserverContract:
         driver = None if kind is None else MartingaleDriver(kind, stochastic_config.driver.covariance, rate=50.0)
         config = replace(stochastic_config, t_final=0.1, driver=driver)
         calls = []
-        simulate_path(config, 3, lambda k, u, v, beta, dm, beta_nodes: calls.append((k, dm is None)))
+        simulate_path(config, 3, lambda k, dm, **_: calls.append((k, dm is None)))
         assert calls == [(k, driver is None) for k in range(config.n_steps)]
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
@@ -459,44 +468,59 @@ class TestObserverContract:
         draws = {1e-1: [], 1e-3: []}
         for lam, seen in draws.items():
             config = replace(stochastic_config, lam=lam, t_final=0.1, driver=driver)
-            simulate_path(config, 2, lambda k, u, v, beta, dm, beta_nodes: seen.append(dm.tobytes()))
+            simulate_path(config, 2, lambda k, dm, **_: seen.append(dm.tobytes()))
         assert draws[1e-1] == draws[1e-3]
+
+    @staticmethod
+    def keeping_observer():
+        """(observe, kept, copies): an observer that keeps every field it is handed and a copy of each array."""
+        kept, copies = [], []
+
+        def observe(k, **fields):
+            kept.append(fields)
+            copies.append({name: a.copy() for name, a in fields.items() if a is not None})
+
+        return observe, kept, copies
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_handed_arrays_are_never_mutated(self, stochastic_config, kind):
         # observers keep references (duhamel_residual keeps the k = 0 state)
         driver = MartingaleDriver(kind, stochastic_config.driver.covariance, rate=50.0)
         config = replace(stochastic_config, t_final=0.1, driver=driver)
-        kept, copies = [], []
-
-        def observe(k, *arrays):
-            kept.append(arrays)
-            copies.append([a.copy() for a in arrays])
-
+        observe, kept, copies = self.keeping_observer()
         simulate_path(config, 3, observe)
-        for arrays, snapshot in zip(kept, copies):
-            for a, b in zip(arrays, snapshot):
-                np.testing.assert_array_equal(a, b)
+        for fields, snapshot in zip(kept, copies):
+            assert {"u_nodes", "res"} <= snapshot.keys()
+            for name, a in snapshot.items():
+                np.testing.assert_array_equal(fields[name], a)
+
+    def assert_block_arrays_are_never_mutated(self, config, lambdas):
+        """Run a (3, L) block with a keeping observer, check that no handed array was written; the blow-up steps."""
+        observe, kept, copies = self.keeping_observer()
+        result, blown = _run(config, (0, 1, 2), lambdas, observe)
+        assert len(kept) == config.n_steps
+        for fields, snapshot in zip(kept, copies):
+            assert fields["u"].shape == (3, len(lambdas)) + config.grid.shape
+            assert {"u_nodes", "res"} <= snapshot.keys()
+            for name, a in snapshot.items():
+                assert fields[name].tobytes() == a.tobytes(), name
+        for final in (result.u_final, result.v_final):
+            assert not any(np.shares_memory(final, a) for fields in kept for a in fields.values() if a is not None)
+        return blown
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_handed_block_arrays_are_never_mutated(self, dim, kind):
-        # the block kernel kicks and rotates through scratch arrays it reuses every step
-        config = block_config(dim, kind, "cubic", sigma="clip")
-        kept, copies = [], []
+        # the block kernel kicks and rotates through scratch arrays it reuses every step,
+        # and keeps each handed resolvent as the next step's Newton hint
+        blown = self.assert_block_arrays_are_never_mutated(block_config(dim, kind, "cubic", sigma="clip"), (1e-1, 1e-2))
+        assert (blown < 0).all()
 
-        def observe(k, *arrays):
-            kept.append(arrays)
-            copies.append([a.copy() for a in arrays])
-
-        result, blown = _run(config, (0, 1, 2), (1e-1, 1e-2), observe)
-        assert (blown < 0).all() and len(kept) == config.n_steps
-        for arrays, snapshot in zip(kept, copies):
-            assert arrays[0].shape == (3, 2) + config.grid.shape
-            for a, b in zip(arrays, snapshot):
-                assert a.tobytes() == b.tobytes()
-        for final in (result.u_final, result.v_final):
-            assert not any(np.shares_memory(final, a) for arrays in kept for a in arrays)
+    def test_handed_block_arrays_survive_a_tripped_row(self, grid64):
+        # the guard zeroes a tripped row's hint, the resolvent handed out at the step before
+        config = SolverConfig(grid=grid64, graph=LinearGraph(1e12), lam=1e-2, dt=1e-3, t_final=0.1, u0="smooth:8")
+        blown = self.assert_block_arrays_are_never_mutated(config, (2.6e-7, 2.4e-7))
+        assert blown.tolist() == [[-1, 13]] * 3
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
@@ -506,7 +530,7 @@ class TestObserverContract:
         config = block_config(dim, kind, "cubic", sigma="clip")
         grid, paths, lambdas = config.grid, (0, 1, 2), (1e-1, 1e-2)
         seen = []
-        _run(config, paths, lambdas, lambda k, u, v, beta, dm, beta_nodes: seen.append((beta, beta_nodes)))
+        _run(config, paths, lambdas, lambda k, beta_modes, beta_nodes, **_: seen.append((beta_modes, beta_nodes)))
         assert len(seen) == config.n_steps
         for beta, beta_nodes in seen:
             assert beta_nodes.shape == beta.shape == (3, 2) + grid.shape
@@ -521,29 +545,34 @@ class TestObserverContract:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
-    def test_beta_nodes_are_the_graphs_yosida_map(self, dim, graph):
+    def test_beta_nodes_are_the_graphs_yosida_map(self, dim, graph, record_path):
         # alone and in a block, each field's beta_nodes is graph.yosida of its
-        # nodal state, bit for bit; without a closed form (power:2.5) the
+        # nodal state, bit for bit, and res the resolvent that map took (None
+        # where it takes none); without a closed form (power:2.5) the
         # kernel starts Newton from the previous step's resolvent, so there
         # the map is replayed with that hint and is graph.yosida to round-off
         config = replace(block_config(dim, "wiener", "cubic"), graph=graph)
         grid, paths, lambdas = config.grid, (0, 1), (1e-1, 1e-2)
         hinted = getattr(graph, "_closed_form", 0) is None
-        single, block = [], []
-        simulate_path(config, 1, lambda k, u, v, beta, dm, beta_nodes: single.append((u, beta_nodes)))
-        _run(config, paths, lambdas, lambda k, u, v, beta, dm, beta_nodes: block.append((u, beta_nodes)))
-        fields = [(config.lam, single)] + [
-            (lam, [(u[i, j], beta_nodes[i, j]) for u, beta_nodes in block])
+        single, block = record_path(config, 1), []
+        single_res = [None] * config.n_steps if single.res is None else single.res
+        _run(config, paths, lambdas, lambda k, u, beta_nodes, res, **_: block.append((u, beta_nodes, res)))
+        fields = [(config.lam, list(zip(single.u, single.beta_nodes, single_res)))] + [
+            (lam, [(u[i, j], beta_nodes[i, j], None if res is None else res[i, j]) for u, beta_nodes, res in block])
             for i in range(len(paths))
             for j, lam in enumerate(lambdas)
         ]
         for lam, steps in fields:
             assert len(steps) == config.n_steps
             yosida, warm = graph._yosida_at(lam), None
-            for u, beta_nodes in steps:
+            for u, beta_nodes, res in steps:
                 u_nodes = grid.to_nodes(u)
                 expected, warm = yosida(u_nodes, warm)
                 assert beta_nodes.tobytes() == expected.tobytes()
+                if warm is None:
+                    assert res is None
+                else:
+                    assert res.tobytes() == warm.tobytes()
                 if hinted:
                     np.testing.assert_allclose(expected, graph.yosida(lam, u_nodes), rtol=0, atol=1e-12 / lam)
                 else:
@@ -790,11 +819,11 @@ class TestIntegrationByParts:
 
 
 class TestSinglePathChecks:
-    """duhamel_residual, chain_rule_check and ibp_residual read no pairing, so their paths sum none."""
+    """duhamel_residual, chain_rule_check and ibp_residual read no resolvent, so they compute none."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_the_sign_resolvent_is_never_called(self, dim, stochastic_config, monkeypatch):
-        # the sign graph's drift takes no resolvent; only the pairing would call its resolver
+        # the sign graph's drift takes no resolvent; only a reader of the pairing calls its resolver
         calls = []
         resolvent_at = SignGraph._resolvent_at
 
@@ -817,7 +846,7 @@ class TestSinglePathChecks:
         assert np.isfinite(chain_rule_check(config, 1)["gap"])
         assert ibp_residual(config, probes, 1) <= 1e-12
         assert calls == []
-        # the functional series sums the pairing, which reads the resolvent at every step and at the end
+        # the functional series resolves the handed nodal state at every step and the last state at the end
         functional_series(config, 1)
         assert calls == [grid.shape] * (config.n_steps + 1)
 
@@ -846,27 +875,40 @@ class TestBlockKernel:
         """Rows of observed blocks against observed single paths, and their chain sums against chain_rule_check's.
 
         An observer reads the drift modes, so these rows take the modal
-        kick; it sums each row's dt * <beta_modes, v> with _row_dots.  The
-        single paths are observed 1 x 1 blocks that sum the pairing, read at
-        [0, 0], or their blow-up steps.
+        kick; it sums each row's dt * <beta_modes, v> and its pairing
+        dt * weight * <beta_nodes, res> with _row_dots, resolving the nodal
+        state where the Yosida map takes no resolvent.  The single paths are
+        observed 1 x 1 blocks, read at [0, 0] with their pairings, or their
+        blow-up steps.
         """
+
+        def summed(paths, lams):
+            """(PathResult, blow-up steps, chain sums, pairings) of an observed block."""
+            chain, pairing = np.zeros((2, len(paths), len(lams)))
+            lam = np.reshape(np.array(lams), (len(lams),) + (1,) * config.grid.dim)
+            resolve = config.graph._resolvent_at(lam, 2)
+
+            def observe(k, v, u_nodes, beta_nodes, beta_modes, res, **_):
+                chain[...] += config.dt * _row_dots(beta_modes, v)
+                res = resolve(u_nodes, None) if res is None else res
+                pairing[...] += config.dt * config.grid.weight * _row_dots(beta_nodes, res)
+
+            result, blown = _run(config, paths, lams, observe)
+            return result, blown, chain, pairing
+
         singles, chains = {}, {}
         for p in range(8):
             for lam in lambdas:
-                single = replace(config, lam=lam)
-                result, blown = _run(single, (p,), (lam,), lambda *step: None, pairing=True)
+                result, blown, _, pairing = summed((p,), (lam,))
                 if blown[0, 0] >= 0:
                     singles[p, lam] = int(blown[0, 0])
                     continue
-                singles[p, lam] = replace(result, **{name: getattr(result, name)[0, 0] for name in vars(result)})
-                chains[p, lam] = chain_rule_check(single, p)["lhs"]
+                singles[p, lam] = SimpleNamespace(
+                    **{name: getattr(result, name)[0, 0] for name in vars(result)}, pairing=pairing[0, 0]
+                )
+                chains[p, lam] = chain_rule_check(replace(config, lam=lam), p)["lhs"]
         for paths in ((4,), (1, 2, 3), tuple(range(8))):
-            chain = np.zeros((len(paths), len(lambdas)))
-
-            def observe(k, u, v, beta_modes, dm, beta_nodes):
-                chain[...] += config.dt * _row_dots(beta_modes, v)
-
-            result, blown = _run(config, paths, lambdas, observe, pairing=True)
+            result, blown, chain, pairing = summed(paths, lambdas)
             assert blown.shape == result.sup_energy.shape == (len(paths), len(lambdas))
             for i, p in enumerate(paths):
                 for j, lam in enumerate(lambdas):
@@ -876,7 +918,8 @@ class TestBlockKernel:
                         continue
                     assert blown[i, j] == -1
                     assert chain[i, j].tobytes() == np.float64(chains[p, lam]).tobytes()
-                    for name in ("sup_energy", "pairing", "u_final", "v_final"):
+                    assert pairing[i, j].tobytes() == single.pairing.tobytes()
+                    for name in ("sup_energy", "u_final", "v_final"):
                         row = np.asarray(getattr(result, name)[i, j])
                         assert row.tobytes() == np.asarray(getattr(single, name)).tobytes(), name
         return singles
@@ -970,7 +1013,6 @@ class TestBlockKernel:
         singles = {(p, lam): _run(config, (p,), (lam,)) for p in range(8) for lam in lambdas}
         for paths in ((4,), (1, 2, 3), tuple(range(8))):
             result, blown = _run(config, paths, lambdas)
-            assert result.pairing is None
             for i, p in enumerate(paths):
                 for j, lam in enumerate(lambdas):
                     single, single_blown = singles[p, lam]
@@ -1015,6 +1057,26 @@ class TestBlockKernel:
             _run(config, paths, lambdas)
             assert calls == [(len(paths), len(lambdas))] * config.n_steps
 
+    def test_the_series_resolves_once_per_step(self, monkeypatch):
+        # the series reads the kernel's resolvent: Newton runs in the kernel's Yosida map
+        # at each step, and once more for the last row
+        config = block_config(1, "wiener", "power:2.5")
+        resolvent_at, calls = config.graph._resolvent_at, []
+
+        def spy(lam, batch_ndim=0):
+            resolve = resolvent_at(lam, batch_ndim)
+
+            def counted(x, y0):
+                calls.append(x.shape)
+                return resolve(x, y0)
+
+            return counted
+
+        monkeypatch.setattr(config.graph, "_resolvent_at", spy)
+        functional_series(config, 0)
+        grid = config.grid
+        assert calls == [(1, 1) + grid.shape] * config.n_steps + [grid.shape]
+
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener")])
     def test_newton_rows_fall_back_one_by_one(self, dim, kind, monkeypatch):
         cold_rows = []
@@ -1046,7 +1108,7 @@ class TestBlockKernel:
             return at_nodes(self, u_nodes, dm_nodes)
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
-        _run(config, tuple(range(8)), (1e-1, 1e-2), lambda *step: None)  # an observed block's kick is modal
+        _run(config, tuple(range(8)), (1e-1, 1e-2), lambda k, **_: None)  # an observed block's kick is modal
         assert sum(paths) == jumps
         monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
         del paths[:]
@@ -1062,11 +1124,11 @@ class TestBlockKernel:
             for lam in lambdas:
                 sums = dict.fromkeys(eps_values[:2], 0.0)
 
-                def observe(k, u, v, beta, dm, beta_nodes):
+                def observe(k, u, beta_modes, **_):
                     for eps in sums:
                         filt = grid.smoother(eps)
                         res = graph.resolvent(lam, grid.to_nodes(filt * u))
-                        sums[eps] += config.dt * grid.weight * float(np.vdot(res, grid.to_nodes(filt * beta)))
+                        sums[eps] += config.dt * grid.weight * float(np.vdot(res, grid.to_nodes(filt * beta_modes)))
 
                 simulate_path(replace(config, lam=lam), p, observe)
                 singles[p, lam] = {**sums, 0.0: path_pairing(replace(config, lam=lam), p)}
@@ -1109,7 +1171,7 @@ class TestNodalKick:
         config = replace(block_config(dim, kind, "cubic", sigma=sigma), graph=graph)
         paths, lambdas = tuple(range(4)), (1e-1, 1e-2, 1e-3)
         nodal, nodal_blown = _run(config, paths, lambdas)
-        modal, modal_blown = _run(config, paths, lambdas, lambda *step: None)  # an observer reads the modes
+        modal, modal_blown = _run(config, paths, lambdas, lambda k, **_: None)  # an observer reads the modes
         np.testing.assert_array_equal(nodal_blown, modal_blown)
         np.testing.assert_allclose(nodal.sup_energy, modal.sup_energy, rtol=1e-14, atol=0)
         for name in ("u_final", "v_final"):

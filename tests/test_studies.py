@@ -296,7 +296,7 @@ class TestLambdaSweep:
         driver = MartingaleDriver(kind, spec.base.driver.covariance, rate=50.0)
         base = replace(spec.base, driver=driver)
         draws = []
-        result, _ = _run(base, (2,), spec.lambdas, lambda k, u, v, beta, dm, beta_nodes: draws.append(dm))
+        result, _ = _run(base, (2,), spec.lambdas, lambda k, dm, **_: draws.append(dm))
         # a (1, L) block sees one increment row, shared by all its lambda rows
         assert {dm.shape for dm in draws} == {(1, 1, *base.grid.shape)}
         first, [[u_first, *rest]] = np.array(draws)[:, 0, 0], result.u_final
@@ -327,8 +327,7 @@ class TestEnergyStudy:
     @pytest.mark.parametrize("sigma", ["clip", "sin"])
     @pytest.mark.parametrize("graph", ["cubic", "sign"])
     def test_rows_are_their_simulate_path_paths(self, graph, sigma, kind, dim, monkeypatch):
-        # neither reads the drift modes, so both sum the kick at the nodes, bit for bit; simulate_path
-        # also sums the pairing, which for the sign graph computes a resolvent the energy job does not
+        # neither reads the drift modes, so both sum the kick at the nodes, bit for bit
         grid = SpectralGrid(dim, 16 if dim == 1 else 8)
         base = SolverConfig(
             grid=grid, graph=parse_graph(graph), lam=1e-2, dt=1e-3, t_final=0.2,
@@ -378,7 +377,7 @@ class TestEnergyStudy:
         )
         spec = StudySpec(base=base, lambdas=(1e-1, 1e-9), n_paths=3)
         report = energy_study(spec)
-        assert report.meta["blowups"] == {1e-9: 3}
+        assert {lam: len(steps) for lam, steps in report.meta["blowup_steps"].items()} == {1e-9: 3}
         good, bad = report.rows
         assert np.isfinite(good[1]) and good[3] == 3
         assert np.isnan(bad[1]) and bad[3] == 0
@@ -425,8 +424,8 @@ class TestPairingStudy:
 
     def test_the_sign_resolvent_is_computed_only_where_read(self, small_stochastic_spec, monkeypatch):
         # the sign graph's drift takes no resolvent: energy and lambda-conv
-        # never call its resolver, and pairing calls it once per step for the
-        # unsmoothed pairing, plus once per step for the smoothed ones
+        # never call its resolver, and the pairing observer calls it once per
+        # step for the unsmoothed pairing, plus once per step for the smoothed ones
         calls = []
         resolvent_at = SignGraph._resolvent_at
 
@@ -483,6 +482,14 @@ class TestPairingStudy:
                 expected.append((lam, eps, *_mean_se([d[eps] for d in per_path]), spec.n_paths))
         assert pairing_study(spec).rows == expected
 
+    def test_the_unsmoothed_rows_do_not_depend_on_the_other_eps(self, small_stochastic_spec):
+        # cubic, clip, Wiener, d = 1: an observer always reads the pairing, so every
+        # eps grid steps the same observed paths, which take the modal kick
+        spec = replace(small_stochastic_spec, n_paths=3)
+        alone = pairing_study(replace(spec, eps_grid=(0.0,))).rows
+        swept = [row for row in pairing_study(replace(spec, eps_grid=(1e-2, 0.0))).rows if row[1] == 0.0]
+        assert np.array(alone).tobytes() == np.array(swept).tobytes()
+
     def test_sign_graph_estimates_nonnegative(self, small_stochastic_spec):
         base = replace(small_stochastic_spec.base, graph=SignGraph())
         spec = replace(small_stochastic_spec, base=base, n_paths=3)
@@ -534,7 +541,7 @@ class TestLambdaConvergenceStudy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = lambda_convergence_study(spec)
-        assert report.meta["blowups"] == {1e-9: 3}
+        assert {lam: len(steps) for lam, steps in report.meta["blowup_steps"].items()} == {1e-9: 3}
         steps = []
         for p in range(3):
             with pytest.raises(NumericError) as err:
@@ -684,7 +691,7 @@ class TestPartialBlowUp:
                 except NumericError:
                     pass
         report = energy_study(replace(spec, workers=workers))
-        assert report.meta["blowups"] == {2.5e-7: 3, 2.4e-7: 12, 1e-7: 12}
+        assert {lam: len(steps) for lam, steps in report.meta["blowup_steps"].items()} == {2.5e-7: 3, 2.4e-7: 12, 1e-7: 12}
         expected = [(lam, *_mean_se(singles[lam]), len(singles[lam])) for lam in spec.lambdas]
         self.assert_rows(report, expected, self.FINISHED)
 
