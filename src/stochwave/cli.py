@@ -113,11 +113,11 @@ def cli_main(argv) -> int:
         return 0 if failures == 0 else 1
     try:
         values = _gather_values(args)
-        os.makedirs(args.outdir, exist_ok=True)
         spec = build_study_spec(values)  # simulate runs its base config's one path
+        if args.command == "simulate" and "functionals" not in _record_flags(values):
+            raise ConfigError("simulate writes the functional series; add 'functionals' to solver.record")
+        os.makedirs(args.outdir, exist_ok=True)  # after every config check: an error leaves no directory
         if args.command == "simulate":
-            if "functionals" not in _record_flags(values):
-                raise ConfigError("simulate writes the functional series; add 'functionals' to solver.record")
             series, result = _series_path(spec.base, 0)
             write_field_csv(spec.base.grid, result.u_final, os.path.join(args.outdir, "final_u.csv"))
             report = StudyReport("simulate", SERIES_COLUMNS, series.tolist())

@@ -93,7 +93,7 @@ def parse_config_text(text: str) -> dict:
 def load_config(path=None) -> dict:
     if path is None:
         return dict(DEFAULTS)
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:  # a leading byte-order mark is no part of line 1
         return parse_config_text(f.read())
 
 

@@ -164,19 +164,19 @@ class DiffusionMap:
     def at_nodes(self, u_nodes: np.ndarray, dm_nodes: np.ndarray) -> np.ndarray:
         """sigma(u(x)) * dM(x) at the nodes, of nodal u and dM; the product ``apply`` transforms.
 
-        Only a map that ``multiplies`` takes this form; stacks broadcast.
+        Only a map that ``multiplies`` takes this form; stacks broadcast.  A
+        stepper that sums its kick at the nodes calls it with its own
+        ``grid._nodes`` of dM.
         """
         return self.func(u_nodes) * dm_nodes
 
-    def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray, dm_nodes=None) -> np.ndarray:
+    def apply(self, grid: SpectralGrid, u_nodes: np.ndarray, dm_coeffs: np.ndarray) -> np.ndarray:
         """Modes of sigma(u(x)) * dM(x); sigma evaluated at the pre-step state.
 
         Both arguments may be stacks of fields (leading axes) that broadcast
         against each other; ``to_nodes`` then runs once per increment.
-        ``dm_nodes``, if given, is ``grid._nodes(dm_coeffs)``, transformed
-        by the caller (a stepper transforms a whole drawn block at once).
-        Where sigma multiplies, this is ``grid._modes`` of ``at_nodes``, bit
-        for bit; a stepper that sums its kick at the nodes calls that alone.
+        Where sigma multiplies, this is ``grid._modes`` of ``at_nodes`` of
+        ``grid._nodes(dm_coeffs)``, bit for bit.
         """
         if u_nodes.shape[-grid.dim :] != grid.shape or dm_coeffs.shape[-grid.dim :] != grid.shape:
             raise ValueError("field shapes do not match the grid")
@@ -184,7 +184,7 @@ class DiffusionMap:
             return dm_coeffs
         if self.name == "zero":
             return np.zeros(np.broadcast_shapes(u_nodes.shape, dm_coeffs.shape))
-        return grid._modes(self.at_nodes(u_nodes, grid._nodes(dm_coeffs) if dm_nodes is None else dm_nodes))
+        return grid._modes(self.at_nodes(u_nodes, grid._nodes(dm_coeffs)))
 
 
 # Most entries one block draw holds (512 KiB of float64); a longer path is

@@ -199,25 +199,26 @@ def _drift(grid: SpectralGrid, yosida, u, warm, out, modes=True):
     return u_nodes, res, yos, grid._modes(yos) if modes else None
 
 
-def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp):
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w, tmp):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
     ``jumps`` is the row index of the fields that dm moves: ``...`` for all
     of them; in a (P, L) stack, where dm has one (1, *grid.shape) row per
     path, a (P,) mask of the paths that jump; None where dm is all zero (a
     jump-free compound-Poisson step), whose exactly-zero product is skipped,
-    so that only the sign of a zero entry of v can differ.  ``dm_nodes``, if
-    not None, is the nodal value of dm[jumps] (see ``DiffusionMap.apply``).
-    ``w`` and ``tmp``, scratch arrays of u's shape or None, take the kicked
-    velocity and the rotation's products in place of new temporaries; u, v,
-    beta_modes and dm are never written.  Returns new arrays.
+    so that only the sign of a zero entry of v can differ.  dm[jumps] is
+    transformed here, once per step, each row with the bits it gets alone
+    (see ``SpectralGrid._transform``).  ``w`` and ``tmp``, scratch arrays of
+    u's shape or None, take the kicked velocity and the rotation's products
+    in place of new temporaries; u, v, beta_modes and dm are never written.
+    Returns new arrays.
 
     With ``beta_modes`` None, ``w`` holds the Yosida values at the nodes and
     the kick is summed there: -dt*beta_lam(u) in place, plus sigma(u)*dM
-    (``DiffusionMap.at_nodes``, so dm_nodes is needed wherever dm moves a
-    field) on the fields that jump, then one analysis transform, then v.
-    A field that does not jump takes the same formula, so its bits do not
-    depend on whether its block-mates jump.
+    (``DiffusionMap.at_nodes`` of the nodal dm[jumps]) on the fields that
+    jump, then one analysis transform, then v.  A field that does not jump
+    takes the same formula, so its bits do not depend on whether its
+    block-mates jump.
     """
     grid, fused = cache.grid, beta_modes is None
     if fused:
@@ -226,8 +227,8 @@ def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, ju
         w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
         w += v
     if jumps is not None:
-        rows = u_nodes[jumps]
-        w[jumps] += diffusion.at_nodes(rows, dm_nodes) if fused else diffusion.apply(grid, rows, dm[jumps], dm_nodes)
+        rows, dm = u_nodes[jumps], dm[jumps]
+        w[jumps] += diffusion.at_nodes(rows, grid._nodes(dm)) if fused else diffusion.apply(grid, rows, dm)
     if fused:
         w = grid._modes(w)
         w += v
@@ -340,41 +341,23 @@ def _series_path(config: SolverConfig, path_index: int):
     return series, result
 
 
-def _increments(draw, rngs, n: int, size: int, nodes=None):
-    """Per step, (dm, jumps, dm_nodes): the paths' increments, which of them jump, and their nodal values.
+def _increments(draw, rngs, n: int, size: int):
+    """Per step, (dm, jumps): the paths' increments and the row index of those that jump.
 
     Each path draws from its own stream, in blocks of at most
     ``_DRAW_ENTRIES`` entries per path.  dm is a (P, 1, *grid.shape) view
     of the drawn block, one row per path, which its lambdas share.
     ``jumps``, the row index of the paths that jump (see ``_kick_rotate``),
-    is decided once per drawn block, not per step, from a per-(step, path)
-    any: None for every step of a block with no nonzero entry, ``...`` for
-    every step of a block whose rows all jump (every Wiener block), else per
-    step.  With ``nodes`` (the grid's ``_nodes``), dm_nodes is the nodal
-    value of dm[jumps]: a block whose rows all jump is transformed as it is,
-    any other block's jumping (step, path) rows are gathered and transformed
-    in one call.  Without ``nodes``, or where no row jumps, it is None.
-    Each row of the transform has the bits of a per-step transform (see
-    ``SpectralGrid._transform``).
+    comes from one any per (step, path) of the block: ``...`` where every
+    path jumps (every Wiener step), a (P,) mask where some do, None where
+    none does.
     """
     per_block = max(1, _DRAW_ENTRIES // size)
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
         block = np.stack(parts, 1)[:, :, None]  # (m, P, 1, *shape): a lambda axis
         rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
-        if not rows.any():
-            yield from ((dm, None, None) for dm in block)
-            continue
-        if rows.all():
-            yield from zip(block, [...] * len(block), [None] * len(block) if nodes is None else nodes(block))
-            continue
         every, some = rows.all(axis=1).tolist(), rows.any(axis=1).tolist()
-        jumps = [... if all_ else row if any_ else None for row, all_, any_ in zip(rows, every, some)]
-        nodal = [None] * len(block)
-        if nodes is not None:
-            ends = np.cumsum(rows.sum(axis=1)).tolist()
-            at = nodes(block[rows])
-            nodal = [at[a:b] if b > a else None for a, b in zip([0] + ends, ends)]
-        yield from zip(block, jumps, nodal)
+        yield from zip(block, (... if all_ else row if any_ else None for row, all_, any_ in zip(rows, every, some)))
 
 
 def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
@@ -408,14 +391,13 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
 
     Work that is the same at every step is done once per call: the group
     tables, mu and the lambda table at the state's shape, the Yosida map's
-    lambda constants, the scratch arrays; the jump-free test and the nodal
-    transform of the increments once per drawn block.  The drift is the
-    graph's ``_yosida_at`` map, computed once per step.  The drift modes are
-    computed only where read: by an observer, and by a kick that adds modal
-    noise or none.  Where sigma multiplies at the nodes under a driver and
-    no observer reads them, the kick is summed at the nodes (see
-    ``_kick_rotate``): one transform per step fewer, and the state moves at
-    round-off from the modal kick's.
+    lambda constants, the scratch arrays; the jump test once per drawn
+    block.  The drift is the graph's ``_yosida_at`` map, computed once per
+    step.  The drift modes are computed only where read: by an observer,
+    and by a kick that adds modal noise or none.  Where sigma multiplies at
+    the nodes under a driver and no observer reads them, the kick is summed
+    at the nodes (see ``_kick_rotate``): one transform per step fewer, and
+    the state moves at round-off from the modal kick's.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
     rngs = [path_rng(config.seed, p) for p in paths]
@@ -436,19 +418,19 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     # so with one they get a new array every step.
     w, tmp = np.empty(u.shape), np.empty(u.shape)
     driver, diffusion = config.driver, config.diffusion
-    nodes = grid._nodes if driver is not None and diffusion.multiplies else None
+    nodes = driver is not None and diffusion.multiplies
 
     yosida = graph._yosida_at(lam, len(batch))
     # the observer reads the drift modes, and so does a kick that adds modal
     # noise or none; any other kick is summed at the nodes
-    modes = observe is not None or nodes is None
+    modes = observe is not None or not nodes
 
     sup_energy = -np.inf
     blown = np.full(batch, -1)
     warm = None
     increments = None
     if driver is not None:
-        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size, nodes)
+        increments = _increments(driver.increment_sampler(dt), rngs, n, grid.size)
 
     for step_idx in range(n + 1):
         grad2, kin2 = _energy_terms(mu, u, v, dot, tmp)
@@ -468,10 +450,10 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
             break
         yos_out = w if observe is None else np.empty(u.shape)
         u_nodes, warm, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, modes)
-        dm, jumps, dm_nodes = next(increments) if increments is not None else (None, None, None)
+        dm, jumps = next(increments) if increments is not None else (None, None)
         if observe is not None:
             observe(step_idx, u=u, v=v, u_nodes=u_nodes, beta_nodes=yos, beta_modes=beta_modes, res=warm, dm=dm)
-        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, dm_nodes, w, tmp)
+        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w, tmp)
 
     return PathResult(sup_energy=np.broadcast_to(sup_energy, batch), u_final=u, v_final=v), blown
 

@@ -62,7 +62,7 @@ def _kernel_step(cache, u, v, graph, lam, diffusion, dm):
     """(u, v) after one step of the kernel's own pieces, without a hint; dm None or all zero skips the noise."""
     u_nodes, _, _, beta_modes = _drift(cache.grid, graph._yosida_at(lam), u, None, None)
     jumps = ... if dm is not None and np.count_nonzero(dm) else None
-    return _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, None, None, None)
+    return _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, None, None)
 
 
 @pytest.fixture(scope="session")

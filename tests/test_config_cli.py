@@ -42,6 +42,16 @@ class TestConfigParsing:
         # untouched keys keep defaults
         assert values["study.workers"] == 1
 
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(BASE_TEXT, encoding="utf-8")
+        marked.write_text("\ufeff" + BASE_TEXT, encoding="utf-8")
+        assert load_config(str(marked)) == load_config(str(plain)) == parse_config_text(BASE_TEXT)
+        inner = tmp_path / "inner.cfg"
+        inner.write_text("[domain] dim=1\n\ufeff[graph] kind=cubic\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_config(str(inner))
+
     def test_unknown_key_is_named(self):
         for text, key in (("[noise] flavor=vanilla", "noise.flavor"), ("[study] dt_grid=1e-3", "study.dt_grid")):
             with pytest.raises(ConfigError, match=key):
@@ -208,6 +218,17 @@ class TestCli:
             (str(a_file), str(a_file)),  # outdir is an existing file
         ):
             assert cli_main(["simulate", "--config", config, "--outdir", outdir]) == 2
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("energy", ["--set", "domain.n_modes=0"]), ("energy", ["--set", "study.lambda_grid=1e-1,1e-1"]),
+         ("simulate", ["--set", "solver.record="])],
+    )
+    def test_a_config_error_creates_no_output_directory(self, config_file, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", config_file, "--outdir", str(out)] + extra) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_override(self, config_file, tmp_path):
         code = cli_main(

@@ -29,7 +29,7 @@ from stochwave import (
     parse_graph,
     simulate_path,
 )
-from stochwave import studies
+from stochwave import solver, studies
 from stochwave.config import DEFAULTS, build_solver_config
 from stochwave.errors import ConfigError
 from stochwave.noise import path_rng
@@ -625,9 +625,9 @@ class TestJumpFreeSteps:
         calls = []
         apply = DiffusionMap.apply
 
-        def counting_apply(self, grid, u_nodes, dm, dm_nodes=None):
+        def counting_apply(self, grid, u_nodes, dm):
             calls.append(1)
-            return apply(self, grid, u_nodes, dm, dm_nodes)
+            return apply(self, grid, u_nodes, dm)
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         result = record_path(config, 1)
@@ -932,7 +932,7 @@ class TestBlockKernel:
          (1, "wiener", "power:2", "clip")],
     )
     def test_closed_form_rows(self, dim, kind, graph, sigma):
-        # Wiener rows with clip or sin transform every drawn block's increments in one call
+        # Wiener rows with clip or sin transform every path's increment at every step
         self.assert_rows_are_single_paths(block_config(dim, kind, graph, sigma=sigma), (1e-1, 1e-2, 1e-3))
 
     @pytest.mark.parametrize("dim, sigma", [(1, "clip"), (2, "sin")])
@@ -944,23 +944,20 @@ class TestBlockKernel:
     def jump_flags(config, paths):
         draw = config.driver.increment_sampler(config.dt)
         rngs = [path_rng(config.seed, p) for p in paths]
-        return [jumps for _, jumps, _ in _increments(draw, rngs, config.n_steps, config.grid.size)]
+        return [jumps for _, jumps in _increments(draw, rngs, config.n_steps, config.grid.size)]
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener"), (2, "poisson")])
     def test_increments_name_the_jumping_rows_by_one_index(self, dim, kind):
-        # ... where every path jumps, a (P,) mask where some do, None where none does;
-        # dm_nodes is the nodal value of dm[jumps], bit for bit
+        # ... where every path jumps, a (P,) mask where some do, None where none does
         config = block_config(dim, kind, "cubic")
         grid = config.grid
         draw = config.driver.increment_sampler(config.dt)
         rngs = [path_rng(config.seed, p) for p in range(8)]
-        steps = list(_increments(draw, rngs, config.n_steps, grid.size, grid._nodes))
-        assert repr([jumps for _, jumps, _ in steps]) == repr(self.jump_flags(config, range(8)))  # with or without nodes
         forms = set()
-        for dm, jumps, dm_nodes in steps:
+        for dm, jumps in _increments(draw, rngs, config.n_steps, grid.size):
             moved = dm.reshape(len(dm), -1).any(axis=1)
             if jumps is None:
-                assert not moved.any() and dm_nodes is None
+                assert not moved.any()
                 forms.add("none")
                 continue
             if jumps is ...:
@@ -970,7 +967,6 @@ class TestBlockKernel:
                 assert jumps.dtype == bool and 0 < jumps.sum() < len(jumps)
                 np.testing.assert_array_equal(jumps, moved)
                 forms.add("some")
-            assert dm_nodes.tobytes() == grid._nodes(dm[jumps]).tobytes()
         assert forms == ({"all"} if kind == "wiener" else {"none", "some"})
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -1037,6 +1033,22 @@ class TestBlockKernel:
             assert any(isinstance(jumps, np.ndarray) for jumps in flags)
         self.assert_rows_are_single_nodal_kick_paths(config, (1e-1, 1e-2, 1e-3), monkeypatch)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind, rate, sigma", [("wiener", 0.0, "clip"), ("poisson", 400.0, "sin"),
+                                                   ("poisson", 5.0, "clip")])
+    def test_rows_do_not_depend_on_the_draw_block_cut(self, dim, kind, rate, sigma, monkeypatch):
+        # 3 steps per drawn block, so the 100 steps split unevenly over the blocks
+        config = block_config(dim, kind, "cubic", sigma=sigma)
+        config = replace(config, driver=replace(config.driver, rate=rate))
+        paths, lambdas, observers = tuple(range(5)), (1e-1, 1e-2), (None, lambda k, **_: None)
+        default = [_run(config, paths, lambdas, observe) for observe in observers]
+        monkeypatch.setattr(solver, "_DRAW_ENTRIES", 3 * config.grid.size + 1)
+        for (result, blown), observe in zip(default, observers):
+            cut, cut_blown = _run(config, paths, lambdas, observe)
+            assert cut_blown.tobytes() == blown.tobytes()
+            for name in ("sup_energy", "u_final", "v_final"):
+                assert getattr(cut, name).tobytes() == getattr(result, name).tobytes(), name
+
     def test_the_yosida_map_runs_once_per_step(self, monkeypatch):
         # the kernel records nothing, so it computes no drift after the last step
         config = block_config(1, "wiener", "cubic")
@@ -1099,9 +1111,9 @@ class TestBlockKernel:
         paths, nodal_paths = [], []
         apply, at_nodes = DiffusionMap.apply, DiffusionMap.at_nodes
 
-        def counting_apply(self, grid, u_nodes, dm, dm_nodes=None):
+        def counting_apply(self, grid, u_nodes, dm):
             paths.append(len(dm))  # one (1, *grid.shape) increment per path
-            return apply(self, grid, u_nodes, dm, dm_nodes)
+            return apply(self, grid, u_nodes, dm)
 
         def counting_at_nodes(self, u_nodes, dm_nodes):
             nodal_paths.append(len(u_nodes))  # one (L, *grid.shape) row per path

@@ -743,27 +743,32 @@ class TestTransformCounts:
         return len(calls)
 
     def test_an_energy_block_sums_its_kick_at_the_nodes(self, monkeypatch):
-        # the default profile: u to the nodes and the kick to the modes per step,
-        # plus one transform per drawn block of 64 steps' increments
+        # the default profile, 3 per step: u and the step's 4 increments to the
+        # nodes, the kick to the modes.  Observed, the kick is modal, 4 per step:
+        # u and the increments to the nodes, the drift and the noise product to
+        # the modes.  Summing the kick at the nodes saves one transform per step.
         grid = SpectralGrid(1, 64)
         base = SolverConfig(
             grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
             driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 1.0, 2.0)),
             diffusion=DiffusionMap.from_name("clip"), u0="smooth:8", seed=42,
         )
-        assert self.count_transforms(monkeypatch, _energy_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(4)) == 2016
+        lambdas = (1e-1, 1e-2, 1e-3, 1e-4)
+        assert self.count_transforms(monkeypatch, _energy_job, base, lambdas, range(4)) == 3000
+        observed = self.count_transforms(monkeypatch, _run, base, range(4), lambdas, lambda k, **_: None)
+        assert observed == 4000
 
     def test_a_gaps_block_keeps_its_drift_modes(self, monkeypatch):
-        # 2 per step (the observer reads the drift modes), one noise product per
-        # step on which a path jumps (14) and one transform per drawn block of
-        # increments with a jump (13)
+        # 2 per step (the observer reads the drift modes) and, on each of the 14
+        # steps on which a path jumps, one for its increments and one for the
+        # noise product
         grid = SpectralGrid(2, 32)
         base = SolverConfig(
             grid=grid, graph=SignGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
             driver=MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=5.0),
             diffusion=DiffusionMap.from_name("sin"), u0="smooth:8", seed=42,
         )
-        assert self.count_transforms(monkeypatch, _gaps_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(2)) == 2027
+        assert self.count_transforms(monkeypatch, _gaps_job, base, (1e-1, 1e-2, 1e-3, 1e-4), range(2)) == 2028
 
 
 class TestIsometryStudy:
