@@ -164,15 +164,15 @@ def build_solver_config(values: dict) -> SolverConfig:
 
 def build_study_spec(values: dict) -> StudySpec:
     base = build_solver_config(values)
+    lambdas = _parse_float_grid("study.lambda_grid", values["study.lambda_grid"])
+    eps_grid = _parse_float_grid("study.eps_grid", values["study.eps_grid"])
     try:
         return StudySpec(
             base=base,
-            lambdas=_parse_float_grid("study.lambda_grid", values["study.lambda_grid"]),
-            eps_grid=_parse_float_grid("study.eps_grid", values["study.eps_grid"]),
+            lambdas=lambdas,
+            eps_grid=eps_grid,
             n_paths=values["study.n_paths"],
             workers=values["study.workers"],
         )
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from None

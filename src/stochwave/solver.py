@@ -199,37 +199,34 @@ def _drift(grid: SpectralGrid, yosida, u, warm, out, modes=True):
     return u_nodes, res, yos, grid._modes(yos) if modes else None
 
 
-def _kick_rotate(cache: GroupCache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w, tmp):
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, drift, nodes, diffusion, dm, jumps, w, tmp):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
-    ``jumps`` is the row index of the fields that dm moves: ``...`` for all
-    of them; in a (P, L) stack, where dm has one (1, *grid.shape) row per
-    path, a (P,) mask of the paths that jump; None where dm is all zero (a
-    jump-free compound-Poisson step), whose exactly-zero product is skipped,
-    so that only the sign of a zero entry of v can differ.  dm[jumps] is
-    transformed here, once per step, each row with the bits it gets alone
-    (see ``SpectralGrid._transform``).  ``w`` and ``tmp``, scratch arrays of
-    u's shape or None, take the kicked velocity and the rotation's products
-    in place of new temporaries; u, v, beta_modes and dm are never written.
-    Returns new arrays.
-
-    With ``beta_modes`` None, ``w`` holds the Yosida values at the nodes and
-    the kick is summed there: -dt*beta_lam(u) in place, plus sigma(u)*dM
-    (``DiffusionMap.at_nodes`` of the nodal dm[jumps]) on the fields that
-    jump, then one analysis transform, then v.  A field that does not jump
-    takes the same formula, so its bits do not depend on whether its
-    block-mates jump.
+    ``drift`` is the Yosida drift in the form the kick is summed in: its
+    nodal values where ``nodes`` is true, else its modes.  The modal kick
+    is v - dt*beta_lam(u) plus ``DiffusionMap.apply``; the nodal one is
+    -dt*beta_lam(u) plus ``DiffusionMap.at_nodes`` of the nodal dm, then
+    one analysis transform, then v.  ``jumps`` is the row index of the
+    fields that dm moves: ``...`` for all of them; in a (P, L) stack, where
+    dm has one (1, *grid.shape) row per path, a (P,) mask of the paths that
+    jump; None where dm is all zero (a jump-free compound-Poisson step),
+    whose exactly-zero product is skipped, so that only the sign of a zero
+    entry of v can differ.  A field that does not jump takes its form's
+    formula without the noise term, so its bits do not depend on whether
+    its block-mates jump.  dm[jumps] is transformed here, once per step,
+    each row with the bits it gets alone (see ``SpectralGrid._transform``).
+    ``w`` and ``tmp``, scratch arrays of u's shape or None, take the kicked
+    velocity and the rotation's products in place of new temporaries; u, v,
+    dm and a drift other than ``w`` are never written.  Returns new arrays.
     """
-    grid, fused = cache.grid, beta_modes is None
-    if fused:
-        w *= -cache.dt
-    else:
-        w = np.multiply(beta_modes, -cache.dt, out=w)  # v - dt*beta, bit for bit
-        w += v
+    grid = cache.grid
+    w = np.multiply(drift, -cache.dt, out=w)
+    if not nodes:
+        w += v  # v - dt*beta, bit for bit
     if jumps is not None:
         rows, dm = u_nodes[jumps], dm[jumps]
-        w[jumps] += diffusion.at_nodes(rows, grid._nodes(dm)) if fused else diffusion.apply(grid, rows, dm)
-    if fused:
+        w[jumps] += diffusion.at_nodes(rows, grid._nodes(dm)) if nodes else diffusion.apply(grid, rows, dm)
+    if nodes:
         w = grid._modes(w)
         w += v
     return cache.rotate(u, w, tmp)
@@ -287,8 +284,8 @@ def simulate_path(
     way to read a path between its ends; the state after the last step is
     ``u_final``/``v_final``.  The path is ``_run``'s 1 x 1 block of
     (path_index, config.lam), read at [0, 0], so the result has a float
-    ``sup_energy`` and grid-shaped fields.  An observer reads the drift
-    modes, so the kick's form (see ``_run``) is that of an observed block.
+    ``sup_energy`` and grid-shaped fields.  An observer never changes the
+    path's bits: the kick's form is the config's (see ``_run``).
     """
 
     def block_observe(k, **fields):
@@ -304,15 +301,14 @@ def simulate_path(
 
 
 def functional_series(config: SolverConfig, path_index: int = 0) -> np.ndarray:
-    """The (n+1, 7) per-step functionals of one path, in ``SERIES_COLUMNS`` order.
+    """The (n+1, 7) per-step functionals of ``simulate_path``'s path, in ``SERIES_COLUMNS`` order.
 
     Row k holds t_k, the energy, the Lyapunov functional, |u|, |grad u|,
     |v| and the pairing summed before step k, with the kernel's operations.
     An observer reads the kernel's nodal drift and resolvent, and resolves
     the handed nodal state itself where the Yosida map takes none (sign).
     The last row is read from u_final/v_final through ``_drift`` with the
-    kernel's last resolvent as the hint, so Newton runs once per step.  The
-    observed path takes the modal kick (see ``_run``).
+    kernel's last resolvent as the hint, so Newton runs once per step.
     """
     return _series_path(config, path_index)[0]
 
@@ -369,14 +365,14 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     the guard leaves with its step index in the (P, L) step array (-1 for
     the rows that finished) and its energy at that step in ``sup_energy``;
     its state is zeroed, so that the others go on without a warning.  Every
-    row runs the operation order of its ``simulate_path`` path (observed if
-    the block is), and its transforms and dots give each field the bits it
-    gets alone (see ``SpectralGrid._transform`` and ``_row_dots``), so it
-    holds that path's bits whatever its block-mates.  Each path draws
-    once per step from its own stream (see ``_increments``), and its lambdas
-    share the draw.  Nothing is recorded: the result holds the sup of the
-    energy (the blow-up guard needs the energy anyway), the final state and
-    the blow-up steps, and an observer reads the rest.
+    row runs the operation order of its ``simulate_path`` path, and its
+    transforms and dots give each field the bits it gets alone (see
+    ``SpectralGrid._transform`` and ``_row_dots``), so it holds that path's
+    bits whatever its block-mates.  Each path draws once per step from its
+    own stream (see ``_increments``), and its lambdas share the draw.
+    Nothing is recorded: the result holds the sup of the energy (the
+    blow-up guard needs the energy anyway), the final state and the blow-up
+    steps, and an observer reads the rest.
 
     ``observe(k, u=, v=, u_nodes=, beta_nodes=, beta_modes=, res=, dm=)``,
     if given, is called once per step k < n, after the step's increment
@@ -387,17 +383,18 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     increment, one (1, *grid.shape) row per path that its lambdas share
     (None without a driver).  An observer names the fields it reads and
     takes ``**_`` for the rest.  The kernel never writes to an array it has
-    handed out, so an observer may keep it.
+    handed out, so an observer may keep it, and never changes a path's bits.
 
     Work that is the same at every step is done once per call: the group
     tables, mu and the lambda table at the state's shape, the Yosida map's
     lambda constants, the scratch arrays; the jump test once per drawn
     block.  The drift is the graph's ``_yosida_at`` map, computed once per
-    step.  The drift modes are computed only where read: by an observer,
-    and by a kick that adds modal noise or none.  Where sigma multiplies at
-    the nodes under a driver and no observer reads them, the kick is summed
-    at the nodes (see ``_kick_rotate``): one transform per step fewer, and
-    the state moves at round-off from the modal kick's.
+    step.  The kick's form is the config's alone (see ``_kick_rotate``):
+    at the nodes under a Wiener driver with a sigma that multiplies there
+    (clip, sin), which saves one transform of the stack per step, since
+    every step adds sigma's product to every field; else in the modes,
+    where it would save none.  The drift modes are computed only where
+    read: by an observer and by the modal kick.
     """
     grid, graph, dt, n = config.grid, config.graph, config.dt, config.n_steps
     rngs = [path_rng(config.seed, p) for p in paths]
@@ -418,12 +415,10 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     # so with one they get a new array every step.
     w, tmp = np.empty(u.shape), np.empty(u.shape)
     driver, diffusion = config.driver, config.diffusion
-    nodes = driver is not None and diffusion.multiplies
+    nodes = driver is not None and driver.kind == "wiener" and diffusion.multiplies
+    modes = observe is not None or not nodes
 
     yosida = graph._yosida_at(lam, len(batch))
-    # the observer reads the drift modes, and so does a kick that adds modal
-    # noise or none; any other kick is summed at the nodes
-    modes = observe is not None or not nodes
 
     sup_energy = -np.inf
     blown = np.full(batch, -1)
@@ -442,7 +437,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
             blown[trip] = step_idx
             if (blown >= 0).all():
                 break
-            u[trip] = v[trip] = quad[trip] = 0.0
+            u[trip] = v[trip] = 0.0
             if warm is not None:
                 warm = warm.copy()  # an observer may keep the hint it was handed
                 warm[trip] = 0.0
@@ -453,7 +448,7 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
         dm, jumps = next(increments) if increments is not None else (None, None)
         if observe is not None:
             observe(step_idx, u=u, v=v, u_nodes=u_nodes, beta_nodes=yos, beta_modes=beta_modes, res=warm, dm=dm)
-        u, v = _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, w, tmp)
+        u, v = _kick_rotate(cache, u, v, u_nodes, yos if nodes else beta_modes, nodes, diffusion, dm, jumps, w, tmp)
 
     return PathResult(sup_energy=np.broadcast_to(sup_energy, batch), u_final=u, v_final=v), blown
 

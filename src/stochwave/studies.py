@@ -134,20 +134,23 @@ class _Child:
     def join(self):
         """The share's results in block order; re-raises the child's error.
 
-        A child that exits without a result raises ChildProcessError naming
-        its blocks' path indices and its exit status or signal.
+        A child that exits without a whole result raises ChildProcessError
+        naming its blocks' path indices and its exit status or signal.
         """
         with open(self.fd, "rb") as pipe:
             self.fd = None
             payload = pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if not payload:
-            code = os.waitstatus_to_exitcode(status)
+        code = os.waitstatus_to_exitcode(status)
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception:  # an empty or cut-off pickle fails in many ways, not only as UnpicklingError
+            ok = None
+        if code or ok is None:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             paths = f"{self.share[0].start}..{self.share[-1].stop - 1}"
             raise ChildProcessError(f"the worker process for paths {paths} {how} without a result")
-        ok, value = pickle.loads(payload)
         if not ok:
             raise value
         return value
@@ -166,8 +169,8 @@ class _Child:
 def _serve(fn, share, fd):
     """In a forked child: pickle (True, results) or (False, error) to fd, then exit at once.
 
-    The child never returns into its parent's stack; a failed write leaves
-    the pipe empty, which the parent reports with the exit status.
+    The child never returns into its parent's stack, and exits with status
+    0 only once the whole payload is written.
     """
     status = 1
     try:

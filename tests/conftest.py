@@ -46,8 +46,8 @@ def record_path():
 def _path_pairing(config, path_index=0):
     """The unsmoothed pairing of one path: ``_pairing_job``'s 1 x 1 block at eps = 0, read at [0, 0].
 
-    Its observer gives it the modal kick of every observed path, so it is
-    ``record_path``'s and ``functional_series``'s path.
+    An observer never changes a path's bits, so it is ``simulate_path``'s
+    path, the one ``record_path`` and ``functional_series`` read too.
     """
     values, _ = _pairing_job(config, (config.lam,), (path_index,), eps_values=(0.0,))
     return float(values[0, 0, 0])
@@ -58,11 +58,17 @@ def path_pairing():
     return _path_pairing
 
 
-def _kernel_step(cache, u, v, graph, lam, diffusion, dm):
-    """(u, v) after one step of the kernel's own pieces, without a hint; dm None or all zero skips the noise."""
-    u_nodes, _, _, beta_modes = _drift(cache.grid, graph._yosida_at(lam), u, None, None)
+def _kernel_step(cache, u, v, graph, lam, diffusion, dm, nodes=False):
+    """(u, v) after one step of the kernel's own pieces, without a hint; dm None or all zero skips the noise.
+
+    ``nodes`` sums the kick at the nodes, the form ``_run`` gives a config
+    with a Wiener driver and a sigma that multiplies at the nodes; else the
+    kick is summed in the modes.
+    """
+    u_nodes, _, yos, beta_modes = _drift(cache.grid, graph._yosida_at(lam), u, None, None)
     jumps = ... if dm is not None and np.count_nonzero(dm) else None
-    return _kick_rotate(cache, u, v, u_nodes, beta_modes, diffusion, dm, jumps, None, None)
+    drift = yos if nodes else beta_modes
+    return _kick_rotate(cache, u, v, u_nodes, drift, nodes, diffusion, dm, jumps, None, None)
 
 
 @pytest.fixture(scope="session")

@@ -174,6 +174,17 @@ class TestCli:
         assert field_lines[0] == "k1,coeff"
         assert len(field_lines) == 17  # header + one row per mode
 
+    def test_simulate_and_energy_step_the_same_path(self, tmp_path):
+        # the default profile with sigma = clip: an observer never changes a path's bits, so
+        # simulate's largest energy is the energy row's one-path estimate, string for string
+        sim, est = tmp_path / "sim", tmp_path / "energy"
+        common = ["--seed", "42", "--set", "noise.sigma=clip"]
+        assert cli_main(["simulate", "--outdir", str(sim)] + common) == 0
+        assert cli_main(["energy", "--n-paths", "1", "--lambda-grid", "1e-2", "--outdir", str(est)] + common) == 0
+        energies = [line.split(",")[1] for line in (sim / "simulate.csv").read_text().splitlines()[1:]]
+        [row] = (est / "energy.csv").read_text().splitlines()[1:]
+        assert max(energies, key=float) == row.split(",")[1]
+
     def test_energy_grid_flag_controls_rows(self, config_file, tmp_path):
         out = tmp_path / "energy_out"
         code = cli_main(

@@ -147,14 +147,15 @@ class TestStep:
     @pytest.mark.parametrize("graph", [JumpGraph(2.0), SignGraph(), LinearGraph(1.0)])
     def test_step_replays_simulate_path(self, stochastic_config, graph, record_path, kernel_step):
         # both share the kernel's step pieces: feeding them the recorded
-        # increments must reproduce the path bit for bit
+        # increments must reproduce the path bit for bit, in the config's kick
+        # form (Wiener, clip: summed at the nodes), which no observer changes
         config = replace(stochastic_config, graph=graph, t_final=0.2)
         result = record_path(config, 3)
         grid = config.grid
         cache = GroupCache(grid, config.dt)
         u, v = build_initial_state(grid, config.u0)
         for dm in result.increments:
-            u, v = kernel_step(cache, u, v, graph, config.lam, config.diffusion, dm)
+            u, v = kernel_step(cache, u, v, graph, config.lam, config.diffusion, dm, nodes=True)
         np.testing.assert_array_equal(u, result.u_final)
         np.testing.assert_array_equal(v, result.v_final)
 
@@ -206,7 +207,7 @@ class TestEnergyFunctionals:
     @pytest.mark.parametrize("spec", ["cubic", "sign", "power:3", "power:2.5", "jump:2", "linear:1"])
     def test_the_series_pairing_is_the_kernel_pairing(self, grid64, spec):
         # the series and the pairing job both read the kernel's own resolvent, so warm Newton keeps its
-        # bits too; both paths are observed, so both take the modal kick.  At lambda = 10 and dt = 1e-2
+        # bits too, on the config's one path.  At lambda = 10 and dt = 1e-2
         # a cold resolve of the series' own would move the power:2.5 pairing.
         newton = replace(block_config(1, "wiener", spec, dt=1e-2, u0="random:4"), lam=10.0)
         for config in (self._series_config(grid64, spec, 0), newton):
@@ -362,7 +363,8 @@ class TestSimulatePath:
         assert not np.allclose(a.u_final, b.u_final)
 
     def test_observer_sees_each_step_before_its_kick(self, stochastic_config, kernel_step):
-        # kicking each observed state with its drift and increment gives the next one
+        # kicking each observed state with its drift and increment, summed at the
+        # nodes as for every Wiener path with sigma = clip, gives the next one
         config = replace(stochastic_config, t_final=0.1)
         grid, graph, lam = config.grid, config.graph, config.lam
         seen = []
@@ -375,7 +377,7 @@ class TestSimulatePath:
         for (u, v, beta, dm), (u_next, v_next) in zip(seen, following):
             u_nodes = grid.to_nodes(u)
             np.testing.assert_array_equal(beta, grid.to_modes((u_nodes - graph.resolvent(lam, u_nodes)) / lam))
-            kicked = kernel_step(cache, u, v, graph, lam, config.diffusion, dm)
+            kicked = kernel_step(cache, u, v, graph, lam, config.diffusion, dm, nodes=True)
             np.testing.assert_array_equal(kicked[0], u_next)
             np.testing.assert_array_equal(kicked[1], v_next)
         # an observer that keeps nothing steps the same path: keeping the arrays changes no bit
@@ -872,18 +874,32 @@ class TestBlockKernel:
 
     @staticmethod
     def assert_rows_are_single_paths(config, lambdas):
-        """Rows of observed blocks against observed single paths, and their chain sums against chain_rule_check's.
+        """Observed and unobserved block rows against observed single paths; chain sums against chain_rule_check's.
 
-        An observer reads the drift modes, so these rows take the modal
-        kick; it sums each row's dt * <beta_modes, v> and its pairing
+        The observer sums each row's dt * <beta_modes, v> and its pairing
         dt * weight * <beta_nodes, res> with _row_dots, resolving the nodal
         state where the Yosida map takes no resolvent.  The single paths are
         observed 1 x 1 blocks, read at [0, 0] with their pairings, or their
-        blow-up steps.
+        blow-up steps.  An observer never changes a path's bits, so every
+        unobserved block, 1 x 1 ones included, equals its observed block.
+        Under a Wiener driver with a sigma that multiplies at the nodes the
+        kick is summed there: the noise product never goes to the modes on
+        its own, observed or not.
         """
+        driver = config.driver
+        nodes = driver is not None and driver.kind == "wiener" and config.diffusion.multiplies
+        nodal = []
+        at_nodes = DiffusionMap.at_nodes
+
+        def counting_at_nodes(self, u_nodes, dm_nodes):
+            nodal.append(1)
+            return at_nodes(self, u_nodes, dm_nodes)
+
+        def modal_apply(*args):
+            pytest.fail("the noise product went to the modes on its own")
 
         def summed(paths, lams):
-            """(PathResult, blow-up steps, chain sums, pairings) of an observed block."""
+            """(PathResult, blow-up steps, chain sums, pairings) of an observed block, equal to the unobserved one."""
             chain, pairing = np.zeros((2, len(paths), len(lams)))
             lam = np.reshape(np.array(lams), (len(lams),) + (1,) * config.grid.dim)
             resolve = config.graph._resolvent_at(lam, 2)
@@ -894,34 +910,43 @@ class TestBlockKernel:
                 pairing[...] += config.dt * config.grid.weight * _row_dots(beta_nodes, res)
 
             result, blown = _run(config, paths, lams, observe)
+            plain, plain_blown = _run(config, paths, lams)
+            assert plain_blown.tobytes() == blown.tobytes()
+            for name in ("sup_energy", "u_final", "v_final"):
+                assert getattr(plain, name).tobytes() == getattr(result, name).tobytes(), name
             return result, blown, chain, pairing
 
         singles, chains = {}, {}
-        for p in range(8):
-            for lam in lambdas:
-                result, blown, _, pairing = summed((p,), (lam,))
-                if blown[0, 0] >= 0:
-                    singles[p, lam] = int(blown[0, 0])
-                    continue
-                singles[p, lam] = SimpleNamespace(
-                    **{name: getattr(result, name)[0, 0] for name in vars(result)}, pairing=pairing[0, 0]
-                )
-                chains[p, lam] = chain_rule_check(replace(config, lam=lam), p)["lhs"]
-        for paths in ((4,), (1, 2, 3), tuple(range(8))):
-            result, blown, chain, pairing = summed(paths, lambdas)
-            assert blown.shape == result.sup_energy.shape == (len(paths), len(lambdas))
-            for i, p in enumerate(paths):
-                for j, lam in enumerate(lambdas):
-                    single = singles[p, lam]
-                    if isinstance(single, int):
-                        assert blown[i, j] == single
+        with pytest.MonkeyPatch.context() as patch:
+            if nodes:
+                patch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
+                patch.setattr(DiffusionMap, "apply", modal_apply)
+            for p in range(8):
+                for lam in lambdas:
+                    result, blown, _, pairing = summed((p,), (lam,))
+                    if blown[0, 0] >= 0:
+                        singles[p, lam] = int(blown[0, 0])
                         continue
-                    assert blown[i, j] == -1
-                    assert chain[i, j].tobytes() == np.float64(chains[p, lam]).tobytes()
-                    assert pairing[i, j].tobytes() == single.pairing.tobytes()
-                    for name in ("sup_energy", "u_final", "v_final"):
-                        row = np.asarray(getattr(result, name)[i, j])
-                        assert row.tobytes() == np.asarray(getattr(single, name)).tobytes(), name
+                    singles[p, lam] = SimpleNamespace(
+                        **{name: getattr(result, name)[0, 0] for name in vars(result)}, pairing=pairing[0, 0]
+                    )
+                    chains[p, lam] = chain_rule_check(replace(config, lam=lam), p)["lhs"]
+            for paths in ((4,), (1, 2, 3), tuple(range(8))):
+                result, blown, chain, pairing = summed(paths, lambdas)
+                assert blown.shape == result.sup_energy.shape == (len(paths), len(lambdas))
+                for i, p in enumerate(paths):
+                    for j, lam in enumerate(lambdas):
+                        single = singles[p, lam]
+                        if isinstance(single, int):
+                            assert blown[i, j] == single
+                            continue
+                        assert blown[i, j] == -1
+                        assert chain[i, j].tobytes() == np.float64(chains[p, lam]).tobytes()
+                        assert pairing[i, j].tobytes() == single.pairing.tobytes()
+                        for name in ("sup_energy", "u_final", "v_final"):
+                            row = np.asarray(getattr(result, name)[i, j])
+                            assert row.tobytes() == np.asarray(getattr(single, name)).tobytes(), name
+        assert bool(nodal) == nodes  # the kick was summed at the nodes
         return singles
 
     @pytest.mark.parametrize(
@@ -991,47 +1016,47 @@ class TestBlockKernel:
         assert any(jumps is None for jumps in flags)
         self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
 
-    @staticmethod
-    def assert_rows_are_single_nodal_kick_paths(config, lambdas, monkeypatch):
-        """Rows of blocks that read no drift modes (no observer) against 1 x 1 blocks that read none."""
-        nodal = []
-        at_nodes = DiffusionMap.at_nodes
-
-        def counting_at_nodes(self, u_nodes, dm_nodes):
-            nodal.append(1)
-            return at_nodes(self, u_nodes, dm_nodes)
-
-        def modal_apply(*args):
-            pytest.fail("the noise product went to the modes on its own")
-
-        monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
-        monkeypatch.setattr(DiffusionMap, "apply", modal_apply)
-        singles = {(p, lam): _run(config, (p,), (lam,)) for p in range(8) for lam in lambdas}
-        for paths in ((4,), (1, 2, 3), tuple(range(8))):
-            result, blown = _run(config, paths, lambdas)
-            for i, p in enumerate(paths):
-                for j, lam in enumerate(lambdas):
-                    single, single_blown = singles[p, lam]
-                    assert blown[i, j] == single_blown[0, 0]
-                    if blown[i, j] >= 0:
-                        continue
-                    for name in ("sup_energy", "u_final", "v_final"):
-                        row = getattr(result, name)[i, j]
-                        assert row.tobytes() == getattr(single, name)[0, 0].tobytes(), name
-        assert nodal  # the kick was summed at the nodes
-
     @pytest.mark.parametrize(
         "dim, kind, graph, sigma",
         [(1, "wiener", "cubic", "clip"), (1, "poisson", "sign", "sin"), (2, "wiener", "cubic", "clip"),
          (2, "poisson", "sign", "sin")],
     )
-    def test_nodal_kick_rows(self, dim, kind, graph, sigma, monkeypatch):
-        # Poisson blocks have steps where some paths jump and others do not
+    def test_kick_form_rows(self, dim, kind, graph, sigma, monkeypatch):
+        # the kick is the config's: summed at the nodes under the Wiener driver, in the
+        # modes under the Poisson one, whose blocks have steps where some paths jump
         config = block_config(dim, kind, graph, sigma=sigma)
+        modal = []
+        apply = DiffusionMap.apply
+
+        def counting_apply(self, grid, u_nodes, dm):
+            modal.append(1)
+            return apply(self, grid, u_nodes, dm)
+
+        monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         if kind == "poisson":
             flags = self.jump_flags(config, range(8))
             assert any(isinstance(jumps, np.ndarray) for jumps in flags)
-        self.assert_rows_are_single_nodal_kick_paths(config, (1e-1, 1e-2, 1e-3), monkeypatch)
+        self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
+        assert bool(modal) == (kind == "poisson")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
+    @pytest.mark.parametrize("sigma", ["one", "clip", "sin", "zero"])
+    @pytest.mark.parametrize("graph", ["cubic", "sign", "power:2.5"])
+    def test_an_observer_never_changes_a_row(self, graph, sigma, kind, dim):
+        # the kick's form is the config's, so the observed block steps the unobserved one's paths
+        grid = SpectralGrid(dim, 32 if dim == 1 else 12)
+        config = SolverConfig(
+            grid=grid, graph=parse_graph(graph), lam=1e-2, dt=2e-3, t_final=0.2,
+            driver=MartingaleDriver(kind, NuclearCovariance.from_grid(grid, 1.0, dim + 1.0), rate=50.0),
+            diffusion=DiffusionMap.from_name(sigma), u0="smooth:4", seed=5,
+        )
+        paths, lambdas = (0, 1, 2), (1e-1, 1e-2)
+        plain, plain_blown = _run(config, paths, lambdas)
+        observed, blown = _run(config, paths, lambdas, lambda k, **_: None)
+        assert blown.tobytes() == plain_blown.tobytes()
+        for name in ("sup_energy", "u_final", "v_final"):
+            assert getattr(observed, name).tobytes() == getattr(plain, name).tobytes(), name
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind, rate, sigma", [("wiener", 0.0, "clip"), ("poisson", 400.0, "sin"),
@@ -1105,9 +1130,6 @@ class TestBlockKernel:
         assert any(rows is not None and 0 < rows < 8 * 3 for rows in cold_rows)
 
     def test_noise_product_runs_once_per_jumping_path_and_step(self, monkeypatch, record_path):
-        config = block_config(1, "poisson", "sign", sigma="sin")
-        jumps = sum(bool(np.count_nonzero(dm)) for p in range(8) for dm in record_path(config, p).increments)
-        assert 0 < jumps < 8 * config.n_steps
         paths, nodal_paths = [], []
         apply, at_nodes = DiffusionMap.apply, DiffusionMap.at_nodes
 
@@ -1120,12 +1142,21 @@ class TestBlockKernel:
             return at_nodes(self, u_nodes, dm_nodes)
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
-        _run(config, tuple(range(8)), (1e-1, 1e-2), lambda k, **_: None)  # an observed block's kick is modal
-        assert sum(paths) == jumps
         monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
-        del paths[:]
-        _run(config, tuple(range(8)), (1e-1, 1e-2))
-        assert paths == [] and sum(nodal_paths) == jumps
+        # Poisson, sin: the kick is modal, observed or not, and transforms the jumping paths' products
+        config = block_config(1, "poisson", "sign", sigma="sin")
+        jumps = sum(bool(np.count_nonzero(dm)) for p in range(8) for dm in record_path(config, p).increments)
+        assert 0 < jumps < 8 * config.n_steps
+        for observe in (None, lambda k, **_: None):
+            del paths[:]
+            _run(config, tuple(range(8)), (1e-1, 1e-2), observe)
+            assert sum(paths) == jumps
+        # Wiener, sin: every path jumps at every step, and the kick is summed at the nodes, observed or not
+        config = block_config(1, "wiener", "sign", sigma="sin")
+        for observe in (None, lambda k, **_: None):
+            del paths[:], nodal_paths[:]
+            _run(config, tuple(range(8)), (1e-1, 1e-2), observe)
+            assert paths == [] and nodal_paths == [8] * config.n_steps
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (2, "poisson")])
     def test_smoothed_pairings_of_a_newton_block_are_single_path_pairings(self, dim, kind, monkeypatch, path_pairing):
@@ -1170,7 +1201,7 @@ class TestBlockKernel:
 
 
 class TestNodalKick:
-    """A kick summed at the nodes (no drift modes read) against the kick summed in the modes.
+    """The kick summed at the nodes against the kick summed in the modes, on the same increments.
 
     The sine transform is linear, so the two forms differ only at round-off.
     """
@@ -1179,15 +1210,25 @@ class TestNodalKick:
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     @pytest.mark.parametrize("sigma", ["clip", "sin"])
     @pytest.mark.parametrize("graph", GRAPHS, ids=lambda graph: graph.name)
-    def test_agrees_with_the_modal_kick(self, graph, sigma, kind, dim):
+    def test_agrees_with_the_modal_kick(self, graph, sigma, kind, dim, record_path, kernel_step):
+        # four paths stepped as one stack, each form on the same recorded increments
         config = replace(block_config(dim, kind, "cubic", sigma=sigma), graph=graph)
-        paths, lambdas = tuple(range(4)), (1e-1, 1e-2, 1e-3)
-        nodal, nodal_blown = _run(config, paths, lambdas)
-        modal, modal_blown = _run(config, paths, lambdas, lambda k, **_: None)  # an observer reads the modes
-        np.testing.assert_array_equal(nodal_blown, modal_blown)
-        np.testing.assert_allclose(nodal.sup_energy, modal.sup_energy, rtol=1e-14, atol=0)
-        for name in ("u_final", "v_final"):
-            a, b = getattr(nodal, name), getattr(modal, name)
-            axes = tuple(range(2, a.ndim))
-            error = np.sqrt(((a - b) ** 2).sum(axis=axes)) / np.sqrt((b**2).sum(axis=axes))
-            assert error.max() <= 1e-13, name
+        grid, paths = config.grid, range(4)
+        cache = GroupCache(grid, config.dt)
+        increments = np.stack([record_path(config, p).increments for p in paths], axis=1)
+        start = np.array([build_initial_state(grid, config.u0, path_rng(config.seed, p))[0] for p in paths])
+        for lam in (1e-1, 1e-2, 1e-3):
+            ends = []
+            for nodes in (True, False):
+                u, v = start, np.zeros_like(start)
+                sup_energy = np.array([energy(grid, *field) for field in zip(u, v)])
+                for dm in increments:
+                    u, v = kernel_step(cache, u, v, graph, lam, config.diffusion, dm, nodes)
+                    sup_energy = np.maximum(sup_energy, [energy(grid, *field) for field in zip(u, v)])
+                ends.append((sup_energy, u, v))
+            (nodal_sup, *nodal), (modal_sup, *modal) = ends
+            np.testing.assert_allclose(nodal_sup, modal_sup, rtol=1e-14, atol=0)
+            for name, a, b in zip(("u_final", "v_final"), nodal, modal):
+                axes = tuple(range(1, a.ndim))
+                error = np.sqrt(((a - b) ** 2).sum(axis=axes)) / np.sqrt((b**2).sum(axis=axes))
+                assert error.max() <= 1e-13, name

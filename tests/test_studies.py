@@ -145,6 +145,32 @@ class TestForkMap:
         with pytest.raises(ChildProcessError, match=f"paths 2..3 {how} without a result"):
             studies._map_ordered(fn, self.BLOCKS, 2)
 
+    @pytest.mark.parametrize(
+        "status, how",
+        [(9, "exited with status 9 without a result"), (0, "exited with status 0 without a result")],
+    )
+    def test_a_child_that_dies_mid_write_is_named(self, monkeypatch, capsys, tmp_path, status, how):
+        import pickle
+
+        from stochwave.cli import cli_main
+
+        def half_serve(fn, share, fd):
+            try:
+                payload = pickle.dumps((True, [fn(block) for block in share]), pickle.HIGHEST_PROTOCOL)
+                with open(fd, "wb") as pipe:
+                    pipe.write(payload[: len(payload) // 2])
+            finally:
+                os._exit(status)
+
+        monkeypatch.setattr(studies, "_serve", half_serve)
+        with pytest.raises(ChildProcessError, match=f"paths 2..3 {how}"):
+            studies._map_ordered(lambda block: list(block), self.BLOCKS, 2)
+        # through the CLI: a named error and exit 2, not a traceback
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+        args = ["energy", "--n-paths", "4", "--workers", "2", "--set", "solver.t_final=0.01"]
+        assert cli_main(args + ["--outdir", str(tmp_path)]) == 2
+        assert how in capsys.readouterr().err
+
     def test_a_failing_share_of_this_process_kills_and_reaps_the_child(self, monkeypatch):
         pids = []
         fork = os.fork
@@ -327,7 +353,8 @@ class TestEnergyStudy:
     @pytest.mark.parametrize("sigma", ["clip", "sin"])
     @pytest.mark.parametrize("graph", ["cubic", "sign"])
     def test_rows_are_their_simulate_path_paths(self, graph, sigma, kind, dim, monkeypatch):
-        # neither reads the drift modes, so both sum the kick at the nodes, bit for bit
+        # both kick in the config's form (at the nodes under Wiener, in the modes
+        # under Poisson), so each row is its path, bit for bit
         grid = SpectralGrid(dim, 16 if dim == 1 else 8)
         base = SolverConfig(
             grid=grid, graph=parse_graph(graph), lam=1e-2, dt=1e-3, t_final=0.2,
@@ -483,8 +510,8 @@ class TestPairingStudy:
         assert pairing_study(spec).rows == expected
 
     def test_the_unsmoothed_rows_do_not_depend_on_the_other_eps(self, small_stochastic_spec):
-        # cubic, clip, Wiener, d = 1: an observer always reads the pairing, so every
-        # eps grid steps the same observed paths, which take the modal kick
+        # cubic, clip, Wiener, d = 1: every eps grid steps the same paths, whose
+        # kick is summed at the nodes however many observers read them
         spec = replace(small_stochastic_spec, n_paths=3)
         alone = pairing_study(replace(spec, eps_grid=(0.0,))).rows
         swept = [row for row in pairing_study(replace(spec, eps_grid=(1e-2, 0.0))).rows if row[1] == 0.0]
@@ -744,9 +771,10 @@ class TestTransformCounts:
 
     def test_an_energy_block_sums_its_kick_at_the_nodes(self, monkeypatch):
         # the default profile, 3 per step: u and the step's 4 increments to the
-        # nodes, the kick to the modes.  Observed, the kick is modal, 4 per step:
-        # u and the increments to the nodes, the drift and the noise product to
-        # the modes.  Summing the kick at the nodes saves one transform per step.
+        # nodes, the kick to the modes.  Observed, the kick is still summed at the
+        # nodes, and the observer's drift modes make 4 per step.  The modal kick
+        # would take 4 unobserved: u and the increments to the nodes, the drift
+        # and the noise product to the modes.
         grid = SpectralGrid(1, 64)
         base = SolverConfig(
             grid=grid, graph=CubicGraph(), lam=1e-2, dt=1e-3, t_final=1.0,
