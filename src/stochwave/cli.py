@@ -116,10 +116,8 @@ def cli_main(argv) -> int:
         spec = build_study_spec(values)  # simulate runs its base config's one path
         if args.command == "simulate" and "functionals" not in _record_flags(values):
             raise ConfigError("simulate writes the functional series; add 'functionals' to solver.record")
-        os.makedirs(args.outdir, exist_ok=True)  # after every config check: an error leaves no directory
         if args.command == "simulate":
             series, result = _series_path(spec.base, 0)
-            write_field_csv(spec.base.grid, result.u_final, os.path.join(args.outdir, "final_u.csv"))
             report = StudyReport("simulate", SERIES_COLUMNS, series.tolist())
         else:
             runner = {
@@ -129,6 +127,9 @@ def cli_main(argv) -> int:
                 "isometry": isometry_study,
             }[args.command]
             report = runner(spec)
+        os.makedirs(args.outdir, exist_ok=True)  # once the report is computed: a failed run leaves no directory
+        if args.command == "simulate":
+            write_field_csv(spec.base.grid, result.u_final, os.path.join(args.outdir, "final_u.csv"))
         csv_path = os.path.join(args.outdir, f"{report.name}.csv")
         write_csv(report, csv_path)
         _plot_report(report, args.outdir)

@@ -199,33 +199,30 @@ def _drift(grid: SpectralGrid, yosida, u, warm, out, modes=True):
     return u_nodes, res, yos, grid._modes(yos) if modes else None
 
 
-def _kick_rotate(cache: GroupCache, u, v, u_nodes, drift, nodes, diffusion, dm, jumps, w, tmp):
+def _kick_rotate(cache: GroupCache, u, v, u_nodes, drift, nodes, diffusion, dm, noisy, w, tmp):
     """Kick v with the drift and the diffused increment dm, then apply the group.
 
     ``drift`` is the Yosida drift in the form the kick is summed in: its
     nodal values where ``nodes`` is true, else its modes.  The modal kick
     is v - dt*beta_lam(u) plus ``DiffusionMap.apply``; the nodal one is
     -dt*beta_lam(u) plus ``DiffusionMap.at_nodes`` of the nodal dm, then
-    one analysis transform, then v.  ``jumps`` is the row index of the
-    fields that dm moves: ``...`` for all of them; in a (P, L) stack, where
-    dm has one (1, *grid.shape) row per path, a (P,) mask of the paths that
-    jump; None where dm is all zero (a jump-free compound-Poisson step),
-    whose exactly-zero product is skipped, so that only the sign of a zero
-    entry of v can differ.  A field that does not jump takes its form's
-    formula without the noise term, so its bits do not depend on whether
-    its block-mates jump.  dm[jumps] is transformed here, once per step,
-    each row with the bits it gets alone (see ``SpectralGrid._transform``).
-    ``w`` and ``tmp``, scratch arrays of u's shape or None, take the kicked
-    velocity and the rotation's products in place of new temporaries; u, v,
-    dm and a drift other than ``w`` are never written.  Returns new arrays.
+    one analysis transform, then v.  ``noisy``, the step's flag from
+    ``_increments``, adds the noise term to every field or to none: a
+    step whose dm is all zero (no path of a compound-Poisson block jumps)
+    skips its exactly-zero product.  On a noisy step, a path that does not
+    jump has a zero row of dm, whose modal product is +0.0, which can
+    change only the sign of a zero entry of v.  dm is transformed here,
+    once per noisy step, as one stack.  ``w`` and ``tmp``, scratch arrays
+    of u's shape or None, take the kicked velocity and the rotation's
+    products in place of new temporaries; u, v, dm and a drift other than
+    ``w`` are never written.  Returns new arrays.
     """
     grid = cache.grid
     w = np.multiply(drift, -cache.dt, out=w)
     if not nodes:
         w += v  # v - dt*beta, bit for bit
-    if jumps is not None:
-        rows, dm = u_nodes[jumps], dm[jumps]
-        w[jumps] += diffusion.at_nodes(rows, grid._nodes(dm)) if nodes else diffusion.apply(grid, rows, dm)
+    if noisy:
+        w += diffusion.at_nodes(u_nodes, grid._nodes(dm)) if nodes else diffusion.apply(grid, u_nodes, dm)
     if nodes:
         w = grid._modes(w)
         w += v
@@ -338,22 +335,20 @@ def _series_path(config: SolverConfig, path_index: int):
 
 
 def _increments(draw, rngs, n: int, size: int):
-    """Per step, (dm, jumps): the paths' increments and the row index of those that jump.
+    """Per step, (dm, noisy): the paths' increments and whether any entry of them is nonzero.
 
     Each path draws from its own stream, in blocks of at most
     ``_DRAW_ENTRIES`` entries per path.  dm is a (P, 1, *grid.shape) view
     of the drawn block, one row per path, which its lambdas share.
-    ``jumps``, the row index of the paths that jump (see ``_kick_rotate``),
-    comes from one any per (step, path) of the block: ``...`` where every
-    path jumps (every Wiener step), a (P,) mask where some do, None where
-    none does.
+    ``noisy`` (see ``_kick_rotate``) comes from one any per step of the
+    drawn block: true at every Wiener step, and at every compound-Poisson
+    step on which at least one path of the block jumps.  A 1 x 1 block's
+    flag is its own path's jump test.
     """
     per_block = max(1, _DRAW_ENTRIES // size)
     for parts in zip(*(_increment_blocks(draw, rng, n, per_block) for rng in rngs)):
         block = np.stack(parts, 1)[:, :, None]  # (m, P, 1, *shape): a lambda axis
-        rows = block.reshape(len(block), len(rngs), -1).any(axis=2)
-        every, some = rows.all(axis=1).tolist(), rows.any(axis=1).tolist()
-        yield from zip(block, (... if all_ else row if any_ else None for row, all_, any_ in zip(rows, every, some)))
+        yield from zip(block, block.reshape(len(block), -1).any(axis=1).tolist())
 
 
 def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
@@ -365,11 +360,13 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
     the guard leaves with its step index in the (P, L) step array (-1 for
     the rows that finished) and its energy at that step in ``sup_energy``;
     its state is zeroed, so that the others go on without a warning.  Every
-    row runs the operation order of its ``simulate_path`` path, and its
-    transforms and dots give each field the bits it gets alone (see
-    ``SpectralGrid._transform`` and ``_row_dots``), so it holds that path's
-    bits whatever its block-mates.  Each path draws once per step from its
-    own stream (see ``_increments``), and its lambdas share the draw.
+    row runs the operation order of its ``simulate_path`` path, its dots
+    give each field the bits it gets alone (``_row_dots``), and so do its
+    transforms where the BLAS keeps a field's bits in a stack
+    (``SpectralGrid._transform``); a noisy step adds a jump-free row the
+    +0.0 product of its zero increment (see ``_kick_rotate``).  Each path
+    draws once per step from its own stream (see ``_increments``), and
+    its lambdas share the draw.
     Nothing is recorded: the result holds the sup of the energy (the
     blow-up guard needs the energy anyway), the final state and the blow-up
     steps, and an observer reads the rest.
@@ -445,10 +442,10 @@ def _run(config: SolverConfig, paths, lams, observe: Optional[Callable] = None):
             break
         yos_out = w if observe is None else np.empty(u.shape)
         u_nodes, warm, yos, beta_modes = _drift(grid, yosida, u, warm, yos_out, modes)
-        dm, jumps = next(increments) if increments is not None else (None, None)
+        dm, noisy = next(increments) if increments is not None else (None, False)
         if observe is not None:
             observe(step_idx, u=u, v=v, u_nodes=u_nodes, beta_nodes=yos, beta_modes=beta_modes, res=warm, dm=dm)
-        u, v = _kick_rotate(cache, u, v, u_nodes, yos if nodes else beta_modes, nodes, diffusion, dm, jumps, w, tmp)
+        u, v = _kick_rotate(cache, u, v, u_nodes, yos if nodes else beta_modes, nodes, diffusion, dm, noisy, w, tmp)
 
     return PathResult(sup_energy=np.broadcast_to(sup_energy, batch), u_final=u, v_final=v), blown
 

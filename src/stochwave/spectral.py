@@ -101,13 +101,13 @@ class SpectralGrid:
         return self._transform(self._analysis, nodal)
 
     def _transform(self, matrix, x):
-        # Each field of a stack gets the bits it gets alone.  In 2-D that is
-        # two N x N products per field.  In 1-D the whole stack is one gemm,
-        # np.dot(rows, matrix) with the symmetric matrix untransposed (the
-        # gemm call of rows @ matrix, at less overhead): each row of it has
-        # the same bits at any row count, while rows @ matrix.T does not
-        # above about 1 200 entries (OpenBLAS 0.3.31).  One row, a lone field
-        # or a stack of one, is padded to 2, since numpy hands it to gemv.
+        # In 2-D each field is transformed alone, by two N x N products.  In
+        # 1-D the whole stack is one gemm, np.dot(rows, matrix) with the
+        # symmetric matrix untransposed (the gemm call of rows @ matrix, at
+        # less overhead).  Its rows have a lone field's bits at any row count
+        # at N = 8 and 64 (the tests), not at N = 300; rows @ matrix.T loses
+        # them above about 1 200 entries (OpenBLAS 0.3.31).  One row, a lone
+        # field or a stack of one, is padded to 2, since numpy hands it to gemv.
         if self.dim == 2:
             return matrix @ x @ matrix
         if x.size == self.n_modes:

@@ -3,9 +3,10 @@
 Every study maps one job over blocks of consecutive paths (one RNG stream
 per path index), on forked worker processes if asked.  A lambda study's job
 steps its block at every lambda in one call of the solver's block kernel,
-reduces each (path, lambda) row while it steps, and keeps no history.  A
-row holds the bits of its own single path whatever its block-mates, and the
-values are reduced in path order, so reports are bit-identical for a fixed
+reduces each (path, lambda) row while it steps, and keeps no history.  The
+values are reduced in path order, and a row holds its single path's values
+where the transforms keep a field's bits in a stack (in 2-D, and in 1-D at
+the sizes the tests cover), so reports there are bit-identical for a fixed
 seed regardless of block size and worker count.
 """
 
@@ -21,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericError
-from .noise import _mean_se, _path_sums, path_rng
+from .noise import _mean_se, _path_sums, ito_isometry_check, path_rng
 from .solver import SolverConfig, _row_dots, _run, ibp_residual
 
 __all__ = [
@@ -403,24 +404,20 @@ def lambda_convergence_study(spec: StudySpec) -> StudyReport:
     )
 
 
-def _isometry_job(base, paths):
-    """|M(T)|^2 and the discrete quadratic variation sum_k |dM_k|^2, each a (paths,) array over a block.
-
-    M(T) is one draw over t_final, and the variation sums n_steps draws over
-    dt; each starts from a fresh ``path_rng`` stream of the path.
-    """
+def _variation_job(base, paths):
+    """(qv,): the discrete quadratic variation sum_k |dM_k|^2 of each path of a block, over n_steps draws over dt."""
     driver, seed = base.driver, base.seed
-    ends = _path_sums(driver, base.t_final, 1, seed, paths, lambda block: block)
     axes = tuple(range(1, 1 + base.grid.dim))  # a block's mode axes; each block is squared in place
     qv = _path_sums(driver, base.dt, base.n_steps, seed, paths, lambda block: np.square(block, out=block).sum(axes))
-    return np.array([np.sum(end**2) for end in ends]), np.array(qv)
+    return (np.array(qv),)
 
 
 def isometry_study(spec: StudySpec) -> StudyReport:
     """Second-moment identity, discrete quadratic variation, and the telescoping
     integration-by-parts defect, all for the configured driver.
 
-    The driver paths are mapped in blocks like a lambda study's; the one
+    The second-moment row is ``ito_isometry_check``'s.  The variation's
+    driver paths are mapped in blocks like a lambda study's; the one
     integration-by-parts path runs in this process at the first lambda.  If
     it hits the blow-up guard, its row is nan over 0 paths and the meta
     flags it, as a lambda study's; a failure without a step is raised.
@@ -428,12 +425,13 @@ def isometry_study(spec: StudySpec) -> StudyReport:
     base = spec.base
     if base.driver is None:
         raise ValueError("isometry study needs a noise driver in the base config")
-    target = base.t_final * base.driver.covariance.trace
-    sq, qv = _map_blocks(spec, partial(_isometry_job, base))
-    rows = []
-    for check, values in ((f"ito_isometry_{base.driver.kind}", sq), ("quadratic_variation", qv)):
-        mean, se = _mean_se(values)
-        rows.append((check, mean, target, se, spec.n_paths))
+    iso = ito_isometry_check(base.driver, base.t_final, 1, spec.n_paths, base.seed)
+    [qv] = _map_blocks(spec, partial(_variation_job, base))
+    mean, se = _mean_se(qv)
+    rows = [
+        (f"ito_isometry_{base.driver.kind}", iso["lhs_estimate"], iso["rhs"], iso["std_error"], spec.n_paths),
+        ("quadratic_variation", mean, iso["rhs"], se, spec.n_paths),
+    ]
 
     grid, lam = base.grid, spec.lambdas[0]
     probe_rng = path_rng(base.seed, 2**31)

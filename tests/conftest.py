@@ -59,16 +59,18 @@ def path_pairing():
 
 
 def _kernel_step(cache, u, v, graph, lam, diffusion, dm, nodes=False):
-    """(u, v) after one step of the kernel's own pieces, without a hint; dm None or all zero skips the noise.
+    """(u, v) after one step of the kernel's own pieces, without a hint.
 
-    ``nodes`` sums the kick at the nodes, the form ``_run`` gives a config
-    with a Wiener driver and a sigma that multiplies at the nodes; else the
-    kick is summed in the modes.
+    The noise term goes to every field where any entry of dm is nonzero,
+    the flag ``_increments`` hands the kernel, and to none where dm is None
+    or all zero.  ``nodes`` sums the kick at the nodes, the form ``_run``
+    gives a config with a Wiener driver and a sigma that multiplies at the
+    nodes; else the kick is summed in the modes.
     """
     u_nodes, _, yos, beta_modes = _drift(cache.grid, graph._yosida_at(lam), u, None, None)
-    jumps = ... if dm is not None and np.count_nonzero(dm) else None
+    noisy = dm is not None and bool(dm.any())
     drift = yos if nodes else beta_modes
-    return _kick_rotate(cache, u, v, u_nodes, drift, nodes, diffusion, dm, jumps, None, None)
+    return _kick_rotate(cache, u, v, u_nodes, drift, nodes, diffusion, dm, noisy, None, None)
 
 
 @pytest.fixture(scope="session")

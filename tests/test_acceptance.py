@@ -24,6 +24,7 @@ from stochwave import (
     SolverConfig,
     SpectralGrid,
     StudySpec,
+    build_initial_state,
     duhamel_residual,
     energy_study,
     ibp_residual,
@@ -32,6 +33,7 @@ from stochwave import (
 )
 from stochwave.cli import cli_main
 from stochwave.selftest import GRAPHS, chain_rule_order, convex_analysis_holds, free_wave_energy_drift
+from stochwave.solver import _run
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -264,3 +266,52 @@ def test_criterion_10_byte_identical_reports(tmp_path):
         for outdir in (sim1, sim2):
             assert cli_main(["simulate", "--config", str(cfg), "--outdir", str(outdir)]) == 0
         assert (sim1 / "simulate.csv").read_bytes() == (sim2 / "simulate.csv").read_bytes()
+
+
+def linear_second_moments(config, a):
+    """Exact E u_k(T)^2 and E v_k(T)^2 per mode of the scheme for a linear drift a*u, sigma = one.
+
+    Each mode follows X_{n+1} = A X_n + B xi_n with X = (u_k, v_k), A = G [[1, 0],
+    [-dt a, 1]], B = G (0, 1)^T, G the wave group over dt and Var xi = q_k dt
+    for both drivers; the second-moment matrix S_n = E X_n X_n^T then follows
+    S_{n+1} = A S_n A^T + q_k dt B B^T from the deterministic start.
+    """
+    grid, dt = config.grid, config.dt
+    om = np.sqrt(grid.mu)
+    cos, sin = np.cos(dt * om), np.sin(dt * om)
+    group = np.array([[cos, sin / om], [-om * sin, cos]])  # (2, 2, modes)
+    a_mat = group.copy()
+    a_mat[:, 0] -= dt * a * group[:, 1]  # G times the kick [[1, 0], [-dt a, 1]]
+    b_outer = np.einsum("ik,jk->ijk", group[:, 1], group[:, 1])
+    x0 = np.array(build_initial_state(grid, config.u0))
+    s = np.einsum("ik,jk->ijk", x0, x0)
+    q = config.driver.covariance.q * dt
+    for _ in range(config.n_steps):
+        s = np.einsum("ijk,jlk,mlk->imk", a_mat, s, a_mat) + q * b_outer
+    return s[0, 0], s[1, 1]
+
+
+@pytest.mark.parametrize("kind", ["wiener", "poisson"])
+@pytest.mark.parametrize("c, lam", [(1.0, 1e-2), (100.0, 1e-3)])
+def test_criterion_11_exact_second_moments(grid64, kind, c, lam):
+    # sum of z^2 over the 2 x 64 mode statistics, 400 paths in _run blocks of 8: at rate 50
+    # a third of the Poisson blocks' steps move some paths and not the others.  Ten seeds
+    # read 105-194 (the right model, all four configs) and 227-334 with the noise variance
+    # x 1.1 (Wiener 249-334, Poisson 227-313)
+    with criterion(11, f"exact second moments of the linear drift, {kind}, c={c:g}, lambda={lam:g}"):
+        config = SolverConfig(
+            grid=grid64, graph=LinearGraph(c), lam=lam, dt=1e-3, t_final=0.5,
+            driver=MartingaleDriver(kind, NuclearCovariance.from_grid(grid64, 1.0, 2.0), rate=50.0),
+            diffusion=DiffusionMap.from_name("one"), u0="smooth:8", seed=42,
+        )
+        ends = []
+        for start in range(0, 400, 8):
+            result, blown = _run(config, tuple(range(start, start + 8)), (lam,))
+            assert (blown < 0).all()
+            ends.append((result.u_final[:, 0], result.v_final[:, 0]))
+        z2 = 0.0
+        for sample, exact in zip(map(np.concatenate, zip(*ends)), linear_second_moments(config, c / (1.0 + lam * c))):
+            squares = sample**2
+            z = (squares.mean(axis=0) - exact) / (squares.std(axis=0, ddof=1) / np.sqrt(len(squares)))
+            z2 += float(np.sum(z**2))
+        assert z2 <= 210.0

@@ -241,6 +241,21 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_failed_run_creates_no_output_directory(self, tmp_path, capsys, monkeypatch):
+        # a numeric abort (exit 3), then a worker that dies without a result (exit 2)
+        out = tmp_path / "out"
+        args = ["simulate", "--set", "graph.kind=linear:1e12", "--set", "noise.kind=none",
+                "--set", "solver.lambda=2.4e-7", "--outdir", str(out)]
+        assert cli_main(args) == 3
+        assert "energy blow-up at step 13" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(studies, "_serve", lambda fn, share, fd: os._exit(9))
+        monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+        args = ["energy", "--n-paths", "4", "--workers", "2", "--set", "solver.t_final=0.01", "--outdir", str(out)]
+        assert cli_main(args) == 2
+        assert "exited with status 9" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_override(self, config_file, tmp_path):
         code = cli_main(
             ["simulate", "--config", config_file, "--set", "solver.mesh=3", "--outdir", str(tmp_path)]

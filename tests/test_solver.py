@@ -966,32 +966,26 @@ class TestBlockKernel:
         self.assert_rows_are_single_paths(block_config(dim, "wiener", "sign", sigma=sigma, u0="zero"), (1e-1, 1e-3))
 
     @staticmethod
-    def jump_flags(config, paths):
+    def jump_steps(config, paths):
+        """Per step of the block of ``paths``: (noisy flag, (P,) mask of the paths whose increment moves)."""
         draw = config.driver.increment_sampler(config.dt)
         rngs = [path_rng(config.seed, p) for p in paths]
-        return [jumps for _, jumps in _increments(draw, rngs, config.n_steps, config.grid.size)]
+        steps = _increments(draw, rngs, config.n_steps, config.grid.size)
+        return [(noisy, dm.reshape(len(dm), -1).any(axis=1)) for dm, noisy in steps]
 
     @pytest.mark.parametrize("dim, kind", [(1, "wiener"), (1, "poisson"), (2, "wiener"), (2, "poisson")])
-    def test_increments_name_the_jumping_rows_by_one_index(self, dim, kind):
-        # ... where every path jumps, a (P,) mask where some do, None where none does
+    def test_increments_flag_the_steps_on_which_any_path_jumps(self, dim, kind):
+        # one bool per step: true where any entry of the block's increment is nonzero
         config = block_config(dim, kind, "cubic")
         grid = config.grid
         draw = config.driver.increment_sampler(config.dt)
         rngs = [path_rng(config.seed, p) for p in range(8)]
         forms = set()
-        for dm, jumps in _increments(draw, rngs, config.n_steps, grid.size):
+        for dm, noisy in _increments(draw, rngs, config.n_steps, grid.size):
+            assert dm.shape == (8, 1) + grid.shape
             moved = dm.reshape(len(dm), -1).any(axis=1)
-            if jumps is None:
-                assert not moved.any()
-                forms.add("none")
-                continue
-            if jumps is ...:
-                assert moved.all()
-                forms.add("all")
-            else:
-                assert jumps.dtype == bool and 0 < jumps.sum() < len(jumps)
-                np.testing.assert_array_equal(jumps, moved)
-                forms.add("some")
+            assert type(noisy) is bool and noisy == moved.any()
+            forms.add("all" if moved.all() else "some" if noisy else "none")
         assert forms == ({"all"} if kind == "wiener" else {"none", "some"})
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -1000,7 +994,7 @@ class TestBlockKernel:
         config = block_config(dim, "wiener", "cubic", sigma="one")
         grid = config.grid
         config = replace(config, driver=MartingaleDriver("wiener", NuclearCovariance.from_grid(grid, 0.0, dim + 1.0)))
-        assert all(jumps is None for jumps in self.jump_flags(config, range(8)))
+        assert not any(noisy for noisy, _ in self.jump_steps(config, range(8)))
         singles = self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
         for (p, lam), single in singles.items():
             plain = simulate_path(replace(config, lam=lam, driver=None), p)
@@ -1010,10 +1004,11 @@ class TestBlockKernel:
     @pytest.mark.parametrize("dim, sigma", [(1, "clip"), (2, "one")])
     def test_closed_form_rows_where_some_paths_jump(self, dim, sigma):
         config = block_config(dim, "poisson", "cubic", sigma=sigma)
-        flags = self.jump_flags(config, range(8))
-        masks = [jumps for jumps in flags if isinstance(jumps, np.ndarray)]
-        assert masks and all(0 < mask.sum() < 8 for mask in masks)
-        assert any(jumps is None for jumps in flags)
+        # a mixed step adds the noise product to every row, +0.0 to those of the paths that do not jump
+        steps = self.jump_steps(config, range(8))
+        assert any(noisy and not moved.all() for noisy, moved in steps)
+        assert all(noisy == moved.any() for noisy, moved in steps)
+        assert not all(noisy for noisy, _ in steps)
         self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
 
     @pytest.mark.parametrize(
@@ -1034,8 +1029,7 @@ class TestBlockKernel:
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         if kind == "poisson":
-            flags = self.jump_flags(config, range(8))
-            assert any(isinstance(jumps, np.ndarray) for jumps in flags)
+            assert any(noisy and not moved.all() for noisy, moved in self.jump_steps(config, range(8)))
         self.assert_rows_are_single_paths(config, (1e-1, 1e-2, 1e-3))
         assert bool(modal) == (kind == "poisson")
 
@@ -1129,12 +1123,12 @@ class TestBlockKernel:
         self.assert_rows_are_single_paths(config, (10.0, 1.0, 0.1))
         assert any(rows is not None and 0 < rows < 8 * 3 for rows in cold_rows)
 
-    def test_noise_product_runs_once_per_jumping_path_and_step(self, monkeypatch, record_path):
+    def test_noise_product_runs_once_per_noisy_step_on_every_path(self, monkeypatch, record_path):
         paths, nodal_paths = [], []
         apply, at_nodes = DiffusionMap.apply, DiffusionMap.at_nodes
 
         def counting_apply(self, grid, u_nodes, dm):
-            paths.append(len(dm))  # one (1, *grid.shape) increment per path
+            paths.append(len(dm))  # one (1, *grid.shape) increment per path, all P rows
             return apply(self, grid, u_nodes, dm)
 
         def counting_at_nodes(self, u_nodes, dm_nodes):
@@ -1143,14 +1137,16 @@ class TestBlockKernel:
 
         monkeypatch.setattr(DiffusionMap, "apply", counting_apply)
         monkeypatch.setattr(DiffusionMap, "at_nodes", counting_at_nodes)
-        # Poisson, sin: the kick is modal, observed or not, and transforms the jumping paths' products
+        # Poisson, sin: the kick is modal, observed or not, and transforms all 8 paths' products
+        # on every step on which any path jumps, and on no other
         config = block_config(1, "poisson", "sign", sigma="sin")
-        jumps = sum(bool(np.count_nonzero(dm)) for p in range(8) for dm in record_path(config, p).increments)
-        assert 0 < jumps < 8 * config.n_steps
+        moved = np.array([record_path(config, p).increments.reshape(config.n_steps, -1).any(axis=1) for p in range(8)])
+        noisy = int(moved.any(axis=0).sum())
+        assert 0 < moved.sum() < 8 * noisy < 8 * config.n_steps
         for observe in (None, lambda k, **_: None):
             del paths[:]
             _run(config, tuple(range(8)), (1e-1, 1e-2), observe)
-            assert sum(paths) == jumps
+            assert paths == [8] * noisy
         # Wiener, sin: every path jumps at every step, and the kick is summed at the nodes, observed or not
         config = block_config(1, "wiener", "sign", sigma="sin")
         for observe in (None, lambda k, **_: None):
