@@ -18,6 +18,8 @@ from .noise import DiffusionMap, MartingaleDriver, NuclearCovariance, ito_isomet
 from .solver import (
     GroupCache,
     SolverConfig,
+    _run,
+    build_initial_state,
     chain_rule_check,
     duhamel_residual,
     functional_series,
@@ -26,7 +28,8 @@ from .solver import (
 )
 from .spectral import SpectralGrid
 
-__all__ = ["run_selftest", "GRAPHS", "convex_analysis_holds", "free_wave_energy_drift", "chain_rule_order"]
+__all__ = ["run_selftest", "GRAPHS", "convex_analysis_holds", "free_wave_energy_drift", "chain_rule_order",
+           "linear_second_moments", "second_moment_z2"]
 
 GRAPHS = (
     LinearGraph(1.0),
@@ -77,7 +80,52 @@ def chain_rule_order(config, dts) -> float:
     return float(np.polyfit(np.log(dts), np.log(gaps), 1)[0])
 
 
-def _run(checks, out):
+def linear_second_moments(config, a):
+    """Exact E u_k(T)^2 and E v_k(T)^2 per mode of the scheme for a linear drift a*u, sigma = one.
+
+    Each mode follows X_{n+1} = A X_n + B xi_n with X = (u_k, v_k), A = G [[1, 0],
+    [-dt a, 1]], B = G (0, 1)^T, G the wave group over dt and Var xi = q_k dt
+    for both drivers; the second-moment matrix S_n = E X_n X_n^T then follows
+    S_{n+1} = A S_n A^T + q_k dt B B^T from the deterministic start.
+    """
+    grid, dt = config.grid, config.dt
+    om = np.sqrt(grid.mu)
+    cos, sin = np.cos(dt * om), np.sin(dt * om)
+    group = np.array([[cos, sin / om], [-om * sin, cos]])  # (2, 2, modes)
+    a_mat = group.copy()
+    a_mat[:, 0] -= dt * a * group[:, 1]  # G times the kick [[1, 0], [-dt a, 1]]
+    b_outer = np.einsum("ik,jk->ijk", group[:, 1], group[:, 1])
+    x0 = np.array(build_initial_state(grid, config.u0))
+    s = np.einsum("ik,jk->ijk", x0, x0)
+    q = config.driver.covariance.q * dt
+    for _ in range(config.n_steps):
+        s = np.einsum("ijk,jlk,mlk->imk", a_mat, s, a_mat) + q * b_outer
+    return s[0, 0], s[1, 1]
+
+
+def second_moment_z2(config, n_paths) -> float:
+    """Sum over the modes of z^2 of the sample E u_k(T)^2 and E v_k(T)^2 against ``linear_second_moments``.
+
+    config has a ``linear:c`` graph and sigma = one, whose Yosida drift is
+    a*u with a = c / (1 + lam c).  Its paths 0..n_paths-1 are stepped at
+    its lam in kernel blocks of 8 paths; nan if one blows up.
+    """
+    lam, c = config.lam, config.graph.c
+    ends = []
+    for start in range(0, n_paths, 8):
+        result, blown = _run(config, range(start, min(start + 8, n_paths)), (lam,))
+        if (blown >= 0).any():
+            return float("nan")
+        ends.append((result.u_final[:, 0], result.v_final[:, 0]))
+    z2 = 0.0
+    for sample, exact in zip(map(np.concatenate, zip(*ends)), linear_second_moments(config, c / (1.0 + lam * c))):
+        squares = sample**2
+        z = (squares.mean(axis=0) - exact) / (squares.std(axis=0, ddof=1) / np.sqrt(len(squares)))
+        z2 += float(np.sum(z**2))
+    return z2
+
+
+def _run_checks(checks, out):
     failures = 0
     for name, fn in checks:
         try:
@@ -151,6 +199,16 @@ def run_selftest(out=print) -> int:
                 return False
         return True
 
+    def second_moments_ok():
+        # 600 paths of zero initial data: ten seeds read 99-168 with the right model
+        # and 263-548 with the noise variance x 1.1, for both drivers
+        grid64 = SpectralGrid(1, 64)
+        linear = replace(config, grid=grid64, graph=LinearGraph(100.0), lam=1e-3, t_final=0.1, u0="zero",
+                         diffusion=DiffusionMap.from_name("one"))
+        cov64 = NuclearCovariance.from_grid(grid64, 1.0, 2.0)
+        drivers = (MartingaleDriver(kind, cov64, rate=50.0) for kind in ("wiener", "poisson"))
+        return all(second_moment_z2(replace(linear, driver=driver), 600) <= 215.0 for driver in drivers)
+
     def ibp_ok():
         rng = np.random.default_rng(4)
         probes = [(rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)) for _ in range(3)]
@@ -170,9 +228,10 @@ def run_selftest(out=print) -> int:
         ("increment mean/variance statistics", increment_stats_ok),
         ("increment stream determinism", increment_determinism_ok),
         ("second-moment identity (both drivers)", isometry_ok),
+        ("exact second moments of the linear drift (both drivers)", second_moments_ok),
         ("mild-form re-summation residual", lambda: duhamel_residual(config, 0) <= 1e-9),
         ("integration-by-parts telescoping", ibp_ok),
         ("envelope chain-rule gap order >= 0.8", lambda: chain_rule_order(config, (4e-3, 2e-3)) >= 0.8),
         ("coupled noise streams bit-identical", coupled_noise_ok),
     ]
-    return _run(checks, out)
+    return _run_checks(checks, out)

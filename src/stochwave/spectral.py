@@ -103,11 +103,11 @@ class SpectralGrid:
     def _transform(self, matrix, x):
         # In 2-D each field is transformed alone, by two N x N products.  In
         # 1-D the whole stack is one gemm, np.dot(rows, matrix) with the
-        # symmetric matrix untransposed (the gemm call of rows @ matrix, at
-        # less overhead).  Its rows have a lone field's bits at any row count
-        # at N = 8 and 64 (the tests), not at N = 300; rows @ matrix.T loses
-        # them above about 1 200 entries (OpenBLAS 0.3.31).  One row, a lone
-        # field or a stack of one, is padded to 2, since numpy hands it to gemv.
+        # symmetric matrix untransposed (rows @ matrix.T loses a row's bits
+        # above about 1 200 entries, OpenBLAS 0.3.31).  Its rows have a lone
+        # field's bits at any row count at N = 8 and 64 (the tests), not at
+        # N = 300, where a study row may differ from its lone path.  One row, a
+        # lone field or a stack of one, is padded to 2: numpy hands it to gemv.
         if self.dim == 2:
             return matrix @ x @ matrix
         if x.size == self.n_modes:

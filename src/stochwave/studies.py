@@ -4,10 +4,10 @@ Every study maps one job over blocks of consecutive paths (one RNG stream
 per path index), on forked worker processes if asked.  A lambda study's job
 steps its block at every lambda in one call of the solver's block kernel,
 reduces each (path, lambda) row while it steps, and keeps no history.  The
-values are reduced in path order, and a row holds its single path's values
-where the transforms keep a field's bits in a stack (in 2-D, and in 1-D at
-the sizes the tests cover), so reports there are bit-identical for a fixed
-seed regardless of block size and worker count.
+blocks are cut by the study alone and reduced in path order, so a report is
+bit-identical for a fixed seed at any worker count; where the transforms keep
+a field's bits in a stack (in 2-D, and in 1-D at the sizes the tests cover),
+a row holds its single path's values, and a report its bits at any block size.
 """
 
 from __future__ import annotations
@@ -220,11 +220,11 @@ def _map_ordered(fn, blocks, workers):
             child.kill()
 
 
-# Most paths per study job; a lambda study steps them in one block-kernel call.
-# A block gets min(_BLOCK_PATHS, ceil(n_paths / processes)) paths, so that
-# every process the fork map starts, min(workers, usable CPUs), gets a
-# block; a row's bits do not depend on its block-mates.
-_BLOCK_PATHS = 8
+# Most state entries (paths x lambdas x grid points) per study block, stepped
+# in one block-kernel call.  The cut reads the study alone, so a run makes the
+# same kernel and gemm calls at any worker count and on any CPUs.  At 2^14 a
+# 4-path 2-D N = 32 study at 4 lambdas would be one block, on one process.
+_BLOCK_STATE_ENTRIES = 1 << 13
 
 
 def _map_blocks(spec: StudySpec, job):
@@ -234,10 +234,9 @@ def _map_blocks(spec: StudySpec, job):
     returns has its block's paths on the first axis, so each result holds
     every path of the study, in path order, on its first axis.
     """
-    procs = min(spec.workers, _usable_cpus())
-    size = min(_BLOCK_PATHS, math.ceil(spec.n_paths / procs))
+    size = max(1, _BLOCK_STATE_ENTRIES // (len(spec.lambdas) * spec.base.grid.size))
     blocks = [range(i, min(i + size, spec.n_paths)) for i in range(0, spec.n_paths, size)]
-    return [np.concatenate(arrays) for arrays in zip(*_map_ordered(job, blocks, procs))]
+    return [np.concatenate(arrays) for arrays in zip(*_map_ordered(job, blocks, spec.workers))]
 
 
 def _energy_job(base, lambdas, paths):

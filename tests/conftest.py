@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stochwave import simulate_path
+from stochwave import simulate_path, studies
 from stochwave.solver import _drift, _kick_rotate
 from stochwave.studies import _pairing_job
 
@@ -76,3 +76,18 @@ def _kernel_step(cache, u, v, graph, lam, diffusion, dm, nodes=False):
 @pytest.fixture(scope="session")
 def kernel_step():
     return _kernel_step
+
+
+@pytest.fixture
+def forked_shares(monkeypatch):
+    """The share of each child the fork map forks, in fork order; it forks on 2 CPUs, whatever the machine."""
+    shares = []
+
+    class SpyChild(studies._Child):
+        def __init__(self, fn, share):
+            shares.append(share)
+            super().__init__(fn, share)
+
+    monkeypatch.setattr(studies, "_Child", SpyChild)
+    monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+    return shares

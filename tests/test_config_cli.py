@@ -249,8 +249,10 @@ class TestCli:
         assert cli_main(args) == 3
         assert "energy blow-up at step 13" in capsys.readouterr().err
         assert not out.exists()
+        # 4 paths x 4 lambdas x 64 modes make two blocks of 2 paths under a cap of 512 entries
         monkeypatch.setattr(studies, "_serve", lambda fn, share, fd: os._exit(9))
         monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(studies, "_BLOCK_STATE_ENTRIES", 2 * 4 * 64)
         args = ["energy", "--n-paths", "4", "--workers", "2", "--set", "solver.t_final=0.01", "--outdir", str(out)]
         assert cli_main(args) == 2
         assert "exited with status 9" in capsys.readouterr().err
@@ -367,6 +369,7 @@ class TestCli:
         "increment mean/variance statistics",
         "increment stream determinism",
         "second-moment identity (both drivers)",
+        "exact second moments of the linear drift (both drivers)",
         "mild-form re-summation residual",
         "integration-by-parts telescoping",
         "envelope chain-rule gap order >= 0.8",

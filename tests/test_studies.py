@@ -101,6 +101,11 @@ def serial_children(monkeypatch, cpus):
     return shares
 
 
+def cut_blocks(monkeypatch, spec, paths):
+    """Lower the block cap so that the study of ``spec`` is cut into blocks of ``paths`` paths."""
+    monkeypatch.setattr(studies, "_BLOCK_STATE_ENTRIES", paths * len(spec.lambdas) * spec.base.grid.size)
+
+
 class TestForkMap:
     """The fork map on at most 2 processes: one child, whose failures reach the caller whole."""
 
@@ -165,8 +170,10 @@ class TestForkMap:
         monkeypatch.setattr(studies, "_serve", half_serve)
         with pytest.raises(ChildProcessError, match=f"paths 2..3 {how}"):
             studies._map_ordered(lambda block: list(block), self.BLOCKS, 2)
-        # through the CLI: a named error and exit 2, not a traceback
+        # through the CLI: a named error and exit 2, not a traceback; 4 paths x 4 lambdas x 64
+        # modes make two blocks of 2 paths under a cap of 512 entries, and the second is forked
         monkeypatch.setattr(studies, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(studies, "_BLOCK_STATE_ENTRIES", 2 * 4 * 64)
         args = ["energy", "--n-paths", "4", "--workers", "2", "--set", "solver.t_final=0.01"]
         assert cli_main(args + ["--outdir", str(tmp_path)]) == 2
         assert how in capsys.readouterr().err
@@ -236,34 +243,41 @@ class TestStudySpecValidation:
 
 
 class TestLambdaSweep:
-    @pytest.mark.parametrize(
-        "study", [energy_study, pairing_study, lambda_convergence_study, isometry_study], ids=lambda f: f.__name__
-    )
-    def test_worker_count_does_not_change_rows(self, small_stochastic_spec, study):
+    STUDIES = [energy_study, pairing_study, lambda_convergence_study, isometry_study]
+
+    @pytest.mark.parametrize("study", STUDIES, ids=lambda f: f.__name__)
+    def test_worker_count_does_not_change_rows(self, small_stochastic_spec, study, monkeypatch, forked_shares):
+        # 8 paths in blocks of 3, 3 and 2: 2 workers fork a child for the last two
+        cut_blocks(monkeypatch, small_stochastic_spec, 3)
         serial = study(replace(small_stochastic_spec, workers=1))
         pooled = study(replace(small_stochastic_spec, workers=2))
+        assert forked_shares == [[range(3, 6), range(6, 8)]]
         assert serial.rows == pooled.rows
 
-    def test_energy_blocks_give_the_same_rows_through_a_pool(self, small_stochastic_spec):
+    def test_energy_blocks_give_the_same_rows_through_a_pool(self, small_stochastic_spec, monkeypatch, forked_shares):
         # 3 blocks of at most 8 paths, stepped one after another or on 2 workers
-        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 3)
+        cut_blocks(monkeypatch, small_stochastic_spec, 8)
+        spec = replace(small_stochastic_spec, n_paths=19)
         assert energy_study(replace(spec, workers=2)).rows == energy_study(spec).rows
+        assert forked_shares == [[range(8, 16), range(16, 19)]]
 
     def test_pool_is_capped_at_the_block_count(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=128)
-        # 17 paths on 64 workers make 17 one-path blocks: min(_BLOCK_PATHS, ceil(17 / 64)) paths each;
-        # this process steps the first, and 16 children one each
-        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
+        # a cap below one path's entries still cuts one-path blocks: 17 paths on 64 workers make 17
+        # blocks; this process steps the first, and 16 children one each
+        monkeypatch.setattr(studies, "_BLOCK_STATE_ENTRIES", 1)
+        spec = replace(small_stochastic_spec, n_paths=17)
         pooled = energy_study(replace(spec, workers=64))
         assert shares == [[range(p, p + 1)] for p in range(1, 17)]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
     def test_processes_are_capped_at_the_cpu_count(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=4)
-        # 17 paths on 64 workers but 4 CPUs make blocks of min(_BLOCK_PATHS, ceil(17 / 4)) paths, one per process
-        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
+        # 17 one-path blocks on 64 workers but 4 CPUs: 4 processes, with 4, 4, 4 and 5 blocks
+        cut_blocks(monkeypatch, small_stochastic_spec, 1)
+        spec = replace(small_stochastic_spec, n_paths=17)
         pooled = energy_study(replace(spec, workers=64))
-        assert shares == [[range(5, 10)], [range(10, 15)], [range(15, 17)]]
+        assert shares == [[range(p, p + 1) for p in range(a, b)] for a, b in ((4, 8), (8, 12), (12, 17))]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
         shares.clear()
         # 100 000 workers on 100 000 one-path blocks start 3 children, not 99 999
@@ -273,48 +287,82 @@ class TestLambdaSweep:
 
     def test_workers_above_the_cpu_count_do_not_shrink_blocks(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=2)
-        # 8 workers on 2 CPUs: blocks of _BLOCK_PATHS paths, as with 2 workers, not 17 / 8 -> 3
-        spec = replace(small_stochastic_spec, n_paths=2 * studies._BLOCK_PATHS + 1)
+        # 8 workers on 2 CPUs: blocks of 8, 8 and 1 paths, on 2 processes
+        cut_blocks(monkeypatch, small_stochastic_spec, 8)
+        spec = replace(small_stochastic_spec, n_paths=17)
         pooled = energy_study(replace(spec, workers=8))
         assert shares == [[range(8, 16), range(16, 17)]]
         assert pooled.rows == energy_study(replace(spec, workers=1)).rows
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_lambda_conv_csv_bytes_do_not_depend_on_workers_or_block_size(
-        self, small_stochastic_spec, dim, tmp_path, monkeypatch
+    # 2^13 entries: 170 paths of 3 lambdas x 16 modes, or 2 paths of 3 lambdas x 32^2 modes
+    @pytest.mark.parametrize("dim, n_paths, size", [(1, 341, 170), (2, 5, 2)])
+    def test_the_block_cut_reads_neither_the_workers_nor_the_cpus(
+        self, small_stochastic_spec, dim, n_paths, size, monkeypatch
+    ):
+        spec = replace(small_stochastic_spec, n_paths=n_paths)
+        if dim == 2:
+            spec = replace(spec, base=replace(spec.base, grid=SpectralGrid(2, 32)))
+        cuts = []
+        map_ordered = studies._map_ordered
+
+        def spy(fn, blocks, workers):
+            cuts.append(list(blocks))
+            return map_ordered(fn, blocks, workers)
+
+        monkeypatch.setattr(studies, "_map_ordered", spy)
+        for cpus in (1, 2, 64):
+            serial_children(monkeypatch, cpus)
+            for workers in (1, 2, 64):
+                [paths] = studies._map_blocks(replace(spec, workers=workers), lambda block: (np.array(block),))
+                assert paths.tolist() == list(range(n_paths))
+        assert cuts == [[range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]] * 9
+
+    @pytest.mark.parametrize("n_modes, blocks", [(300, 2), (512, 3)])
+    @pytest.mark.parametrize("command", ["energy", "pairing", "lambda-conv"])
+    def test_csv_bytes_do_not_depend_on_workers_at_any_grid_size(self, command, n_modes, blocks, tmp_path, monkeypatch):
+        # at d = 1 the rows of a stacked transform keep a lone field's bits only at some N, not at
+        # N = 300 or 512; 9 paths x 4 lambdas x N modes make blocks of 6 + 3 or 4 + 4 + 1 paths at
+        # any worker count (a cut by the worker count writes other bits at each of 1, 2 and 3)
+        from stochwave.cli import cli_main
+
+        shares = serial_children(monkeypatch, cpus=3)
+        texts = set()
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            args = [command, "--n-paths", "9", "--workers", str(workers), "--set", "solver.t_final=0.05",
+                    "--set", "noise.sigma=clip", "--set", f"domain.n_modes={n_modes}", "--outdir", str(out)]
+            assert cli_main(args) == 0
+            texts.add((out / f"{command}.csv").read_bytes())
+        assert len(texts) == 1
+        # 1 child at 2 workers, and min(3, blocks) - 1 at 3
+        assert len(shares) == min(3, blocks)
+
+    @pytest.mark.parametrize("case", ["d1-wiener", "d1-poisson", "d2-poisson"])
+    @pytest.mark.parametrize("study", STUDIES, ids=lambda f: f.__name__)
+    def test_csv_bytes_do_not_depend_on_workers_or_block_size(
+        self, small_stochastic_spec, study, case, tmp_path, monkeypatch, forked_shares
     ):
         spec = replace(small_stochastic_spec, n_paths=5)
-        if dim == 2:
+        if case == "d1-poisson":
+            driver = replace(spec.base.driver, kind="poisson", rate=5.0)
+            spec = replace(spec, base=replace(spec.base, driver=driver))
+        if case == "d2-poisson":
             grid = SpectralGrid(2, 8)
             driver = MartingaleDriver("poisson", NuclearCovariance.from_grid(grid, 1.0, 3.0), rate=5.0)
             sigma = DiffusionMap.from_name("sin")
             base = replace(spec.base, grid=grid, graph=SignGraph(), driver=driver, diffusion=sigma)
             spec = replace(spec, base=base)
         texts = set()
-        # blocks of 1, 2, 3 and 4 paths: min(_BLOCK_PATHS, ceil(5 / processes))
-        for block_paths in (1, 2, 4):
-            monkeypatch.setattr(studies, "_BLOCK_PATHS", block_paths)
+        # blocks of 1 to 4 paths, and the whole study in one block; 2 workers fork one child
+        # for the last 3, 2, 1 and 1 blocks of the first four cuts
+        for block_paths in (1, 2, 3, 4, 5):
+            cut_blocks(monkeypatch, spec, block_paths)
             for workers in (1, 2):
                 path = tmp_path / f"{block_paths}-{workers}.csv"
-                write_csv(lambda_convergence_study(replace(spec, workers=workers)), path)
+                write_csv(study(replace(spec, workers=workers)), path)
                 texts.add(path.read_bytes())
         assert len(texts) == 1
-
-    @pytest.mark.parametrize("kind", ["wiener", "poisson"])
-    def test_isometry_csv_bytes_do_not_depend_on_workers_or_block_size(
-        self, small_stochastic_spec, kind, tmp_path, monkeypatch
-    ):
-        driver = replace(small_stochastic_spec.base.driver, kind=kind, rate=5.0 if kind == "poisson" else 0.0)
-        spec = replace(small_stochastic_spec, base=replace(small_stochastic_spec.base, driver=driver), n_paths=5)
-        texts = set()
-        # blocks of 1, 2, 3 and 4 paths: min(_BLOCK_PATHS, ceil(5 / processes))
-        for block_paths in (1, 2, 4):
-            monkeypatch.setattr(studies, "_BLOCK_PATHS", block_paths)
-            for workers in (1, 2):
-                path = tmp_path / f"{block_paths}-{workers}.csv"
-                write_csv(isometry_study(replace(spec, workers=workers)), path)
-                texts.add(path.read_bytes())
-        assert len(texts) == 1
+        assert [len(share) for share in forked_shares] == [3, 2, 1, 1]
 
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
     def test_every_lambda_of_a_job_draws_the_same_increments(self, small_stochastic_spec, kind, record_path):
@@ -384,7 +432,7 @@ class TestEnergyStudy:
         spec = replace(small_stochastic_spec, n_paths=1)
         assert energy_study(spec).rows == energy_study(spec).rows
 
-    def test_every_diffusion_map_survives_the_worker_pool(self, small_stochastic_spec):
+    def test_every_diffusion_map_survives_the_worker_pool(self, small_stochastic_spec, monkeypatch, forked_shares):
         # maps hold callables; forked workers inherit them, and a config holding one still pickles
         import pickle
 
@@ -393,8 +441,10 @@ class TestEnergyStudy:
             assert pickle.loads(pickle.dumps(sigma)).name == name
         base = replace(small_stochastic_spec.base, diffusion=DiffusionMap.from_name("one"))
         spec = replace(small_stochastic_spec, base=base, lambdas=(1e-2,), n_paths=4, workers=2)
+        cut_blocks(monkeypatch, spec, 2)
         report = energy_study(spec)
         assert report.rows[0][3] == 4
+        assert forked_shares == [[range(2, 4)]]
 
     def test_blow_up_rows_are_flagged_and_study_continues(self):
         grid = SpectralGrid(1, 16)
@@ -703,13 +753,19 @@ class TestPartialBlowUp:
                     paths[p, lam].pairing = path_pairing(config, p)
         return paths
 
+    @pytest.fixture
+    def shares(self, spec, monkeypatch, forked_shares):
+        """The forked shares of 12 paths in two blocks of 6: 2 workers fork a child for the second."""
+        cut_blocks(monkeypatch, spec, 6)
+        return forked_shares
+
     @staticmethod
     def assert_rows(report, expected, counts):
         assert [row[-1] for row in report.rows] == counts
         assert np.array(report.rows, dtype=float).tobytes() == np.array(expected, dtype=float).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_energy_rows_reduce_the_finished_paths(self, spec, workers):
+    def test_energy_rows_reduce_the_finished_paths(self, spec, shares, workers):
         singles = {lam: [] for lam in spec.lambdas}
         for lam in spec.lambdas:
             for p in range(spec.n_paths):
@@ -721,9 +777,10 @@ class TestPartialBlowUp:
         assert {lam: len(steps) for lam, steps in report.meta["blowup_steps"].items()} == {2.5e-7: 3, 2.4e-7: 12, 1e-7: 12}
         expected = [(lam, *_mean_se(singles[lam]), len(singles[lam])) for lam in spec.lambdas]
         self.assert_rows(report, expected, self.FINISHED)
+        assert shares == ([[range(6, 12)]] if workers == 2 else [])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pairing_rows_reduce_the_finished_paths(self, spec, recorded, workers):
+    def test_pairing_rows_reduce_the_finished_paths(self, spec, recorded, shares, workers):
         grid, graph, filt = spec.base.grid, spec.base.graph, spec.base.grid.smoother(1e-2)
         expected = []
         for lam in spec.lambdas:
@@ -739,9 +796,10 @@ class TestPartialBlowUp:
             expected.append((lam, 0.0, *_mean_se([path.pairing for path in finished]), len(finished)))
         report = pairing_study(replace(spec, workers=workers))
         self.assert_rows(report, expected, [n for n in self.FINISHED for _ in range(2)])
+        assert shares == ([[range(6, 12)]] if workers == 2 else [])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_lambda_conv_rows_reduce_the_pairs_whose_paths_both_finished(self, spec, recorded, workers):
+    def test_lambda_conv_rows_reduce_the_pairs_whose_paths_both_finished(self, spec, recorded, shares, workers):
         expected = []
         for hi, lo in zip(spec.lambdas, spec.lambdas[1:]):
             pairs = [(recorded[p, hi], recorded[p, lo]) for p in range(spec.n_paths)]
@@ -751,6 +809,7 @@ class TestPartialBlowUp:
             expected.append((hi, lo, *stats[0], *stats[1], stats[2][0], stats[3][0], len(gaps)))
         report = lambda_convergence_study(replace(spec, workers=workers))
         self.assert_rows(report, expected, [12, 9, 0, 0])
+        assert shares == ([[range(6, 12)]] if workers == 2 else [])
 
 
 class TestTransformCounts:
@@ -819,10 +878,12 @@ class TestIsometryStudy:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["wiener", "poisson"])
-    def test_rows_match_a_per_step_reference(self, small_stochastic_spec, kind, workers, monkeypatch):
-        # 3 steps per block, so each path's 125 steps span 42 blocks; 2 workers fork a child for paths 3..4
+    def test_rows_match_a_per_step_reference(self, small_stochastic_spec, kind, workers, monkeypatch, forked_shares):
+        # 3 steps per draw block, so each path's 125 steps span 42 draw blocks; paths in study
+        # blocks of 3 and 2, and 2 workers fork a child for paths 3..4
         monkeypatch.setattr(noise, "_BLOCK_ENTRIES", 3 * 16 + 5)
         spec = replace(self._spec(small_stochastic_spec, kind), n_paths=5, workers=workers)
+        cut_blocks(monkeypatch, spec, 3)
         base, driver = spec.base, spec.base.driver
         sq, qv = [], []
         for p in range(spec.n_paths):
@@ -839,10 +900,12 @@ class TestIsometryStudy:
         )
         assert rows[1][1:3] == (np.mean(qv), base.t_final * driver.covariance.trace)
         assert rows[1][3] == np.std(qv, ddof=1) / np.sqrt(spec.n_paths)
+        assert forked_shares == ([[range(3, 5)]] if workers == 2 else [])
 
     def test_driver_paths_are_shared_among_the_workers(self, small_stochastic_spec, monkeypatch):
         shares = serial_children(monkeypatch, cpus=4)
-        # 17 paths on 4 workers make blocks of min(_BLOCK_PATHS, ceil(17 / 4)) paths, one per process
+        # 17 paths in blocks of 5, 5, 5 and 2 paths, one per process on 4 workers
+        cut_blocks(monkeypatch, small_stochastic_spec, 5)
         spec = replace(small_stochastic_spec, n_paths=17)
         pooled = isometry_study(replace(spec, workers=4))
         assert shares == [[range(5, 10)], [range(10, 15)], [range(15, 17)]]
